@@ -11,6 +11,7 @@ import (
 
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 )
 
@@ -105,5 +106,57 @@ func TestWindowsDirtySteadyStateAllocs(t *testing.T) {
 	const max = 7 // pasap (2) + palap (4) + the []Window result
 	if got > max {
 		t.Fatalf("WindowsDirty steady state allocates %.1f/run, budget %d", got, max)
+	}
+}
+
+// hotSelectionGraphs returns the graphs the selection budget and benchmark
+// run on: elliptic and a 1000-node layered graph.
+func hotSelectionGraphs(tb testing.TB) []namedGraph {
+	return []namedGraph{
+		{"elliptic", bench.Elliptic()},
+		{"layered-n1000", presetGraph(tb, gen.PresetLayered, 1000, false)},
+	}
+}
+
+// TestCriticalFirstOrderAllocs pins the critical-first selection at zero
+// allocations per run with a warmed arena, on the forward and the reversed
+// graph: its heap, in-degree and order buffers all live in the arena.
+func TestCriticalFirstOrderAllocs(t *testing.T) {
+	for _, c := range hotSelectionGraphs(t) {
+		opts, bind := hotOptions(c.g, 20)
+		a := opts.Arena
+		for _, g := range []*cdfg.Graph{c.g, a.reverseOf(c.g)} {
+			if _, err := criticalFirstOrder(g, bind, &opts, a); err != nil {
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(50, func() {
+				if _, err := criticalFirstOrder(g, bind, &opts, a); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != 0 {
+				t.Fatalf("%s: criticalFirstOrder allocates %.1f/run with a warm arena, budget 0", c.name, got)
+			}
+		}
+	}
+}
+
+// BenchmarkCriticalFirstOrder times the selection layer alone, with a warmed
+// arena and delay tables, as the synthesizer's scheduler runs call it.
+func BenchmarkCriticalFirstOrder(b *testing.B) {
+	for _, c := range hotSelectionGraphs(b) {
+		b.Run(c.name, func(b *testing.B) {
+			opts, bind := hotOptions(c.g, 20)
+			if _, err := criticalFirstOrder(c.g, bind, &opts, opts.Arena); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := criticalFirstOrder(c.g, bind, &opts, opts.Arena); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

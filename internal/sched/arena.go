@@ -21,8 +21,10 @@ type Arena struct {
 
 	topo  []cdfg.NodeID // cached topological order of g
 	rtopo []cdfg.NodeID // cached topological order of rev
+	deg   []int         // cached in-degrees of g
+	rdeg  []int         // cached in-degrees of rev
 
-	// criticalFirstOrder scratch.
+	// criticalFirstOrder scratch: ready is the binary heap of ready nodes.
 	prio  []int
 	indeg []int
 	ready []cdfg.NodeID
@@ -74,6 +76,33 @@ func (a *Arena) topoFor(g *cdfg.Graph) ([]cdfg.NodeID, error) {
 		return a.rtopo, nil
 	}
 	return g.TopoOrder()
+}
+
+// indegreesOf returns the cached in-degree vector of g (computing it
+// once), or a fresh one when g is foreign to the arena. Callers must not
+// mutate the cached vector.
+func (a *Arena) indegreesOf(g *cdfg.Graph) []int {
+	switch {
+	case a != nil && g == a.g:
+		if a.deg == nil {
+			a.deg = indegrees(g)
+		}
+		return a.deg
+	case a != nil && a.rev != nil && g == a.rev:
+		if a.rdeg == nil {
+			a.rdeg = indegrees(g)
+		}
+		return a.rdeg
+	}
+	return indegrees(g)
+}
+
+func indegrees(g *cdfg.Graph) []int {
+	deg := make([]int, g.N())
+	for i := range deg {
+		deg[i] = len(g.Preds(cdfg.NodeID(i)))
+	}
+	return deg
 }
 
 // reverseOf returns the cached reversed graph of g (building it once), or

@@ -148,8 +148,9 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // critical-path-first selection among ready operations (all predecessors
 // placed): the ready operation with the longest delay-weighted path to a
 // sink is placed first, so less critical operations absorb the power-driven
-// stretching. With PowerMax <= 0 the result is classical ASAP regardless
-// of selection order.
+// stretching; ties go to the lowest node ID. The ready operations are
+// kept in a binary heap, so selection costs O((V+E) log V) per run. With
+// PowerMax <= 0 the result is classical ASAP regardless of selection order.
 //
 // It returns an error wrapping ErrPowerInfeasible if some operation's own
 // power exceeds PowerMax, and an error if the graph is cyclic or a fixed
@@ -366,26 +367,29 @@ func ASAP(g *cdfg.Graph, bind Binding) (*Schedule, error) {
 // criticalFirstOrder returns a topological order in which, among ready
 // operations, the one with the longest delay-weighted path to a sink comes
 // first (ties: smallest ID). It returns an error wrapping cdfg.ErrCycle on
-// cyclic graphs. With an arena, all scratch (including the returned order,
-// valid until the next scheduler run) is recycled. Ready extraction uses
-// swap-removal: the (priority, ID) comparator is a strict total order, so
-// the selected sequence is independent of the ready slice's layout.
+// cyclic graphs. The ready operations sit in a binary heap keyed by that
+// (priority, ID) order, a strict total order, so the sequence is unique and
+// costs O((V+E) log V). With an arena, all scratch (including the returned
+// order, valid until the next scheduler run) is recycled and the in-degree
+// vector is copied from the arena's cache.
 func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([]cdfg.NodeID, error) {
 	topo, err := a.topoFor(g)
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
+	deg := a.indegreesOf(g)
 	var prio, indeg []int
 	var ready, order []cdfg.NodeID
 	if a != nil {
 		prio = growInts(&a.prio, n)
 		indeg = growInts(&a.indeg, n)
+		copy(indeg, deg)
 		ready = growIDs(&a.ready, 0)
-		order = growIDs(&a.order, 0)
+		order = growIDs(&a.order, n)[:0]
 	} else {
 		prio = make([]int, n)
-		indeg = make([]int, n)
+		indeg = deg // a fresh vector, ours to consume
 		order = make([]cdfg.NodeID, 0, n)
 	}
 	// Delay-weighted longest path from each node (inclusive) to a sink.
@@ -403,36 +407,79 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 			prio[u] = best + bind(g.Node(u)).Delay
 		}
 	}
-	for i := 0; i < n; i++ {
-		indeg[i] = len(g.Preds(cdfg.NodeID(i)))
-		if indeg[i] == 0 {
-			ready = append(ready, cdfg.NodeID(i))
+	q := readyHeap{prio: prio, ids: ready}
+	for i, d := range indeg {
+		if d == 0 {
+			q.push(cdfg.NodeID(i))
 		}
 	}
-	for len(ready) > 0 {
-		bi := 0
-		for k := 1; k < len(ready); k++ {
-			x, b := ready[k], ready[bi]
-			if prio[x] > prio[b] || (prio[x] == prio[b] && x < b) {
-				bi = k
-			}
-		}
-		u := ready[bi]
-		last := len(ready) - 1
-		ready[bi] = ready[last]
-		ready = ready[:last]
+	for len(q.ids) > 0 {
+		u := q.pop()
 		order = append(order, u)
 		for _, v := range g.Succs(u) {
 			indeg[v]--
 			if indeg[v] == 0 {
-				ready = append(ready, v)
+				q.push(v)
 			}
 		}
 	}
 	if a != nil {
-		a.ready, a.order = ready[:0], order
+		a.ready = q.ids[:0]
 	}
 	return order, nil
+}
+
+// readyHeap is a binary heap of ready nodes whose root is the node
+// criticalFirstOrder places next: the highest priority, then the lowest ID.
+type readyHeap struct {
+	prio []int
+	ids  []cdfg.NodeID
+}
+
+// before reports whether x is placed before y.
+func (h *readyHeap) before(x, y cdfg.NodeID) bool {
+	return h.prio[x] > h.prio[y] || (h.prio[x] == h.prio[y] && x < y)
+}
+
+func (h *readyHeap) push(v cdfg.NodeID) {
+	h.ids = append(h.ids, v)
+	i := len(h.ids) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(v, h.ids[p]) {
+			break
+		}
+		h.ids[i] = h.ids[p]
+		i = p
+	}
+	h.ids[i] = v
+}
+
+func (h *readyHeap) pop() cdfg.NodeID {
+	ids := h.ids
+	top, last := ids[0], len(ids)-1
+	x := ids[last]
+	ids = ids[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if c+1 < last && h.before(ids[c+1], ids[c]) {
+				c++
+			}
+			if !h.before(ids[c], x) {
+				break
+			}
+			ids[i] = ids[c]
+			i = c
+		}
+		ids[i] = x
+	}
+	h.ids = ids
+	return top
 }
 
 // PALAP computes the power-constrained as-late-as-possible schedule under a

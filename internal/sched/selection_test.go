@@ -1,10 +1,14 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 )
 
@@ -95,5 +99,132 @@ func TestCriticalFirstOrderIsTopological(t *testing.T) {
 				t.Fatalf("edge %d->%d violates order", n.ID, v)
 			}
 		}
+	}
+}
+
+// criticalFirstOrderRef is the reference selection: at every step it scans
+// the whole ready list for the node with the longest delay-weighted path
+// to a sink, ties to the smallest ID. criticalFirstOrder must reproduce
+// its sequence exactly.
+func criticalFirstOrderRef(g *cdfg.Graph, bind Binding, opts *Options) ([]cdfg.NodeID, error) {
+	topo, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	n := g.N()
+	prio := make([]int, n)
+	for i := len(topo) - 1; i >= 0; i-- {
+		u := topo[i]
+		best := 0
+		for _, v := range g.Succs(u) {
+			best = max(best, prio[v])
+		}
+		if opts != nil && opts.Delays != nil {
+			prio[u] = best + opts.Delays[u]
+		} else {
+			prio[u] = best + bind(g.Node(u)).Delay
+		}
+	}
+	indeg := make([]int, n)
+	var ready []cdfg.NodeID
+	for i := range indeg {
+		indeg[i] = len(g.Preds(cdfg.NodeID(i)))
+		if indeg[i] == 0 {
+			ready = append(ready, cdfg.NodeID(i))
+		}
+	}
+	order := make([]cdfg.NodeID, 0, n)
+	for len(ready) > 0 {
+		bi := 0
+		for k := 1; k < len(ready); k++ {
+			x, b := ready[k], ready[bi]
+			if prio[x] > prio[b] || (prio[x] == prio[b] && x < b) {
+				bi = k
+			}
+		}
+		u := ready[bi]
+		ready[bi] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		order = append(order, u)
+		for _, v := range g.Succs(u) {
+			indeg[v]--
+			if indeg[v] == 0 {
+				ready = append(ready, v)
+			}
+		}
+	}
+	return order, nil
+}
+
+// namedGraph is a test graph with its subtest name.
+type namedGraph struct {
+	name string
+	g    *cdfg.Graph
+}
+
+// presetGraph returns the seeded gen graph of preset p at n nodes.
+func presetGraph(tb testing.TB, p gen.Preset, n int, connect bool) *cdfg.Graph {
+	cfg, err := gen.PresetConfig(p, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg.Connect = connect
+	return gen.Graph(int64(n)+7, cfg)
+}
+
+// selectionGraphs returns elliptic plus the generated layered, blocks and
+// mixed shapes at n in {30, 300, 1000}, each with and without Connect.
+func selectionGraphs(tb testing.TB) []namedGraph {
+	graphs := []namedGraph{{"elliptic", bench.Elliptic()}}
+	for _, p := range []gen.Preset{gen.PresetLayered, gen.PresetBlocks, gen.PresetMixed} {
+		for _, n := range []int{30, 300, 1000} {
+			for _, connect := range []bool{false, true} {
+				graphs = append(graphs, namedGraph{fmt.Sprintf("%s-n%d-connect=%v", p, n, connect), presetGraph(tb, p, n, connect)})
+			}
+		}
+	}
+	return graphs
+}
+
+// TestCriticalFirstOrderMatchesReference is the differential test of the
+// heap selection against the linear scan: forward and reversed graphs,
+// with and without an arena, with binding delays and with a delay table
+// drawn from {1, 2} so that priority ties are dense.
+func TestCriticalFirstOrderMatchesReference(t *testing.T) {
+	bind := UniformFastest(library.Table1())
+	for _, c := range selectionGraphs(t) {
+		g := c.g
+		t.Run(c.name, func(t *testing.T) {
+			a := NewArena(g)
+			rev := a.reverseOf(g)
+			rng := rand.New(rand.NewSource(int64(g.N())))
+			delays := make([]int, g.N())
+			for i := range delays {
+				delays[i] = 1 + rng.Intn(2)
+			}
+			for _, dir := range []namedGraph{{"forward", g}, {"reversed", rev}} {
+				for _, opts := range []*Options{nil, {Delays: delays}} {
+					want, err := criticalFirstOrderRef(dir.g, bind, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// The arena runs twice: cold, then over its recycled scratch.
+					for run, arena := range []*Arena{nil, a, a} {
+						got, err := criticalFirstOrder(dir.g, bind, opts, arena)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) {
+							i := 0
+							for i < len(got) && i < len(want) && got[i] == want[i] {
+								i++
+							}
+							t.Fatalf("%s, table=%v, run %d: order diverges from the linear scan at position %d (len %d vs %d)",
+								dir.name, opts != nil, run, i, len(got), len(want))
+						}
+					}
+				}
+			}
+		})
 	}
 }

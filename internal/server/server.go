@@ -298,11 +298,11 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with body limiting, drain refusal, and
-// request count/latency metrics labeled by path and status code.
+// instrument wraps a handler with body limiting, drain refusal, a request
+// count labeled by path and status code, and a latency histogram labeled
+// by endpoint.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.reg.Histogram("pchls_http_request_seconds", "request latency", nil, obs.Label{Key: "path", Value: path})
-	endpointHist := s.reg.Histogram("pchls_request_seconds", "request latency by endpoint", nil, obs.Label{Key: "endpoint", Value: path})
+	hist := s.reg.Histogram("pchls_request_seconds", "request latency by endpoint", nil, obs.Label{Key: "endpoint", Value: path})
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -314,9 +314,7 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		h(rec, r)
-		elapsed := time.Since(start).Seconds()
-		hist.Observe(elapsed)
-		endpointHist.Observe(elapsed)
+		hist.Observe(time.Since(start).Seconds())
 		s.reg.Counter("pchls_http_requests_total", "requests served",
 			obs.Label{Key: "path", Value: path},
 			obs.Label{Key: "code", Value: strconv.Itoa(rec.status)}).Inc()

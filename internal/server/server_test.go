@@ -172,7 +172,7 @@ func TestWarmCacheSkipsSynthesis(t *testing.T) {
 		"pchls_cache_misses_total 1",
 		"pchls_engine_synth_total 1",
 		`pchls_http_requests_total{code="200",path="/v1/synthesize"} 2`,
-		`pchls_http_request_seconds_count{path="/v1/synthesize"} 2`,
+		`pchls_request_seconds_count{endpoint="/v1/synthesize"} 2`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

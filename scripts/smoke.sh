@@ -82,7 +82,7 @@ grep -q '^pchls_cache_hits_total 2$' "$TMP/metrics" || {
     grep '^pchls_cache' "$TMP/metrics" >&2 || true
     exit 1
 }
-grep -q '^pchls_http_request_seconds_count' "$TMP/metrics" || {
+grep -q '^pchls_request_seconds_count{endpoint="/v1/synthesize"}' "$TMP/metrics" || {
     echo "smoke: /metrics missing latency histogram" >&2
     exit 1
 }

@@ -57,6 +57,26 @@ func writeGraphLib(sb *strings.Builder, g *cdfg.Graph, lib *library.Library) {
 	}
 }
 
+// writeAxes renders a grid's deadline and power axes in request order:
+// the response lists cells in that order, so it is part of the address.
+func writeAxes(sb *strings.Builder, deadlines []int, powers []float64) {
+	sb.WriteString("deadlines=")
+	for i, d := range deadlines {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.Itoa(d))
+	}
+	sb.WriteString(" powers=")
+	for i, p := range powers {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(canonFloat(p))
+	}
+	sb.WriteByte('\n')
+}
+
 func finishKey(sb *strings.Builder) string {
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:])
@@ -98,22 +118,9 @@ func SweepKey(g *cdfg.Graph, lib *library.Library, deadline int, pmin, pmax, ste
 // capacity and the simulation bound.
 func ParetoKey(g *cdfg.Graph, lib *library.Library, deadlines []int, powers []float64, batteryModel string, capacity float64, maxPeriods int, singlePass bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s pareto single=%t battery=%s capacity=%s periods=%d deadlines=",
+	fmt.Fprintf(&sb, "%s pareto single=%t battery=%s capacity=%s periods=%d ",
 		keyVersion, singlePass, batteryModel, canonFloat(capacity), maxPeriods)
-	for i, d := range deadlines {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(d))
-	}
-	sb.WriteString(" powers=")
-	for i, p := range powers {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(canonFloat(p))
-	}
-	sb.WriteByte('\n')
+	writeAxes(&sb, deadlines, powers)
 	writeGraphLib(&sb, g, lib)
 	return finishKey(&sb)
 }
@@ -121,21 +128,8 @@ func ParetoKey(g *cdfg.Graph, lib *library.Library, deadlines []int, powers []fl
 // SurfaceKey derives the content address of one /v1/surface result.
 func SurfaceKey(g *cdfg.Graph, lib *library.Library, deadlines []int, powers []float64, singlePass bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s surface single=%t deadlines=", keyVersion, singlePass)
-	for i, d := range deadlines {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(d))
-	}
-	sb.WriteString(" powers=")
-	for i, p := range powers {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(canonFloat(p))
-	}
-	sb.WriteByte('\n')
+	fmt.Fprintf(&sb, "%s surface single=%t ", keyVersion, singlePass)
+	writeAxes(&sb, deadlines, powers)
 	writeGraphLib(&sb, g, lib)
 	return finishKey(&sb)
 }

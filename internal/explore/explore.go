@@ -99,7 +99,7 @@ type SweepConfig struct {
 	Config core.Config
 }
 
-// ErrBadGrid is returned for non-positive sweep grids.
+// ErrBadGrid is returned for empty, non-positive or non-finite grids.
 var ErrBadGrid = errors.New("explore: invalid sweep grid")
 
 // Sweep synthesizes g at the fixed deadline for every power budget on the
@@ -116,76 +116,29 @@ func Sweep(g *cdfg.Graph, lib *library.Library, deadline int, cfg SweepConfig) (
 // independent synthesis run, and the budget-subsumption pass that couples
 // neighbouring points runs serially over the collected results.
 func SweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, deadline int, cfg SweepConfig) (Curve, error) {
-	if cfg.Step <= 0 || cfg.PowerMax < cfg.PowerMin || cfg.PowerMin < 0 {
+	// The bounds are stated positively so that a NaN fails them; an
+	// infinite bound or step is rejected too.
+	if !(cfg.Step > 0 && cfg.PowerMin >= 0 && cfg.PowerMax >= cfg.PowerMin) || math.IsInf(cfg.PowerMax, 1) || math.IsInf(cfg.Step, 1) {
 		return Curve{}, fmt.Errorf("%w: min %g max %g step %g", ErrBadGrid, cfg.PowerMin, cfg.PowerMax, cfg.Step)
 	}
-	synth := core.SynthesizeBestContext
-	if cfg.SinglePass {
-		synth = func(_ context.Context, g *cdfg.Graph, lib *library.Library, cons core.Constraints, c core.Config) (*core.Design, error) {
-			return core.Synthesize(g, lib, cons, c)
-		}
-	}
-	// The grid is materialized with the same accumulating sum the serial
-	// loop used, so sample values are bit-identical.
-	var powers []float64
-	for p := cfg.PowerMin; p <= cfg.PowerMax+1e-9; p += cfg.Step {
-		powers = append(powers, p)
-	}
-	var raw []Point
-	var err error
-	if cfg.Eval != nil {
-		cons := make([]core.Constraints, len(powers))
-		for i, p := range powers {
-			cons[i] = core.Constraints{Deadline: deadline, PowerMax: p}
-		}
-		raw, err = cfg.Eval(ctx, cons)
-		if err == nil && len(raw) != len(cons) {
-			err = fmt.Errorf("explore: Eval returned %d points for %d grid cells", len(raw), len(cons))
-		}
-		if err == nil {
-			for i := range raw {
-				raw[i].Power = powers[i]
-			}
-		}
-	} else {
-		raw, err = runner.Map(ctx, len(powers), runner.Config{Workers: cfg.Workers, InFlight: cfg.InFlight},
-			func(ctx context.Context, i int) (Point, error) {
-				pt := Point{Power: powers[i]}
-				d, err := synth(ctx, g, lib, core.Constraints{Deadline: deadline, PowerMax: powers[i]}, cfg.Config)
-				if err == nil {
-					pt.Feasible = true
-					pt.Area = d.Area()
-					pt.Peak = d.Schedule.PeakPower()
-					pt.FUs = len(d.FUs)
-					pt.Registers = len(d.Datapath.Registers)
-					pt.Locked = d.Locked
-					pt.Stats = d.Stats
-				} else if ctxErr := ctx.Err(); ctxErr != nil {
-					return pt, ctxErr
-				}
-				return pt, nil
-			})
-	}
+	cells, err := grid{
+		deadlines:  []int{deadline},
+		powers:     PowerGrid(cfg.PowerMin, cfg.PowerMax, cfg.Step, 0),
+		singlePass: cfg.SinglePass,
+		workers:    cfg.Workers,
+		inFlight:   cfg.InFlight,
+		eval:       cfg.Eval,
+		config:     cfg.Config,
+	}.evaluate(ctx, g, lib)
 	if err != nil {
 		return Curve{}, err
 	}
-	curve := Curve{Benchmark: g.Name, Deadline: deadline}
-	var carried *Point // best feasible point so far (tightest budgets first)
-	for _, pt := range raw {
-		if !cfg.NoSubsume {
-			// A design under a tighter budget is feasible at pt.Power too.
-			if carried != nil && (!pt.Feasible || carried.Area < pt.Area) {
-				c := *carried
-				c.Power = pt.Power
-				c.Stats = pt.Stats // Stats describe this point's own run
-				pt = c
-			}
-			if pt.Feasible && (carried == nil || pt.Area < carried.Area) {
-				cp := pt
-				carried = &cp
-			}
-		}
-		curve.Points = append(curve.Points, pt)
+	if !cfg.NoSubsume {
+		subsumeLine(cells)
+	}
+	curve := Curve{Benchmark: g.Name, Deadline: deadline, Points: make([]Point, len(cells))}
+	for i, c := range cells {
+		curve.Points[i] = c.Point
 	}
 	return curve, nil
 }

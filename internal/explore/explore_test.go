@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -71,6 +72,12 @@ func TestSweepBadGrid(t *testing.T) {
 		{PowerMin: 5, PowerMax: 10, Step: 0},
 		{PowerMin: 10, PowerMax: 5, Step: 1},
 		{PowerMin: -5, PowerMax: 10, Step: 1},
+		{PowerMin: 5, PowerMax: math.Inf(1), Step: 1},
+		{PowerMin: math.Inf(-1), PowerMax: 10, Step: 1},
+		{PowerMin: math.NaN(), PowerMax: 10, Step: 1},
+		{PowerMin: 5, PowerMax: math.NaN(), Step: 1},
+		{PowerMin: 5, PowerMax: 10, Step: math.NaN()},
+		{PowerMin: 5, PowerMax: 10, Step: math.Inf(1)},
 	} {
 		if _, err := Sweep(bench.HAL(), library.Table1(), 17, cfg); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("cfg %+v accepted", cfg)

@@ -123,10 +123,6 @@ func ExploreParetoContext(ctx context.Context, g *cdfg.Graph, lib *library.Libra
 	if len(cfg.Deadlines) == 0 || len(cfg.Powers) == 0 {
 		return ParetoFront{}, fmt.Errorf("%w: empty pareto grid", ErrBadGrid)
 	}
-	deadlines := append([]int(nil), cfg.Deadlines...)
-	sort.Ints(deadlines)
-	powers := append([]float64(nil), cfg.Powers...)
-	sort.Float64s(powers)
 	battery := cfg.Battery
 	if battery == nil {
 		b, err := DefaultBattery(g, lib, "")
@@ -139,45 +135,37 @@ func ExploreParetoContext(ctx context.Context, g *cdfg.Graph, lib *library.Libra
 	if maxPeriods <= 0 {
 		maxPeriods = 1 << 20
 	}
-	synth := core.SynthesizeBestContext
-	if cfg.SinglePass {
-		synth = func(_ context.Context, g *cdfg.Graph, lib *library.Library, cons core.Constraints, c core.Config) (*core.Design, error) {
-			return core.Synthesize(g, lib, cons, c)
-		}
+	gr := grid{
+		deadlines:  append([]int(nil), cfg.Deadlines...),
+		powers:     append([]float64(nil), cfg.Powers...),
+		singlePass: cfg.SinglePass,
+		workers:    cfg.Workers,
+		inFlight:   cfg.InFlight,
+		config:     cfg.Config,
 	}
-	// Cells in row-major (deadline-major) order, matching the surface walk.
-	raw, err := runner.Map(ctx, len(deadlines)*len(powers), runner.Config{Workers: cfg.Workers, InFlight: cfg.InFlight},
-		func(ctx context.Context, i int) (ParetoPoint, error) {
-			T := deadlines[i/len(powers)]
-			P := powers[i%len(powers)]
-			pt := ParetoPoint{Deadline: T, PowerMax: P}
-			d, err := synth(ctx, g, lib, core.Constraints{Deadline: T, PowerMax: P}, cfg.Config)
-			if err == nil {
-				pt.Design = d
-			} else if ctxErr := ctx.Err(); ctxErr != nil {
-				return pt, ctxErr
-			}
-			return pt, nil
-		})
+	sort.Ints(gr.deadlines)
+	sort.Float64s(gr.powers)
+	cells, err := gr.evaluate(ctx, g, lib)
 	if err != nil {
 		return ParetoFront{}, err
 	}
-	front := ParetoFront{Benchmark: g.Name, Evaluated: len(raw)}
+	front := ParetoFront{Benchmark: g.Name, Evaluated: len(cells)}
 	var feas []ParetoPoint
-	for _, pt := range raw {
-		if pt.Design == nil {
+	for _, c := range cells {
+		if c.design == nil {
 			continue
 		}
-		front.Feasible++
-		pt.Area = pt.Design.Area()
-		pt.Latency = pt.Design.Schedule.Length()
-		pt.Peak = pt.Design.Schedule.PeakPower()
-		if prof := pt.Design.Schedule.Profile(); len(prof) > 0 {
-			periods, _ := battery.Lifetime(prof, maxPeriods)
-			pt.Lifetime = periods
+		pt := ParetoPoint{
+			Deadline: c.Deadline, PowerMax: c.Power,
+			Area: c.Area, Latency: c.design.Schedule.Length(), Peak: c.Peak,
+			Design: c.design,
+		}
+		if prof := c.design.Schedule.Profile(); len(prof) > 0 {
+			pt.Lifetime, _ = battery.Lifetime(prof, maxPeriods)
 		}
 		feas = append(feas, pt)
 	}
+	front.Feasible = len(feas)
 	// Domination filter with tuple dedup: the first cell (row-major)
 	// achieving an objective tuple represents it; a point survives when
 	// no other point is at least as good on all four axes and strictly

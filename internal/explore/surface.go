@@ -86,92 +86,35 @@ func ExploreSurfaceContext(ctx context.Context, g *cdfg.Graph, lib *library.Libr
 	if len(cfg.Deadlines) == 0 || len(cfg.Powers) == 0 {
 		return Surface{}, fmt.Errorf("%w: empty surface grid", ErrBadGrid)
 	}
-	deadlines := append([]int(nil), cfg.Deadlines...)
-	sort.Ints(deadlines)
-	powers := append([]float64(nil), cfg.Powers...)
-	sort.Float64s(powers)
-	synth := core.SynthesizeBestContext
-	if cfg.SinglePass {
-		synth = func(_ context.Context, g *cdfg.Graph, lib *library.Library, cons core.Constraints, c core.Config) (*core.Design, error) {
-			return core.Synthesize(g, lib, cons, c)
-		}
+	gr := grid{
+		deadlines:  append([]int(nil), cfg.Deadlines...),
+		powers:     append([]float64(nil), cfg.Powers...),
+		singlePass: cfg.SinglePass,
+		workers:    cfg.Workers,
+		inFlight:   cfg.InFlight,
+		eval:       cfg.Eval,
+		config:     cfg.Config,
 	}
-	// Cells in row-major (deadline-major) order, matching the serial walk.
-	var raw []SurfacePoint
-	var err error
-	if cfg.Eval != nil {
-		cons := make([]core.Constraints, 0, len(deadlines)*len(powers))
-		for _, T := range deadlines {
-			for _, P := range powers {
-				cons = append(cons, core.Constraints{Deadline: T, PowerMax: P})
-			}
-		}
-		pts, evalErr := cfg.Eval(ctx, cons)
-		err = evalErr
-		if err == nil && len(pts) != len(cons) {
-			err = fmt.Errorf("explore: Eval returned %d points for %d grid cells", len(pts), len(cons))
-		}
-		if err == nil {
-			raw = make([]SurfacePoint, len(pts))
-			for i, pt := range pts {
-				raw[i] = SurfacePoint{
-					Deadline: cons[i].Deadline,
-					Power:    cons[i].PowerMax,
-					Feasible: pt.Feasible,
-					Area:     pt.Area,
-					Stats:    pt.Stats,
-				}
-			}
-		}
-	} else {
-		raw, err = runner.Map(ctx, len(deadlines)*len(powers), runner.Config{Workers: cfg.Workers, InFlight: cfg.InFlight},
-			func(ctx context.Context, i int) (SurfacePoint, error) {
-				T := deadlines[i/len(powers)]
-				P := powers[i%len(powers)]
-				pt := SurfacePoint{Deadline: T, Power: P}
-				d, err := synth(ctx, g, lib, core.Constraints{Deadline: T, PowerMax: P}, cfg.Config)
-				if err == nil {
-					pt.Feasible = true
-					pt.Area = d.Area()
-					pt.Stats = d.Stats
-				} else if ctxErr := ctx.Err(); ctxErr != nil {
-					return pt, ctxErr
-				}
-				return pt, nil
-			})
-	}
+	sort.Ints(gr.deadlines)
+	sort.Float64s(gr.powers)
+	cells, err := gr.evaluate(ctx, g, lib)
 	if err != nil {
 		return Surface{}, err
 	}
-	surface := Surface{Benchmark: g.Name}
-	// bestAtPower[i] carries the best area seen for powers[i] across the
-	// deadlines processed so far (deadline subsumption).
-	bestAtPower := make([]float64, len(powers))
-	for i := range bestAtPower {
-		bestAtPower[i] = -1
-	}
-	for ti := range deadlines {
-		carried := -1.0 // power subsumption within this deadline
-		for pi := range powers {
-			pt := raw[ti*len(powers)+pi]
-			if carried >= 0 && (!pt.Feasible || carried < pt.Area) {
-				pt.Feasible = true
-				pt.Area = carried
-			}
-			if bestAtPower[pi] >= 0 && (!pt.Feasible || bestAtPower[pi] < pt.Area) {
-				pt.Feasible = true
-				pt.Area = bestAtPower[pi]
-			}
-			if pt.Feasible {
-				if carried < 0 || pt.Area < carried {
-					carried = pt.Area
-				}
-				if bestAtPower[pi] < 0 || pt.Area < bestAtPower[pi] {
-					bestAtPower[pi] = pt.Area
-				}
-			}
-			surface.Points = append(surface.Points, pt)
+	// Each cell inherits from the tighter budget in its row and from the
+	// tighter deadline in its column.
+	cols := make([]*Point, len(gr.powers))
+	for ti := range gr.deadlines {
+		var row *Point
+		for pi := range gr.powers {
+			c := &cells[ti*len(gr.powers)+pi]
+			c.Point = subsume(subsume(c.Point, row), cols[pi])
+			row, cols[pi] = best(row, c.Point), best(cols[pi], c.Point)
 		}
+	}
+	surface := Surface{Benchmark: g.Name, Points: make([]SurfacePoint, len(cells))}
+	for i, c := range cells {
+		surface.Points[i] = SurfacePoint{Deadline: c.Deadline, Power: c.Power, Feasible: c.Feasible, Area: c.Area, Stats: c.Stats}
 	}
 	return surface, nil
 }

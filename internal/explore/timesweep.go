@@ -49,10 +49,6 @@ type TimeSweepConfig struct {
 	TMin, TMax, Step int
 	// SinglePass uses the one-shot Synthesize instead of SynthesizeBest.
 	SinglePass bool
-	// NoSubsume disables deadline subsumption (a design meeting a tighter
-	// deadline also meets a looser one; by default curves are made
-	// non-increasing in T by carrying the best design forward).
-	NoSubsume bool
 	// Workers bounds the number of grid points synthesized concurrently:
 	// 0 uses GOMAXPROCS, 1 keeps the legacy serial path. The curve is
 	// byte-identical for every setting.
@@ -80,49 +76,29 @@ func TimeSweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, 
 	if cfg.Step <= 0 || cfg.TMax < cfg.TMin || cfg.TMin <= 0 {
 		return TimeCurve{}, fmt.Errorf("%w: tmin %d tmax %d step %d", ErrBadGrid, cfg.TMin, cfg.TMax, cfg.Step)
 	}
-	synth := core.SynthesizeBestContext
-	if cfg.SinglePass {
-		synth = func(_ context.Context, g *cdfg.Graph, lib *library.Library, cons core.Constraints, c core.Config) (*core.Design, error) {
-			return core.Synthesize(g, lib, cons, c)
-		}
-	}
 	var deadlines []int
 	for T := cfg.TMin; T <= cfg.TMax; T += cfg.Step {
 		deadlines = append(deadlines, T)
 	}
-	raw, err := runner.Map(ctx, len(deadlines), runner.Config{Workers: cfg.Workers, InFlight: cfg.InFlight},
-		func(ctx context.Context, i int) (TimePoint, error) {
-			pt := TimePoint{Deadline: deadlines[i]}
-			d, err := synth(ctx, g, lib, core.Constraints{Deadline: deadlines[i], PowerMax: powerMax}, cfg.Config)
-			if err == nil {
-				pt.Feasible = true
-				pt.Area = d.Area()
-				pt.Peak = d.Schedule.PeakPower()
-				pt.FUs = len(d.FUs)
-				pt.Registers = len(d.Datapath.Registers)
-			} else if ctxErr := ctx.Err(); ctxErr != nil {
-				return pt, ctxErr
-			}
-			return pt, nil
-		})
+	cells, err := grid{
+		deadlines:  deadlines,
+		powers:     []float64{powerMax},
+		singlePass: cfg.SinglePass,
+		workers:    cfg.Workers,
+		inFlight:   cfg.InFlight,
+		config:     cfg.Config,
+	}.evaluate(ctx, g, lib)
 	if err != nil {
 		return TimeCurve{}, err
 	}
-	curve := TimeCurve{Benchmark: g.Name, PowerMax: powerMax}
-	var carried *TimePoint
-	for _, pt := range raw {
-		if !cfg.NoSubsume {
-			if carried != nil && (!pt.Feasible || carried.Area < pt.Area) {
-				c := *carried
-				c.Deadline = pt.Deadline
-				pt = c
-			}
-			if pt.Feasible && (carried == nil || pt.Area < carried.Area) {
-				cp := pt
-				carried = &cp
-			}
+	// A design meeting a tighter deadline also meets a looser one.
+	subsumeLine(cells)
+	curve := TimeCurve{Benchmark: g.Name, PowerMax: powerMax, Points: make([]TimePoint, len(cells))}
+	for i, c := range cells {
+		curve.Points[i] = TimePoint{
+			Deadline: c.Deadline, Feasible: c.Feasible, Area: c.Area, Peak: c.Peak,
+			FUs: c.FUs, Registers: c.Registers,
 		}
-		curve.Points = append(curve.Points, pt)
 	}
 	return curve, nil
 }

@@ -82,11 +82,7 @@ func (s *Server) execBatchItem(parent context.Context, it batchItem) batchItemJS
 		res, outcome, err = s.execPareto(ctx, it.Pareto)
 	}
 	if err != nil {
-		if isRequestError(err) {
-			status, msg := requestErrorStatus(err)
-			return batchItemJSON{Status: status, Body: errorBody(msg)}
-		}
-		status, body, _ := computeErrorStatus(err)
+		status, body, _ := errorStatus(err)
 		return batchItemJSON{Status: status, Body: body}
 	}
 	return batchItemJSON{Status: res.status, Cache: outcome.String(), Body: res.body}
@@ -95,7 +91,7 @@ func (s *Server) execBatchItem(parent context.Context, it batchItem) batchItemJS
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -121,7 +117,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return s.execBatchItem(ctx, req.Requests[i]), nil
 		})
 	if err != nil {
-		writeComputeError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	body, err := json.MarshalIndent(batchJSON{Results: results}, "", "  ")

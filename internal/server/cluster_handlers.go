@@ -73,18 +73,23 @@ func (req *synthesizeRequest) pointRequest(cons core.Constraints) (cluster.Point
 	return fwd.point(cons, req.SinglePass), nil
 }
 
-// clusterEval builds the explore Eval hook that shards a grid across the
-// worker pool: every cell keeps the content address it would have as an
-// individual /v1/synthesize request, so the pool's consistent hashing
-// sends it to the worker whose cache is hot for it, and the decoded
-// results feed the same subsumption assembly the local path uses.
+// clusterEval builds the explore Eval hook of a grid request: nil on a
+// server without a pool, which evaluates cells in-process. On a
+// coordinator it shards the grid across the worker pool: every cell keeps
+// the content address it would have as an individual /v1/synthesize
+// request, so the pool's consistent hashing sends it to the worker whose
+// cache is hot for it, and the decoded results feed the same subsumption
+// assembly the local path uses.
 func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *library.Library,
 	g *cdfg.Graph, lib *library.Library, singlePass bool) (func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error), error) {
+	pool := s.cfg.Pool
+	if pool == nil {
+		return nil, nil
+	}
 	fwd, err := forwardSource(benchmark, graph, reqLib)
 	if err != nil {
 		return nil, err
 	}
-	pool := s.cfg.Pool
 	return func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error) {
 		keys := make([]string, len(cons))
 		reqs := make([]cluster.PointRequest, len(cons))
@@ -116,29 +121,13 @@ func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *librar
 	}, nil
 }
 
-// handleClusterPoint evaluates one grid cell on a worker: the same
-// request schema, cache key and engine path as /v1/synthesize, answered
-// as a PointResponse. Deterministic infeasibility rides inside the
-// response (status 422) like any cached result; only transient faults
-// (overload, deadline) use the HTTP status, which tells the coordinator
-// to retry elsewhere.
-func (s *Server) handleClusterPoint(w http.ResponseWriter, r *http.Request) {
-	var req synthesizeRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	res, outcome, err := s.execSynthesize(ctx, &req)
-	if err != nil {
-		if isRequestError(err) {
-			writeRequestError(w, err)
-			return
-		}
-		writeComputeError(w, err)
-		return
-	}
+// writePoint answers /cluster/point, which evaluates one grid cell on a
+// worker: the same request schema, cache key and engine path as
+// /v1/synthesize, answered as a PointResponse. Deterministic
+// infeasibility rides inside the response (status 422) like any cached
+// result; only transient faults (overload, deadline) use the HTTP status,
+// which tells the coordinator to retry elsewhere.
+func writePoint(w http.ResponseWriter, res *result, outcome cache.Outcome) {
 	body, err := json.Marshal(cluster.PointResponse{
 		CachedResult: cluster.CachedResult{Status: res.status, Body: res.body, Stats: res.stats},
 		Cache:        outcome.String(),
@@ -179,7 +168,7 @@ func (s *Server) handleClusterCache(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterRegister(w http.ResponseWriter, r *http.Request) {
 	var req cluster.RegisterRequest
 	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
+		writeFailure(w, err)
 		return
 	}
 	u, err := url.Parse(req.Addr)

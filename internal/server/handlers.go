@@ -48,23 +48,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	_, _ = w.Write(errorBody(msg))
 }
 
-// requestErrorStatus maps a decode/validation failure to a status + message.
-func requestErrorStatus(err error) (int, string) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, err.Error()
-	}
-	return http.StatusBadRequest, err.Error()
-}
-
-// writeRequestError maps a decode/validation failure to a client response.
-func writeRequestError(w http.ResponseWriter, err error) {
-	status, msg := requestErrorStatus(err)
-	writeError(w, status, msg)
-}
-
 // proxyError carries a worker's non-cacheable response verbatim through
-// the coordinator's proxy path (portfolio), preserving its status.
+// the coordinator's proxy path, preserving its status.
 type proxyError struct {
 	status int
 	body   []byte
@@ -74,11 +59,18 @@ func (e *proxyError) Error() string {
 	return fmt.Sprintf("worker returned %d", e.status)
 }
 
-// computeErrorStatus maps a non-cacheable computation failure to a
-// status + response body, shared by direct responses and batch items.
-func computeErrorStatus(err error) (status int, body []byte, retryAfter bool) {
+// errorStatus maps a request that produced no result to a status and
+// response body, shared by direct responses and batch items: client
+// faults (decode, validation), then the non-cacheable computation
+// failures (overload, no workers, deadline, a proxied worker failure).
+func errorStatus(err error) (status int, body []byte, retryAfter bool) {
+	var tooLarge *http.MaxBytesError
 	var pe *proxyError
 	switch {
+	case isRequestError(err) && errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, errorBody(err.Error()), false
+	case isRequestError(err):
+		return http.StatusBadRequest, errorBody(err.Error()), false
 	case errors.Is(err, overloadError{}):
 		return http.StatusTooManyRequests, errorBody(err.Error()), true
 	case errors.Is(err, cluster.ErrNoWorkers):
@@ -92,15 +84,37 @@ func computeErrorStatus(err error) (status int, body []byte, retryAfter bool) {
 	}
 }
 
-// writeComputeError maps a non-cacheable computation failure.
-func writeComputeError(w http.ResponseWriter, err error) {
-	status, body, retryAfter := computeErrorStatus(err)
+// writeFailure writes the errorStatus response of err.
+func writeFailure(w http.ResponseWriter, err error) {
+	status, body, retryAfter := errorStatus(err)
 	if retryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
+}
+
+// handle is the request path of every computing POST endpoint: decode
+// the body into a fresh request, run exec under the request timeout, and
+// write the result with write or the failure with writeFailure.
+func handle[R any](s *Server, exec func(context.Context, *R) (*result, cache.Outcome, error),
+	write func(http.ResponseWriter, *result, cache.Outcome)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if err := decodeJSON(r.Body, &req); err != nil {
+			writeFailure(w, err)
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		res, outcome, err := exec(ctx, &req)
+		if err != nil {
+			writeFailure(w, err)
+			return
+		}
+		write(w, res, outcome)
+	}
 }
 
 // writeResult replays a (possibly cached) result. Warm hits — local or
@@ -194,26 +208,6 @@ func (s *Server) execSynthesize(ctx context.Context, req *synthesizeRequest) (*r
 	})
 }
 
-func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
-	var req synthesizeRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	res, outcome, err := s.execSynthesize(ctx, &req)
-	if err != nil {
-		if isRequestError(err) {
-			writeRequestError(w, err)
-			return
-		}
-		writeComputeError(w, err)
-		return
-	}
-	writeResult(w, res, outcome)
-}
-
 // portfolioStatsJSON summarizes the portfolio search alongside the
 // winning design (deterministic for a given request, so safe to cache).
 type portfolioStatsJSON struct {
@@ -237,6 +231,25 @@ type portfolioJSON struct {
 	Portfolio portfolioStatsJSON `json:"portfolio"`
 }
 
+// proxy forwards a whole request to the worker owning key: the path for
+// endpoints whose result cannot be decomposed into grid points. A
+// transient worker-side failure (overload, drain) comes back verbatim as
+// a proxyError and is never cached.
+func proxy(ctx context.Context, pool *cluster.Pool, key, path string, req any) (*result, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	status, respBody, err := pool.Proxy(ctx, key, path, body)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK && status != http.StatusUnprocessableEntity {
+		return nil, &proxyError{status: status, body: respBody}
+	}
+	return &result{status: status, body: respBody}, nil
+}
+
 // execPortfolio is the portfolio endpoint's core. A coordinator cannot
 // decompose the portfolio search into grid points, so it proxies the
 // whole request to the worker owning the portfolio's content address —
@@ -250,20 +263,7 @@ func (s *Server) execPortfolio(ctx context.Context, req *portfolioRequest) (*res
 	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
 			return s.compute(ctx, func(ctx context.Context) (*result, error) {
-				body, err := json.Marshal(req)
-				if err != nil {
-					return nil, err
-				}
-				status, respBody, err := pool.Proxy(ctx, key, "/v1/portfolio", body)
-				if err != nil {
-					return nil, err
-				}
-				if status != http.StatusOK && status != http.StatusUnprocessableEntity {
-					// Transient worker-side failure (overload, drain):
-					// surface it verbatim, never cache it.
-					return nil, &proxyError{status: status, body: respBody}
-				}
-				return &result{status: status, body: respBody}, nil
+				return proxy(ctx, pool, key, "/v1/portfolio", req)
 			})
 		}
 		return s.compute(ctx, func(ctx context.Context) (*result, error) {
@@ -314,26 +314,6 @@ func (s *Server) execPortfolio(ctx context.Context, req *portfolioRequest) (*res
 	})
 }
 
-func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
-	var req portfolioRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	res, outcome, err := s.execPortfolio(ctx, &req)
-	if err != nil {
-		if isRequestError(err) {
-			writeRequestError(w, err)
-			return
-		}
-		writeComputeError(w, err)
-		return
-	}
-	writeResult(w, res, outcome)
-}
-
 // statsJSON is the work-counter schema embedded in sweep and surface
 // responses (deterministic for a given request, so safe to cache).
 type statsJSON struct {
@@ -381,6 +361,10 @@ func (s *Server) execSweep(ctx context.Context, req *sweepRequest) (*result, cac
 	key := cache.SweepKey(g, lib, req.Deadline, req.PowerMin, req.PowerMax, req.Step, req.SinglePass)
 	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
 		return s.compute(ctx, func(ctx context.Context) (*result, error) {
+			eval, err := s.clusterEval(req.Benchmark, req.Graph, req.Library, g, lib, req.SinglePass)
+			if err != nil {
+				return nil, err
+			}
 			cfg := explore.SweepConfig{
 				PowerMin:   req.PowerMin,
 				PowerMax:   req.PowerMax,
@@ -388,14 +372,8 @@ func (s *Server) execSweep(ctx context.Context, req *sweepRequest) (*result, cac
 				SinglePass: req.SinglePass,
 				Workers:    s.cfg.ExploreWorkers,
 				InFlight:   s.runnerInflight,
+				Eval:       eval,
 				Config:     core.Config{Workers: 1},
-			}
-			if s.cfg.Pool != nil {
-				eval, err := s.clusterEval(req.Benchmark, req.Graph, req.Library, g, lib, req.SinglePass)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Eval = eval
 			}
 			curve, err := explore.SweepContext(ctx, g, lib, req.Deadline, cfg)
 			if err != nil {
@@ -426,26 +404,6 @@ func (s *Server) execSweep(ctx context.Context, req *sweepRequest) (*result, cac
 	})
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	res, outcome, err := s.execSweep(ctx, &req)
-	if err != nil {
-		if isRequestError(err) {
-			writeRequestError(w, err)
-			return
-		}
-		writeComputeError(w, err)
-		return
-	}
-	writeResult(w, res, outcome)
-}
-
 type surfacePointJSON struct {
 	Deadline int     `json:"deadline"`
 	Power    float64 `json:"power"`
@@ -469,20 +427,18 @@ func (s *Server) execSurface(ctx context.Context, req *surfaceRequest) (*result,
 	key := cache.SurfaceKey(g, lib, req.Deadlines, req.Powers, req.SinglePass)
 	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
 		return s.compute(ctx, func(ctx context.Context) (*result, error) {
+			eval, err := s.clusterEval(req.Benchmark, req.Graph, req.Library, g, lib, req.SinglePass)
+			if err != nil {
+				return nil, err
+			}
 			cfg := explore.SurfaceConfig{
 				Deadlines:  req.Deadlines,
 				Powers:     req.Powers,
 				SinglePass: req.SinglePass,
 				Workers:    s.cfg.ExploreWorkers,
 				InFlight:   s.runnerInflight,
+				Eval:       eval,
 				Config:     core.Config{Workers: 1},
-			}
-			if s.cfg.Pool != nil {
-				eval, err := s.clusterEval(req.Benchmark, req.Graph, req.Library, g, lib, req.SinglePass)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Eval = eval
 			}
 			surface, err := explore.ExploreSurfaceContext(ctx, g, lib, cfg)
 			if err != nil {
@@ -509,26 +465,6 @@ func (s *Server) execSurface(ctx context.Context, req *surfaceRequest) (*result,
 			return &result{status: http.StatusOK, body: body, stats: total}, nil
 		})
 	})
-}
-
-func (s *Server) handleSurface(w http.ResponseWriter, r *http.Request) {
-	var req surfaceRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	res, outcome, err := s.execSurface(ctx, &req)
-	if err != nil {
-		if isRequestError(err) {
-			writeRequestError(w, err)
-			return
-		}
-		writeComputeError(w, err)
-		return
-	}
-	writeResult(w, res, outcome)
 }
 
 type paretoPointJSON struct {
@@ -568,18 +504,7 @@ func (s *Server) execPareto(ctx context.Context, req *paretoRequest) (*result, c
 	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
 			return s.compute(ctx, func(ctx context.Context) (*result, error) {
-				body, err := json.Marshal(req)
-				if err != nil {
-					return nil, err
-				}
-				status, respBody, err := pool.Proxy(ctx, key, "/v1/pareto", body)
-				if err != nil {
-					return nil, err
-				}
-				if status != http.StatusOK && status != http.StatusUnprocessableEntity {
-					return nil, &proxyError{status: status, body: respBody}
-				}
-				return &result{status: status, body: respBody}, nil
+				return proxy(ctx, pool, key, "/v1/pareto", req)
 			})
 		}
 		return s.compute(ctx, func(ctx context.Context) (*result, error) {
@@ -638,26 +563,6 @@ func (s *Server) execPareto(ctx context.Context, req *paretoRequest) (*result, c
 			return &result{status: http.StatusOK, body: body, stats: total}, nil
 		})
 	})
-}
-
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	var req paretoRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	res, outcome, err := s.execPareto(ctx, &req)
-	if err != nil {
-		if isRequestError(err) {
-			writeRequestError(w, err)
-			return
-		}
-		writeComputeError(w, err)
-		return
-	}
-	writeResult(w, res, outcome)
 }
 
 // benchmarkNames is the served benchmark catalogue, in the facade's

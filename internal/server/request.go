@@ -10,6 +10,7 @@ import (
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
 	"pchls/internal/core"
+	"pchls/internal/explore"
 	"pchls/internal/library"
 )
 
@@ -181,20 +182,52 @@ func checkPower(name string, p float64) error {
 	return nil
 }
 
-// validateSynthesize cross-checks a decoded synthesize request and
-// resolves its graph and library.
+// checkConstraints checks a single-point request's deadline and power
+// budget.
+func checkConstraints(deadline int, powerMax float64) (core.Constraints, error) {
+	if deadline <= 0 {
+		return core.Constraints{}, badRequest(`"deadline" must be a positive cycle count`, nil)
+	}
+	if err := checkPower("power_max", powerMax); err != nil {
+		return core.Constraints{}, err
+	}
+	return core.Constraints{Deadline: deadline, PowerMax: powerMax}, nil
+}
+
+// checkAxes checks the deadline and power axes of a (deadline x power)
+// grid request; kind names the grid in the size error.
+func checkAxes(kind string, deadlines []int, powers []float64) error {
+	if len(deadlines) == 0 || len(powers) == 0 {
+		return badRequest(`"deadlines" and "powers" must be non-empty`, nil)
+	}
+	if len(deadlines)*len(powers) > maxGridPoints {
+		return badRequest(fmt.Sprintf("%s grid has more than %d cells", kind, maxGridPoints), nil)
+	}
+	for _, d := range deadlines {
+		if d <= 0 {
+			return badRequest(`every "deadlines" entry must be positive`, nil)
+		}
+	}
+	for _, p := range powers {
+		if err := checkPower("powers", p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validate cross-checks a decoded synthesize request and resolves its
+// graph and library.
 func (req *synthesizeRequest) validate() (*cdfg.Graph, *library.Library, core.Constraints, error) {
 	g, err := resolveGraph(req.Benchmark, req.Graph)
 	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
-	if req.Deadline <= 0 {
-		return nil, nil, core.Constraints{}, badRequest(`"deadline" must be a positive cycle count`, nil)
-	}
-	if err := checkPower("power_max", req.PowerMax); err != nil {
+	cons, err := checkConstraints(req.Deadline, req.PowerMax)
+	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
-	return g, resolveLibrary(req.Library), core.Constraints{Deadline: req.Deadline, PowerMax: req.PowerMax}, nil
+	return g, resolveLibrary(req.Library), cons, nil
 }
 
 // validate cross-checks a decoded portfolio request and resolves its
@@ -204,10 +237,8 @@ func (req *portfolioRequest) validate() (*cdfg.Graph, *library.Library, core.Con
 	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
-	if req.Deadline <= 0 {
-		return nil, nil, core.Constraints{}, badRequest(`"deadline" must be a positive cycle count`, nil)
-	}
-	if err := checkPower("power_max", req.PowerMax); err != nil {
+	cons, err := checkConstraints(req.Deadline, req.PowerMax)
+	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
 	if req.K < 0 || req.K > maxPortfolioPasses {
@@ -216,7 +247,7 @@ func (req *portfolioRequest) validate() (*cdfg.Graph, *library.Library, core.Con
 	if req.Budget < 0 || req.Budget > maxPortfolioRounds {
 		return nil, nil, core.Constraints{}, badRequest(fmt.Sprintf(`"budget" must be in [0, %d]`, maxPortfolioRounds), nil)
 	}
-	return g, resolveLibrary(req.Library), core.Constraints{Deadline: req.Deadline, PowerMax: req.PowerMax}, nil
+	return g, resolveLibrary(req.Library), cons, nil
 }
 
 func (req *sweepRequest) validate() (*cdfg.Graph, *library.Library, error) {
@@ -238,7 +269,9 @@ func (req *sweepRequest) validate() (*cdfg.Graph, *library.Library, error) {
 	if req.Step <= 0 || req.PowerMax < req.PowerMin {
 		return nil, nil, badRequest("sweep grid must satisfy step > 0 and power_min <= power_max", nil)
 	}
-	if n := (req.PowerMax - req.PowerMin) / req.Step; n > maxGridPoints {
+	// Sized by the grid rule the sweep itself uses, stopping one sample
+	// past the cap.
+	if len(explore.PowerGrid(req.PowerMin, req.PowerMax, req.Step, maxGridPoints+1)) > maxGridPoints {
 		return nil, nil, badRequest(fmt.Sprintf("sweep grid has more than %d points", maxGridPoints), nil)
 	}
 	return g, resolveLibrary(req.Library), nil
@@ -249,21 +282,8 @@ func (req *surfaceRequest) validate() (*cdfg.Graph, *library.Library, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(req.Deadlines) == 0 || len(req.Powers) == 0 {
-		return nil, nil, badRequest(`"deadlines" and "powers" must be non-empty`, nil)
-	}
-	if len(req.Deadlines)*len(req.Powers) > maxGridPoints {
-		return nil, nil, badRequest(fmt.Sprintf("surface grid has more than %d cells", maxGridPoints), nil)
-	}
-	for _, d := range req.Deadlines {
-		if d <= 0 {
-			return nil, nil, badRequest(`every "deadlines" entry must be positive`, nil)
-		}
-	}
-	for _, p := range req.Powers {
-		if err := checkPower("powers", p); err != nil {
-			return nil, nil, err
-		}
+	if err := checkAxes("surface", req.Deadlines, req.Powers); err != nil {
+		return nil, nil, err
 	}
 	return g, resolveLibrary(req.Library), nil
 }
@@ -286,21 +306,8 @@ func (req *paretoRequest) validate() (*cdfg.Graph, *library.Library, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(req.Deadlines) == 0 || len(req.Powers) == 0 {
-		return nil, nil, badRequest(`"deadlines" and "powers" must be non-empty`, nil)
-	}
-	if len(req.Deadlines)*len(req.Powers) > maxGridPoints {
-		return nil, nil, badRequest(fmt.Sprintf("pareto grid has more than %d cells", maxGridPoints), nil)
-	}
-	for _, d := range req.Deadlines {
-		if d <= 0 {
-			return nil, nil, badRequest(`every "deadlines" entry must be positive`, nil)
-		}
-	}
-	for _, p := range req.Powers {
-		if err := checkPower("powers", p); err != nil {
-			return nil, nil, err
-		}
+	if err := checkAxes("pareto", req.Deadlines, req.Powers); err != nil {
+		return nil, nil, err
 	}
 	if req.Battery != nil {
 		switch req.Battery.Model {

@@ -60,6 +60,7 @@ import (
 	"pchls/internal/cdfg"
 	"pchls/internal/cluster"
 	"pchls/internal/core"
+	"pchls/internal/explore"
 	"pchls/internal/library"
 	"pchls/internal/obs"
 	"pchls/internal/verify"
@@ -137,13 +138,6 @@ type result struct {
 // substitute a gated implementation.
 type synthFunc func(ctx context.Context, g *cdfg.Graph, lib *library.Library, cons core.Constraints, cfg core.Config, singlePass bool) (*core.Design, error)
 
-func defaultSynth(ctx context.Context, g *cdfg.Graph, lib *library.Library, cons core.Constraints, cfg core.Config, singlePass bool) (*core.Design, error) {
-	if singlePass {
-		return core.Synthesize(g, lib, cons, cfg)
-	}
-	return core.SynthesizeBestContext(ctx, g, lib, cons, cfg)
-}
-
 // Server is the synthesis daemon. Construct with New; the zero value is
 // not usable.
 type Server struct {
@@ -188,7 +182,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 		reg:   obs.NewRegistry(),
-		synth: defaultSynth,
+		synth: explore.SynthesizeCell,
 		sem:   make(chan struct{}, cfg.Workers),
 	}
 	var cacheOpts []cache.Option[*result]
@@ -247,15 +241,15 @@ func New(cfg Config) *Server {
 			func() float64 { return float64(pool.Stats().Failures) })
 	}
 
-	s.mux.HandleFunc("POST /v1/synthesize", s.instrument("/v1/synthesize", s.handleSynthesize))
-	s.mux.HandleFunc("POST /v1/portfolio", s.instrument("/v1/portfolio", s.handlePortfolio))
-	s.mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
-	s.mux.HandleFunc("POST /v1/surface", s.instrument("/v1/surface", s.handleSurface))
-	s.mux.HandleFunc("POST /v1/pareto", s.instrument("/v1/pareto", s.handlePareto))
+	s.mux.HandleFunc("POST /v1/synthesize", s.instrument("/v1/synthesize", handle(s, s.execSynthesize, writeResult)))
+	s.mux.HandleFunc("POST /v1/portfolio", s.instrument("/v1/portfolio", handle(s, s.execPortfolio, writeResult)))
+	s.mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", handle(s, s.execSweep, writeResult)))
+	s.mux.HandleFunc("POST /v1/surface", s.instrument("/v1/surface", handle(s, s.execSurface, writeResult)))
+	s.mux.HandleFunc("POST /v1/pareto", s.instrument("/v1/pareto", handle(s, s.execPareto, writeResult)))
 	s.mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", s.handleBatch))
 	s.mux.HandleFunc("GET /v1/benchmarks", s.instrument("/v1/benchmarks", s.handleBenchmarks))
 	if cfg.Worker {
-		s.mux.HandleFunc("POST /cluster/point", s.instrument("/cluster/point", s.handleClusterPoint))
+		s.mux.HandleFunc("POST /cluster/point", s.instrument("/cluster/point", handle(s, s.execSynthesize, writePoint)))
 		s.mux.HandleFunc("GET /cluster/cache", s.instrument("/cluster/cache", s.handleClusterCache))
 	}
 	if cfg.Pool != nil {

@@ -550,6 +550,31 @@ func TestBadRequests(t *testing.T) {
 
 // TestSweepAndSurface smoke-tests the exploration endpoints including
 // their warm-cache path.
+// TestSweepGridCap sizes a sweep grid by the inclusive rule the sweep
+// itself materializes: [0, 4096] at step 1 holds 4097 samples, one over
+// maxGridPoints. A grid whose accumulating sum cannot advance (step below
+// the spacing of floats at power_min) is unbounded and rejected too.
+func TestSweepGridCap(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		min, max, step float64
+		ok             bool
+	}{
+		{"at cap", 0, maxGridPoints - 1, 1, true},
+		{"one over cap", 0, maxGridPoints, 1, false},
+		{"stalled sum", 1e17, 1e17, 2.5, false},
+	} {
+		req := sweepRequest{Benchmark: "hal", Deadline: 17, PowerMin: tc.min, PowerMax: tc.max, Step: tc.step}
+		_, _, err := req.validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && !isRequestError(err) {
+			t.Errorf("%s: err = %v, want a request error (400)", tc.name, err)
+		}
+	}
+}
+
 func TestSweepAndSurface(t *testing.T) {
 	_, ts := newTestServer(t, Config{ExploreWorkers: 2})
 

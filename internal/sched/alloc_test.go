@@ -120,7 +120,7 @@ func hotSelectionGraphs(tb testing.TB) []namedGraph {
 
 // TestCriticalFirstOrderAllocs pins the critical-first selection at zero
 // allocations per run with a warmed arena, on the forward and the reversed
-// graph: its heap, in-degree and order buffers all live in the arena.
+// graph: its priority, bucket and order buffers all live in the arena.
 func TestCriticalFirstOrderAllocs(t *testing.T) {
 	for _, c := range hotSelectionGraphs(t) {
 		opts, bind := hotOptions(c.g, 20)

@@ -10,6 +10,10 @@ import "pchls/internal/cdfg"
 // caches the graph-invariant artifacts (topological orders, the reversed
 // graph) and recycles the per-run buffers, making the steady-state
 // scheduler hot path allocation-free apart from the returned Schedule.
+// With module delays of at least 1, the critical-first selection order of
+// every run is one counting sort of the nodes by their delay-weighted path
+// to a sink, O(V+E+P) with P the critical-path length, over the arena's
+// priority, bucket and order buffers.
 //
 // An Arena is bound to one graph and is NOT safe for concurrent use: it
 // must be owned by a single scheduler caller (the synthesizer gives each
@@ -21,14 +25,12 @@ type Arena struct {
 
 	topo  []cdfg.NodeID // cached topological order of g
 	rtopo []cdfg.NodeID // cached topological order of rev
-	deg   []int         // cached in-degrees of g
-	rdeg  []int         // cached in-degrees of rev
 
-	// criticalFirstOrder scratch: ready is the binary heap of ready nodes.
-	prio  []int
-	indeg []int
-	ready []cdfg.NodeID
-	order []cdfg.NodeID
+	// criticalFirstOrder scratch: bucket holds one counting-sort offset
+	// per priority, so it grows to the critical-path length.
+	prio   []int
+	bucket []int
+	order  []cdfg.NodeID
 
 	// pasapPinned scratch.
 	profile  []float64
@@ -78,33 +80,6 @@ func (a *Arena) topoFor(g *cdfg.Graph) ([]cdfg.NodeID, error) {
 	return g.TopoOrder()
 }
 
-// indegreesOf returns the cached in-degree vector of g (computing it
-// once), or a fresh one when g is foreign to the arena. Callers must not
-// mutate the cached vector.
-func (a *Arena) indegreesOf(g *cdfg.Graph) []int {
-	switch {
-	case a != nil && g == a.g:
-		if a.deg == nil {
-			a.deg = indegrees(g)
-		}
-		return a.deg
-	case a != nil && a.rev != nil && g == a.rev:
-		if a.rdeg == nil {
-			a.rdeg = indegrees(g)
-		}
-		return a.rdeg
-	}
-	return indegrees(g)
-}
-
-func indegrees(g *cdfg.Graph) []int {
-	deg := make([]int, g.N())
-	for i := range deg {
-		deg[i] = len(g.Preds(cdfg.NodeID(i)))
-	}
-	return deg
-}
-
 // reverseOf returns the cached reversed graph of g (building it once), or
 // a fresh reversal when g is foreign to the arena.
 func (a *Arena) reverseOf(g *cdfg.Graph) *cdfg.Graph {
@@ -118,7 +93,7 @@ func (a *Arena) reverseOf(g *cdfg.Graph) *cdfg.Graph {
 }
 
 // The grow helpers resize a recycled buffer to n elements without
-// clearing: every caller fully overwrites the returned slice.
+// clearing: every caller fully overwrites or clears the returned slice.
 
 func growInts(buf *[]int, n int) []int {
 	if cap(*buf) < n {

@@ -47,8 +47,13 @@ type Options struct {
 	// one buffer across runs.
 	FixedStarts []int
 	// Horizon caps the last cycle (exclusive) the scheduler may use. Zero
-	// means automatic: Base length plus the total serial delay of all
-	// nodes, which always admits a solution when one exists.
+	// means automatic: len(Base) + sumDelay*maxDelay + 1, where sumDelay is
+	// the total delay of all nodes and maxDelay the largest one (at least
+	// 1). The serial bound sumDelay is not enough: greedy stretching in a
+	// fragmented power profile can overshoot it, since one busy cycle can
+	// block up to maxDelay candidate windows of a long operation. The
+	// automatic horizon also reaches sumDelay*maxDelay past the end of every
+	// fixed or released node, so their transitive successors fit after them.
 	Horizon int
 	// Delays/Powers, when both non-nil, give each node's execution delay
 	// and per-cycle power directly, indexed by node ID, and the Binding
@@ -148,9 +153,12 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // critical-path-first selection among ready operations (all predecessors
 // placed): the ready operation with the longest delay-weighted path to a
 // sink is placed first, so less critical operations absorb the power-driven
-// stretching; ties go to the lowest node ID. The ready operations are
-// kept in a binary heap, so selection costs O((V+E) log V) per run. With
-// PowerMax <= 0 the result is classical ASAP regardless of selection order.
+// stretching; ties go to the lowest node ID. Module delays are at least 1
+// (each delay is counted as at least 1 here), so a node always ranks above
+// its successors and the whole selection sequence is one counting sort of
+// the nodes by that rank: O(V+E+P) per run, P the critical-path length.
+// With PowerMax <= 0 the result is classical ASAP regardless of selection
+// order.
 //
 // It returns an error wrapping ErrPowerInfeasible if some operation's own
 // power exceeds PowerMax, and an error if the graph is cyclic or a fixed
@@ -230,9 +238,7 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedul
 	} else {
 		profile = make([]float64, horizon)
 	}
-	for c := range profile {
-		profile[c] = opts.baseAt(c)
-	}
+	clear(profile[copy(profile, opts.Base):])
 
 	place := func(id cdfg.NodeID, start int) error {
 		end := start + s.Delay[id]
@@ -364,122 +370,70 @@ func ASAP(g *cdfg.Graph, bind Binding) (*Schedule, error) {
 	return PASAP(g, bind, Options{})
 }
 
-// criticalFirstOrder returns a topological order in which, among ready
-// operations, the one with the longest delay-weighted path to a sink comes
-// first (ties: smallest ID). It returns an error wrapping cdfg.ErrCycle on
-// cyclic graphs. The ready operations sit in a binary heap keyed by that
-// (priority, ID) order, a strict total order, so the sequence is unique and
-// costs O((V+E) log V). With an arena, all scratch (including the returned
-// order, valid until the next scheduler run) is recycled and the in-degree
-// vector is copied from the arena's cache.
+// criticalFirstOrder returns the critical-first selection order: every
+// node sorted by priority descending, ties to the smallest ID, where a
+// node's priority is its delay-weighted longest path (inclusive) to a sink
+// with each delay counted as at least 1, as cdfg.CriticalPath counts it.
+// With every delay >= 1 a node's priority strictly exceeds each
+// successor's, so the sorted order is topological, and its first unplaced
+// node is always ready and ranks above every other ready node: the order
+// is exactly the sequence that picking the best ready node step by step
+// produces. A counting sort over the priorities costs O(V+E+P), where P is
+// the critical-path length. It returns an error wrapping cdfg.ErrCycle on
+// cyclic graphs. With an arena, all scratch (including the returned order,
+// valid until the next scheduler run) is recycled.
 func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([]cdfg.NodeID, error) {
 	topo, err := a.topoFor(g)
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
-	deg := a.indegreesOf(g)
-	var prio, indeg []int
-	var ready, order []cdfg.NodeID
+	var prio []int
+	var order []cdfg.NodeID
 	if a != nil {
 		prio = growInts(&a.prio, n)
-		indeg = growInts(&a.indeg, n)
-		copy(indeg, deg)
-		ready = growIDs(&a.ready, 0)
-		order = growIDs(&a.order, n)[:0]
+		order = growIDs(&a.order, n)
 	} else {
 		prio = make([]int, n)
-		indeg = deg // a fresh vector, ours to consume
-		order = make([]cdfg.NodeID, 0, n)
+		order = make([]cdfg.NodeID, n)
 	}
-	// Delay-weighted longest path from each node (inclusive) to a sink.
+	top := 0
 	for i := len(topo) - 1; i >= 0; i-- {
 		u := topo[i]
 		best := 0
 		for _, v := range g.Succs(u) {
-			if prio[v] > best {
-				best = prio[v]
-			}
+			best = max(best, prio[v])
 		}
+		var d int
 		if opts != nil && opts.Delays != nil {
-			prio[u] = best + opts.Delays[u]
+			d = opts.Delays[u]
 		} else {
-			prio[u] = best + bind(g.Node(u)).Delay
+			d = bind(g.Node(u)).Delay
 		}
+		prio[u] = best + max(d, 1)
+		top = max(top, prio[u])
 	}
-	q := readyHeap{prio: prio, ids: ready}
-	for i, d := range indeg {
-		if d == 0 {
-			q.push(cdfg.NodeID(i))
-		}
-	}
-	for len(q.ids) > 0 {
-		u := q.pop()
-		order = append(order, u)
-		for _, v := range g.Succs(u) {
-			indeg[v]--
-			if indeg[v] == 0 {
-				q.push(v)
-			}
-		}
-	}
+	// next[p] counts the nodes of priority p, then becomes the position of
+	// the next one: all nodes of higher priority come before it.
+	var next []int
 	if a != nil {
-		a.ready = q.ids[:0]
+		next = growInts(&a.bucket, top+1)
+		clear(next)
+	} else {
+		next = make([]int, top+1)
+	}
+	for _, p := range prio {
+		next[p]++
+	}
+	pos := 0
+	for p := top; p > 0; p-- {
+		next[p], pos = pos, pos+next[p]
+	}
+	for i, p := range prio {
+		order[next[p]] = cdfg.NodeID(i)
+		next[p]++
 	}
 	return order, nil
-}
-
-// readyHeap is a binary heap of ready nodes whose root is the node
-// criticalFirstOrder places next: the highest priority, then the lowest ID.
-type readyHeap struct {
-	prio []int
-	ids  []cdfg.NodeID
-}
-
-// before reports whether x is placed before y.
-func (h *readyHeap) before(x, y cdfg.NodeID) bool {
-	return h.prio[x] > h.prio[y] || (h.prio[x] == h.prio[y] && x < y)
-}
-
-func (h *readyHeap) push(v cdfg.NodeID) {
-	h.ids = append(h.ids, v)
-	i := len(h.ids) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.before(v, h.ids[p]) {
-			break
-		}
-		h.ids[i] = h.ids[p]
-		i = p
-	}
-	h.ids[i] = v
-}
-
-func (h *readyHeap) pop() cdfg.NodeID {
-	ids := h.ids
-	top, last := ids[0], len(ids)-1
-	x := ids[last]
-	ids = ids[:last]
-	if last > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= last {
-				break
-			}
-			if c+1 < last && h.before(ids[c+1], ids[c]) {
-				c++
-			}
-			if !h.before(ids[c], x) {
-				break
-			}
-			ids[i] = ids[c]
-			i = c
-		}
-		ids[i] = x
-	}
-	h.ids = ids
-	return top
 }
 
 // PALAP computes the power-constrained as-late-as-possible schedule under a

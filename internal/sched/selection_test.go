@@ -79,26 +79,75 @@ func TestPALAPPropagatesSelection(t *testing.T) {
 	}
 }
 
+// chainGraph returns the path n-1 -> ... -> 1 -> 0: every edge runs from a
+// higher node ID to a lower one, against the ID tie-break.
+func chainGraph(n int) *cdfg.Graph {
+	g := cdfg.New(fmt.Sprintf("chain%d", n))
+	for i := 0; i < n; i++ {
+		g.MustAddNode(fmt.Sprintf("a%d", i), cdfg.Add)
+	}
+	for i := n - 1; i > 0; i-- {
+		g.MustAddEdge(cdfg.NodeID(i), cdfg.NodeID(i-1))
+	}
+	return g
+}
+
+// TestCriticalFirstOrderIsTopological checks the order on elliptic and on
+// chains whose Delays tables hold a zero delay. A zero-delay node would
+// tie with its successor if delays were summed as given, and the ID
+// tie-break would then place the successor first; priorities count every
+// delay as at least 1, so the order stays topological and PASAP's schedule
+// stays valid.
 func TestCriticalFirstOrderIsTopological(t *testing.T) {
-	g := bench.Elliptic()
 	bind := UniformFastest(library.Table1())
-	order, err := criticalFirstOrder(g, bind, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		g      *cdfg.Graph
+		delays []int
+	}{
+		{"elliptic", bench.Elliptic(), nil},
+		{"chain2-delays{1,0}", chainGraph(2), []int{1, 0}},
+		{"chain3-delays{1,0,1}", chainGraph(3), []int{1, 0, 1}},
 	}
-	pos := make(map[cdfg.NodeID]int, len(order))
-	for i, id := range order {
-		pos[id] = i
-	}
-	if len(pos) != g.N() {
-		t.Fatalf("order covers %d of %d nodes", len(pos), g.N())
-	}
-	for _, n := range g.Nodes() {
-		for _, v := range g.Succs(n.ID) {
-			if pos[n.ID] >= pos[v] {
-				t.Fatalf("edge %d->%d violates order", n.ID, v)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			var opts *Options
+			if c.delays != nil {
+				opts = &Options{PowerMax: 1, Delays: c.delays, Powers: make([]float64, g.N())}
+				for i := range opts.Powers {
+					opts.Powers[i] = 1
+				}
 			}
-		}
+			order, err := criticalFirstOrder(g, bind, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := make(map[cdfg.NodeID]int, len(order))
+			for i, id := range order {
+				pos[id] = i
+			}
+			if len(pos) != g.N() {
+				t.Fatalf("order %v covers %d of %d nodes", order, len(pos), g.N())
+			}
+			for _, n := range g.Nodes() {
+				for _, v := range g.Succs(n.ID) {
+					if pos[n.ID] >= pos[v] {
+						t.Fatalf("order %v: edge %d->%d violates order", order, n.ID, v)
+					}
+				}
+			}
+			if opts == nil {
+				return
+			}
+			s, err := PASAP(g, bind, *opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Validate(opts.PowerMax, 0); err != nil {
+				t.Fatalf("PASAP starts %v: %v", s.Start, err)
+			}
+		})
 	}
 }
 
@@ -187,30 +236,52 @@ func selectionGraphs(tb testing.TB) []namedGraph {
 }
 
 // TestCriticalFirstOrderMatchesReference is the differential test of the
-// heap selection against the linear scan: forward and reversed graphs,
-// with and without an arena, with binding delays and with a delay table
-// drawn from {1, 2} so that priority ties are dense.
+// counting sort against the linear scan of the ready list: forward and
+// reversed graphs, with and without an arena. The delays come from four
+// sources: the Table 1 binding; a table drawn from {1, 2}, so priority ties
+// are dense; a table drawn from {1, ..., 8}, so the priority range (35 to
+// 40 cycles) exceeds the 30 operations of the n=30 presets; and the
+// nil-Delays binding path under a 3-level expanded library, at its fastest
+// and at its lowest-power levels.
 func TestCriticalFirstOrderMatchesReference(t *testing.T) {
-	bind := UniformFastest(library.Table1())
+	elib, err := gen.Library(1000, gen.LibraryConfig{Levels: 3}).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table1 := UniformFastest(library.Table1())
 	for _, c := range selectionGraphs(t) {
 		g := c.g
 		t.Run(c.name, func(t *testing.T) {
 			a := NewArena(g)
 			rev := a.reverseOf(g)
 			rng := rand.New(rand.NewSource(int64(g.N())))
-			delays := make([]int, g.N())
-			for i := range delays {
-				delays[i] = 1 + rng.Intn(2)
+			drawDelays := func(dmax int) *Options {
+				delays := make([]int, g.N())
+				for i := range delays {
+					delays[i] = 1 + rng.Intn(dmax)
+				}
+				return &Options{Delays: delays}
+			}
+			inputs := []struct {
+				name string
+				bind Binding
+				opts *Options
+			}{
+				{"table1", table1, nil},
+				{"delays{1,2}", table1, drawDelays(2)},
+				{"delays{1..8}", table1, drawDelays(8)},
+				{"dvs-fastest", UniformFastest(elib), nil},
+				{"dvs-lowest-power", UniformLowestPower(elib), nil},
 			}
 			for _, dir := range []namedGraph{{"forward", g}, {"reversed", rev}} {
-				for _, opts := range []*Options{nil, {Delays: delays}} {
-					want, err := criticalFirstOrderRef(dir.g, bind, opts)
+				for _, in := range inputs {
+					want, err := criticalFirstOrderRef(dir.g, in.bind, in.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// The arena runs twice: cold, then over its recycled scratch.
 					for run, arena := range []*Arena{nil, a, a} {
-						got, err := criticalFirstOrder(dir.g, bind, opts, arena)
+						got, err := criticalFirstOrder(dir.g, in.bind, in.opts, arena)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -219,8 +290,8 @@ func TestCriticalFirstOrderMatchesReference(t *testing.T) {
 							for i < len(got) && i < len(want) && got[i] == want[i] {
 								i++
 							}
-							t.Fatalf("%s, table=%v, run %d: order diverges from the linear scan at position %d (len %d vs %d)",
-								dir.name, opts != nil, run, i, len(got), len(want))
+							t.Fatalf("%s, %s, run %d: order diverges from the linear scan at position %d (len %d vs %d)",
+								dir.name, in.name, run, i, len(got), len(want))
 						}
 					}
 				}

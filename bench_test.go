@@ -102,10 +102,9 @@ func BenchmarkFigure2AreaVsPowerEllipticT22(b *testing.B) { figure2Curve(b, "ell
 
 // BenchmarkSynthesize measures the one-pass synthesizer on every paper
 // benchmark at a binding constraint point (deadline = critical path + 3,
-// power cap = 80% of the unconstrained peak), comparing the incremental
-// evaluation engine against the recompute-everything legacy path. The
-// custom metrics expose why the engine wins: full PASAP/PALAP scheduler
-// runs, pinned incremental runs and window-cache hits per synthesis.
+// power cap = 80% of the unconstrained peak). The custom metrics expose
+// the evaluation engine's work: full PASAP/PALAP scheduler runs, pinned
+// incremental runs and window-cache hits per synthesis.
 // results/BENCH_synthesize.json holds the recorded baseline.
 func BenchmarkSynthesize(b *testing.B) {
 	lib := Table1()
@@ -128,32 +127,24 @@ func BenchmarkSynthesize(b *testing.B) {
 				b.Fatalf("%s: no feasible cap found", name)
 			}
 		}
-		for _, mode := range []struct {
-			tag string
-			cfg Config
-		}{
-			{"incremental", Config{}},
-			{"legacy", Config{DisableIncremental: true}},
-		} {
-			b.Run(name+"/"+mode.tag, func(b *testing.B) {
-				b.ReportAllocs()
-				var st Stats
-				// pprof labels partition -cpuprofile/-memprofile samples by
-				// benchmark graph and engine mode (see DESIGN.md §10).
-				pprof.Do(context.Background(), pprof.Labels("graph", name, "mode", mode.tag), func(context.Context) {
-					for i := 0; i < b.N; i++ {
-						d, err := Synthesize(g, lib, cons, mode.cfg)
-						if err != nil {
-							b.Fatal(err)
-						}
-						st = d.Stats
+		b.Run(name+"/incremental", func(b *testing.B) {
+			b.ReportAllocs()
+			var st Stats
+			// pprof labels partition -cpuprofile/-memprofile samples by
+			// benchmark graph (see DESIGN.md §10).
+			pprof.Do(context.Background(), pprof.Labels("graph", name), func(context.Context) {
+				for i := 0; i < b.N; i++ {
+					d, err := Synthesize(g, lib, cons, Config{})
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-				b.ReportMetric(float64(st.SchedulerRuns), "full-runs")
-				b.ReportMetric(float64(st.IncrementalRuns), "pinned-runs")
-				b.ReportMetric(float64(st.WindowCacheHits), "cache-hits")
+					st = d.Stats
+				}
 			})
-		}
+			b.ReportMetric(float64(st.SchedulerRuns), "full-runs")
+			b.ReportMetric(float64(st.IncrementalRuns), "pinned-runs")
+			b.ReportMetric(float64(st.WindowCacheHits), "cache-hits")
+		})
 	}
 }
 

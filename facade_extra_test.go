@@ -84,25 +84,17 @@ func TestFacadeStatsSurfaced(t *testing.T) {
 	if d.Stats.SchedulerRuns == 0 {
 		t.Fatal("Design.Stats reports zero scheduler runs")
 	}
-	// Engine savings are visible on graphs above the small-graph
-	// threshold (hal itself auto-selects the legacy path — see DESIGN.md
-	// §7 on engine selection).
 	big, err := Synthesize(MustBenchmark("ar"), Table1(), Constraints{Deadline: 30, PowerMax: 13}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Synthesize(MustBenchmark("ar"), Table1(), Constraints{Deadline: 30, PowerMax: 13},
-		Config{DisableIncremental: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats.SchedulerRuns <= big.Stats.SchedulerRuns {
-		t.Fatalf("legacy path did %d full runs, incremental %d — engine saved nothing",
-			legacy.Stats.SchedulerRuns, big.Stats.SchedulerRuns)
+	if big.Stats.WindowCacheHits == 0 {
+		t.Fatal("Design.Stats reports zero window cache hits")
 	}
 	var agg Stats
-	agg = agg.Add(big.Stats).Add(legacy.Stats)
-	if agg.SchedulerRuns != big.Stats.SchedulerRuns+legacy.Stats.SchedulerRuns {
+	agg = agg.Add(d.Stats).Add(big.Stats)
+	if agg.SchedulerRuns != d.Stats.SchedulerRuns+big.Stats.SchedulerRuns ||
+		agg.WindowCacheHits != d.Stats.WindowCacheHits+big.Stats.WindowCacheHits {
 		t.Fatalf("Stats.Add mismatch: %+v", agg)
 	}
 	c, err := Sweep(MustBenchmark("hal"), Table1(), 17, SweepConfig{PowerMin: 10, PowerMax: 20, Step: 5})

@@ -29,7 +29,6 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 		return nil, err
 	}
 	// Reuse the module-assumption machinery of the incremental algorithm.
-	cfg.DisableIncremental = !useEngine(g, cfg)
 	st, err := newState(g, lib, cons, cfg)
 	if err != nil {
 		return nil, err
@@ -107,11 +106,9 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 			})
 		}
 	}
-	if st.eng != nil {
-		// The bulk commits above bypassed commit(); bring the engine's
-		// profile and reservation lists up to date for the merge pass.
-		st.eng.rebuild(st)
-	}
+	// The bulk commits above bypassed commit(); bring the profile and
+	// reservation lists up to date for the merge pass.
+	st.rebuildCommitted()
 	st.mergePass()
 	return st.finish()
 }

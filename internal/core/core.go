@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"pchls/internal/bind"
@@ -72,8 +73,7 @@ type WindowPolicy int
 const (
 	// WindowsAuto (the zero value) derives windows exhaustively for small
 	// graphs and switches to the SDC difference-constraint bounds at
-	// sdcGraphNodes, the same way smallGraphNodes gates the incremental
-	// engine.
+	// sdcGraphNodes.
 	WindowsAuto WindowPolicy = iota
 	// WindowsExhaustive forces the per-candidate pasap/palap pairs
 	// regardless of size — the pre-refactor path, kept as the oracle.
@@ -113,14 +113,6 @@ type Config struct {
 	// (for the ablation experiments and as a portfolio variant): module
 	// assumptions then stay at the fastest power-feasible choice.
 	SkipAreaDescent bool
-	// DisableIncremental turns off the incremental evaluation engine
-	// (window cache, incrementally maintained power profile and
-	// reservation lists) and recomputes everything from scratch each
-	// iteration, as the original implementation did — for the ablation
-	// experiments and the golden equivalence tests, mirroring
-	// DisableRepair. The synthesized design is byte-identical either way;
-	// only the work performed (see Stats) differs.
-	DisableIncremental bool
 	// Workers bounds how many independent synthesis runs SynthesizeBest's
 	// portfolio and peak-shaving ladder evaluate concurrently: 0 uses
 	// GOMAXPROCS, 1 keeps the legacy serial path. The returned design is
@@ -180,6 +172,12 @@ type Config struct {
 	// edge set against a from-scratch rebuild after every sync. Test-only
 	// (in-package): the randomized differential suite sets it.
 	auditCompat bool
+	// coldWindows drops the window cache before every derivation, so each
+	// iteration runs the full per-candidate pasap/palap pairs, and
+	// cross-checks the committed power profile and reservation lists
+	// against a from-scratch rebuild. Test-only (in-package): the golden
+	// equivalence suites use it as the reference the cached run must match.
+	coldWindows bool
 }
 
 func (c Config) cost() bind.CostModel {
@@ -253,8 +251,13 @@ type state struct {
 	// instances, maintained by commit/uncommit for the AreaBound cut.
 	fuAreaCommitted float64
 
-	// eng holds the incremental caches; nil when cfg.DisableIncremental
-	// selects the legacy recompute-everything path.
+	// profile is the per-cycle power drawn by committed operations over
+	// [0, Deadline), and resv the busy intervals of each instance
+	// (parallel to fus); commit and uncommit maintain both in O(delay).
+	profile []float64
+	resv    [][]interval
+	// eng is the exhaustive derivation's window cache (empty on the SDC
+	// path, which never reads it).
 	eng   *engine
 	stats Stats
 
@@ -285,8 +288,6 @@ type state struct {
 	wins         []sched.Window // flat (node, module) candidate windows
 	winSet       []bool         //   parallel presence bits
 	potential    []int          // per-module uncommitted-implementer counts
-	profScratch  []float64      // legacy committedProfile scratch
-	busyA, busyB []interval     // reservation-list scratch (legacy path)
 	cm           bind.CostModel
 
 	// Power-aware SDC tightening tables (partition paths only): per
@@ -372,8 +373,8 @@ type instance struct {
 }
 
 // newState validates the inputs and builds the synthesizer's working
-// state with the initial (fastest power-feasible) module assumptions and,
-// unless disabled, the incremental evaluation engine.
+// state with the initial (fastest power-feasible) module assumptions, an
+// empty committed profile and the window derivation of its size regime.
 func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid graph: %w", err)
@@ -390,6 +391,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		start:     make([]int, g.N()),
 		moduleOf:  make([]int, g.N()),
 		fuOf:      make([]int, g.N()),
+		profile:   make([]float64, cons.Deadline),
 	}
 	for i := range st.fuOf {
 		st.fuOf[i] = -1
@@ -405,13 +407,6 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		st.moduleOf[n.ID] = mi
 	}
 	st.initTables()
-	if !cfg.DisableIncremental {
-		eng, err := newEngine(st)
-		if err != nil {
-			return nil, err
-		}
-		st.eng = eng
-	}
 	if st.sdc = useSDC(g, cfg); st.sdc {
 		topo, err := g.TopoOrder()
 		if err != nil {
@@ -426,31 +421,21 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 			st.v1 = v1
 		}
 	}
+	eng, err := newEngine(st)
+	if err != nil {
+		return nil, err
+	}
+	st.eng = eng
 	return st, nil
 }
 
-// smallGraphNodes gates the incremental engine by graph size: below this
-// many nodes the legacy recompute-everything path is selected even when
-// the engine is enabled. On tiny graphs a full scheduler run is only a few
-// microseconds, so the engine's fixed per-commit work (validity filtering,
-// dirty-set fixpoint, audit) costs more than the runs it saves — measured
-// on hal (20 nodes), the engine cuts runs 39% yet loses wall-clock. Both
-// paths are proven byte-identical by the golden equivalence tests, so the
-// selection is output-neutral; only Stats differ. See DESIGN.md §7.
-const smallGraphNodes = 24
-
-// useEngine reports whether the incremental engine should run for g.
-func useEngine(g *cdfg.Graph, cfg Config) bool {
-	return !cfg.DisableIncremental && g.N() >= smallGraphNodes
-}
-
-// sdcGraphNodes gates the SDC window derivation by graph size, the way
-// smallGraphNodes gates the engine: below this many nodes the exhaustive
-// pasap/palap windows are exact and cheap, and their extra tightness
-// (they encode the power cap; the SDC bounds do not) is worth keeping.
-// Above it the per-candidate scheduler pairs are the dominant cost and the
-// relaxed windows win. All seven classic benchmarks are far below the
-// threshold, so the paper-faithful path is untouched. See DESIGN.md §13.
+// sdcGraphNodes gates the SDC window derivation by graph size: below this
+// many nodes the exhaustive pasap/palap windows are exact and cheap, and
+// their extra tightness (they encode the power cap; the SDC bounds do not)
+// is worth keeping. Above it the per-candidate scheduler pairs are the
+// dominant cost and the relaxed windows win. All seven classic benchmarks
+// are far below the threshold, so the paper-faithful path is untouched.
+// See DESIGN.md §13.
 const sdcGraphNodes = 160
 
 // useSDC reports whether synthesis of g should derive candidate windows
@@ -511,7 +496,6 @@ func Synthesize(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	cfg.DisableIncremental = !useEngine(g, cfg)
 	if usePartition(g, cfg) {
 		return synthesizePartitioned(g, lib, cons, cfg)
 	}
@@ -775,27 +759,6 @@ func (st *state) currentPASAP() (*sched.Schedule, error) {
 	return s, nil
 }
 
-// windowFor computes the power-feasible mobility window of node v when
-// bound to module mi, under the current committed state. ok=false means
-// the candidate is infeasible.
-func (st *state) windowFor(v cdfg.NodeID, mi int) (sched.Window, bool) {
-	if st.locked {
-		if mi != st.moduleOf[v] {
-			return sched.Window{}, false
-		}
-		return sched.Window{Early: st.start[v], Late: st.start[v]}, true
-	}
-	early, late, ok := st.windowSchedsFor(v, mi)
-	if !ok {
-		return sched.Window{}, false
-	}
-	w := sched.Window{Early: early.Start[v], Late: late.Start[v]}
-	if w.Width() < 1 {
-		return sched.Window{}, false
-	}
-	return w, true
-}
-
 // windowSchedsFor runs the override pasap/palap pair for candidate
 // (v, mi) and returns both schedules — the engine caches their full
 // start arrays to prove entries valid across later commitments.
@@ -828,73 +791,105 @@ func (st *state) windowSchedsFor(v cdfg.NodeID, mi int) (early, late *sched.Sche
 }
 
 // committedProfile returns the per-cycle power drawn by committed
-// operations over [0, horizon).
-func (st *state) committedProfile(horizon int) []float64 {
-	return st.fillCommittedProfile(make([]float64, horizon))
-}
-
-// committedProfileScratch is committedProfile into the state's recycled
-// buffer — the legacy path probes it on every freeSlot call, so the hot
-// loop must not allocate. The result is valid until the next call.
-func (st *state) committedProfileScratch(horizon int) []float64 {
-	if cap(st.profScratch) < horizon {
-		st.profScratch = make([]float64, horizon)
-	}
-	p := st.profScratch[:horizon]
-	for c := range p {
-		p[c] = 0
-	}
-	return st.fillCommittedProfile(p)
-}
-
-func (st *state) fillCommittedProfile(p []float64) []float64 {
-	horizon := len(p)
+// operations over [0, Deadline), summed from scratch.
+func (st *state) committedProfile() []float64 {
+	p := make([]float64, st.cons.Deadline)
 	for i, c := range st.committed {
 		if !c {
 			continue
 		}
-		for cyc := st.start[i]; cyc < st.start[i]+st.delays[i] && cyc < horizon; cyc++ {
+		for cyc := st.start[i]; cyc < st.start[i]+st.delays[i] && cyc < len(p); cyc++ {
 			p[cyc] += st.powers[i]
 		}
 	}
 	return p
 }
 
-// commit applies a decision.
+// rebuildCommitted recomputes the profile and the reservation lists from
+// the committed state. The clique-partition and stitch paths commit in
+// bulk, and the stitch's re-timings move starts, without going through
+// commit(); they call this before the next probe.
+func (st *state) rebuildCommitted() {
+	clear(st.profile)
+	st.resv = make([][]interval, len(st.fus))
+	for f := range st.fus {
+		for _, op := range st.fus[f].ops {
+			iv := interval{st.start[op], st.start[op] + st.delays[op]}
+			st.resv[f] = append(st.resv[f], iv)
+			for c := iv.s; c < iv.e && c < len(st.profile); c++ {
+				st.profile[c] += st.powers[op]
+			}
+		}
+	}
+}
+
+// auditCommitted panics unless the maintained profile and reservation
+// lists equal a from-scratch rebuild. Test-only invariant, checked under
+// Config.coldWindows.
+func (st *state) auditCommitted() {
+	for c, want := range st.committedProfile() {
+		if math.Abs(st.profile[c]-want) > 1e-9 {
+			panic(fmt.Sprintf("core: committed profile audit failed: cycle %d draws %g, rebuilt %g", c, st.profile[c], want))
+		}
+	}
+	if len(st.resv) != len(st.fus) {
+		panic(fmt.Sprintf("core: reservation audit failed: %d lists for %d instances", len(st.resv), len(st.fus)))
+	}
+	for f, inst := range st.fus {
+		if len(st.resv[f]) != len(inst.ops) {
+			panic(fmt.Sprintf("core: reservation audit failed: instance %d has %d intervals for %d ops", f, len(st.resv[f]), len(inst.ops)))
+		}
+		for k, op := range inst.ops {
+			if want := (interval{st.start[op], st.start[op] + st.delays[op]}); st.resv[f][k] != want {
+				panic(fmt.Sprintf("core: reservation audit failed: instance %d interval %d is %+v, rebuilt %+v", f, k, st.resv[f][k], want))
+			}
+		}
+	}
+}
+
+// commit applies a decision, folding it into the profile and the
+// reservation lists.
 func (st *state) commit(d Decision) {
 	mi := st.moduleIndexOf(d)
+	m := st.lib.Module(mi)
 	st.committed[d.Node] = true
 	st.start[d.Node] = d.Start
 	st.setModule(d.Node, mi)
 	if d.NewFU {
 		st.fus = append(st.fus, instance{module: mi})
-		st.fuAreaCommitted += st.lib.Module(mi).Area
+		st.resv = append(st.resv, nil)
+		st.fuAreaCommitted += m.Area
 	}
 	st.fuOf[d.Node] = d.FU
 	st.fus[d.FU].ops = append(st.fus[d.FU].ops, d.Node)
-	st.decisions = append(st.decisions, d)
-	if st.eng != nil {
-		st.eng.applyCommit(d, st.lib.Module(mi))
+	st.resv[d.FU] = append(st.resv[d.FU], interval{d.Start, d.Start + m.Delay})
+	for c := d.Start; c < d.Start+m.Delay && c < len(st.profile); c++ {
+		st.profile[c] += m.Power
 	}
+	st.decisions = append(st.decisions, d)
 }
 
 // uncommit reverts the most recent decision (must be d).
 func (st *state) uncommit(d Decision) {
-	if st.eng != nil {
-		// Revert before the module assumption is restored: the profile
-		// entry was made with the committed module. A backtrack changes
-		// placements non-locally, so the window cache is dropped whole.
-		st.eng.revertCommit(d, st.lib.Module(st.moduleOf[d.Node]))
-		st.eng.invalidateWindows()
-		st.stats.FullInvalidations++
+	// Revert the profile before the module assumption is restored: the
+	// entry was made with the committed module.
+	m := st.lib.Module(st.moduleOf[d.Node])
+	for c := d.Start; c < d.Start+m.Delay && c < len(st.profile); c++ {
+		st.profile[c] -= m.Power
 	}
+	// A backtrack changes placements non-locally, so the window cache is
+	// dropped whole.
+	st.eng.invalidateWindows()
+	st.stats.FullInvalidations++
 	st.committed[d.Node] = false
 	st.fuOf[d.Node] = -1
 	f := &st.fus[d.FU]
 	f.ops = f.ops[:len(f.ops)-1]
+	st.resv[d.FU] = st.resv[d.FU][:len(st.resv[d.FU])-1]
 	if d.NewFU {
 		st.fuAreaCommitted -= st.lib.Module(st.fus[d.FU].module).Area
 		st.fus = st.fus[:len(st.fus)-1]
+		st.resv = st.resv[:len(st.resv)-1]
 	}
 	st.decisions = st.decisions[:len(st.decisions)-1]
 	// Restore the assumed module for the node.
@@ -920,9 +915,6 @@ func (st *state) uncommit(d Decision) {
 // no scheduler run at all, otherwise the commitment's disturbance is
 // folded into the dirty set for the pinned re-derivation.
 func (st *state) noteProbe(d Decision, probe *sched.Schedule) {
-	if st.eng == nil {
-		return
-	}
 	eng := st.eng
 	if eng.warm {
 		u, s := int(d.Node), d.Start
@@ -982,6 +974,9 @@ func (st *state) repair() error {
 
 // finish validates and assembles the Design.
 func (st *state) finish() (*Design, error) {
+	if st.cfg.coldWindows {
+		st.auditCommitted()
+	}
 	s := sched.Schedule{
 		G:      st.g,
 		Start:  append([]int(nil), st.start...),

@@ -23,13 +23,16 @@ func (st *state) getWin(v cdfg.NodeID, mi int) (sched.Window, bool) {
 
 // candidateWindows computes, once per iteration, the feasible window of
 // every (uncommitted op, module) candidate into the state's flat window
-// table. The assumed-module windows all come from one pasap/palap pair;
-// only overrides need extra runs. The incremental engine serves clean
-// nodes from its cache and re-derives only the dirty subset; the legacy
-// path (DisableIncremental) recomputes everything. Both produce identical
-// tables — the incremental derivation is audited against a full pasap
-// probe and falls back on any disagreement.
+// table: point windows once locked, the SDC bounds above sdcGraphNodes,
+// and otherwise the exhaustive pasap/palap windows. The assumed-module
+// windows all come from one pasap/palap pair; only overrides need extra
+// runs. The engine serves clean nodes from its cache and re-derives only
+// the dirty subset, audited against the full post-commit pasap probe.
 func (st *state) candidateWindows() {
+	if st.cfg.coldWindows {
+		st.auditCommitted()
+		st.eng.invalidateWindows()
+	}
 	for i := range st.winSet {
 		st.winSet[i] = false
 	}
@@ -46,57 +49,19 @@ func (st *state) candidateWindows() {
 		st.sdcWindows()
 		return
 	}
-	if st.eng != nil {
-		if st.eng.warm {
-			if st.reusedWindows() {
-				return
-			}
-			// The incremental derivation was rejected; rebuild the cache
-			// from scratch.
-			st.eng.invalidateWindows()
-			st.stats.FullInvalidations++
-			for i := range st.winSet {
-				st.winSet[i] = false
-			}
+	if st.eng.warm {
+		if st.reusedWindows() {
+			return
 		}
-		st.refreshedWindows()
-		return
-	}
-	st.scratchWindows()
-}
-
-// scratchWindows is the legacy recompute-everything derivation.
-func (st *state) scratchWindows() {
-	// Base run under the assumed modules.
-	opts := st.schedOpts()
-	st.stats.SchedulerRuns++
-	early, err1 := sched.PASAP(st.g, st.baseBind, opts)
-	var late *sched.Schedule
-	var err2 error
-	if err1 == nil && early.Length() <= st.cons.Deadline {
-		st.stats.SchedulerRuns++
-		late, err2 = sched.PALAP(st.g, st.baseBind, st.cons.Deadline, opts)
-	}
-	baseOK := err1 == nil && early.Length() <= st.cons.Deadline && err2 == nil
-
-	for i, c := range st.committed {
-		if c {
-			continue
-		}
-		v := cdfg.NodeID(i)
-		for _, mi := range st.cand[v] {
-			if mi == st.moduleOf[v] && baseOK {
-				w := sched.Window{Early: early.Start[v], Late: late.Start[v]}
-				if w.Width() >= 1 {
-					st.setWin(v, mi, w)
-				}
-				continue
-			}
-			if w, ok := st.windowFor(v, mi); ok {
-				st.setWin(v, mi, w)
-			}
+		// The incremental derivation was rejected; rebuild the cache
+		// from scratch.
+		st.eng.invalidateWindows()
+		st.stats.FullInvalidations++
+		for i := range st.winSet {
+			st.winSet[i] = false
 		}
 	}
+	st.refreshedWindows()
 }
 
 // sdcWindows derives every candidate window from the SDC
@@ -224,8 +189,9 @@ func (st *state) tightenWindow(mi, d int, w sched.Window) (sched.Window, bool) {
 	return sched.Window{Early: e, Late: l}, true
 }
 
-// refreshedWindows is the engine's cold-path derivation: the same work as
-// scratchWindows — except that the post-commit probe, when present, is
+// refreshedWindows is the engine's cold-path derivation: the base
+// pasap/palap pair under the assumed modules plus one override pair per
+// other candidate — except that the post-commit probe, when present, is
 // reused as the base Early schedule, saving one full run — with every
 // result (including infeasible candidates) stored in the cache. The cache
 // becomes warm only when the base pair succeeded, since the reuse path
@@ -426,28 +392,8 @@ func (st *state) amortizedAreaWith(mi, potential int) float64 {
 	return m.Area / float64(share)
 }
 
+// interval is one busy span [s, e) of an instance.
 type interval struct{ s, e int }
-
-// reservationsInto returns the busy intervals of instance f: the engine's
-// incrementally maintained list, or (legacy path) re-derived into the
-// given recycled buffer, which stays valid until its next use.
-func (st *state) reservationsInto(f int, buf *[]interval) []interval {
-	if st.eng != nil {
-		return st.eng.resv[f]
-	}
-	busy := (*buf)[:0]
-	for _, op := range st.fus[f].ops {
-		busy = append(busy, interval{st.start[op], st.start[op] + st.delays[op]})
-	}
-	*buf = busy
-	return busy
-}
-
-// reservations is reservationsInto with a fresh buffer on the legacy path.
-func (st *state) reservations(f int) []interval {
-	var buf []interval
-	return st.reservationsInto(f, &buf)
-}
 
 // freeSlot returns the earliest start t within w at which none of the busy
 // intervals overlap an execution of d cycles and the committed power
@@ -457,12 +403,7 @@ func (st *state) freeSlot(busy []interval, w sched.Window, d int, power float64)
 	horizon := st.cons.Deadline
 	var prof []float64
 	if st.cons.PowerMax > 0 {
-		if st.eng != nil {
-			prof = st.eng.profile
-		} else {
-			st.stats.ProfileRebuilds++
-			prof = st.committedProfileScratch(horizon)
-		}
+		prof = st.profile
 	}
 	// The paper packs operations as early as possible; a PlaceLate
 	// perturbation walks the window from the palap end instead, which
@@ -612,7 +553,7 @@ func (st *state) bestDecision() (Decision, bool) {
 				if st.v1 != nil && !st.v1.ShareOK(v, mi, st.fus[f].ops) {
 					continue
 				}
-				if t, ok := st.freeSlot(st.reservationsInto(f, &st.busyA), w, m.Delay, m.Power); ok {
+				if t, ok := st.freeSlot(st.resv[f], w, m.Delay, m.Power); ok {
 					consider(Decision{
 						Node: v, Module: m.Name, FU: f, NewFU: false,
 						Start: t, Cost: st.muxEstimate(v, f),

@@ -20,6 +20,7 @@ func newTestState(t *testing.T, g *cdfg.Graph, cons Constraints) *state {
 		start:     make([]int, g.N()),
 		moduleOf:  make([]int, g.N()),
 		fuOf:      make([]int, g.N()),
+		profile:   make([]float64, cons.Deadline),
 	}
 	for i := range st.fuOf {
 		st.fuOf[i] = -1
@@ -123,8 +124,7 @@ func TestFreeSlot(t *testing.T) {
 	// Power-blocked: commit an op drawing 8.1 at cycles 0-1, cap 10.
 	st.cons.PowerMax = 10
 	mul := g.NodesOf(cdfg.Mul)[0]
-	st.committed[mul] = true
-	st.start[mul] = 0
+	st.commit(Decision{Node: mul, Module: st.lib.Module(st.moduleOf[mul]).Name, FU: 0, NewFU: true, Start: 0})
 	if tt, ok := st.freeSlot(nil, sched.Window{Early: 0, Late: 6}, 1, 8.1); !ok || tt != 2 {
 		t.Fatalf("power-blocked freeSlot = %d, %v; want 2", tt, ok)
 	}

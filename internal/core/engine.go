@@ -2,7 +2,6 @@ package core
 
 import (
 	"pchls/internal/cdfg"
-	"pchls/internal/library"
 	"pchls/internal/sched"
 )
 
@@ -23,23 +22,18 @@ type winEntry struct {
 	lateStart  []int
 }
 
-// engine owns the synthesizer's cached, invalidation-tracked artifacts:
-// the committed per-cycle power profile (updated in O(delay) on
-// commit/backtrack), the per-instance reservation lists, and the window
-// cache with its dirty set. The legacy recompute-everything path
-// (Config.DisableIncremental) runs with a nil engine; the synthesized
-// design is byte-identical either way — the window cache is audited
-// against a full pasap probe every iteration and falls back to the full
-// derivation on any disagreement.
+// engine is the exhaustive window derivation's cache: the base windows
+// under the assumed modules, the override windows of every other
+// candidate, and the dirty set that decides which of them a commitment
+// may have moved. Only the exhaustive regime builds it; on the SDC path
+// its tables stay empty and it never warms. The cache never changes a
+// design: every surviving entry is proven exact by the per-commit filter
+// in noteProbe, the pinned base derivation is audited against the full
+// post-commit pasap probe and falls back to the full derivation on any
+// disagreement, and the golden equivalence suites compare every cached
+// run with Config.coldWindows, which drops the cache before each
+// derivation.
 type engine struct {
-	// horizon is the profile length (the latency constraint T).
-	horizon int
-	// profile is the per-cycle power drawn by committed operations.
-	profile []float64
-	// resv holds the busy intervals of each instance, parallel to
-	// state.fus.
-	resv [][]interval
-
 	// warm reports whether baseWin/over describe the current state; it is
 	// cleared by any backtrack or abandoned derivation.
 	warm bool
@@ -86,10 +80,13 @@ type engine struct {
 	queue   []int
 }
 
-// newEngine builds the engine for a fresh state: empty profile and
-// reservations, cold window cache, and the static precedence artifacts
-// (reachability and conservative spans).
+// newEngine builds the cold window cache of a fresh state and its static
+// precedence artifacts (reachability and conservative spans); SDC-regime
+// states get an empty engine.
 func newEngine(st *state) (*engine, error) {
+	if st.sdc {
+		return &engine{}, nil
+	}
 	n := st.g.N()
 	reach, err := st.g.Reachability()
 	if err != nil {
@@ -132,9 +129,6 @@ func newEngine(st *state) (*engine, error) {
 		maxEnd[v] = st.cons.Deadline - downAfter[v]
 	}
 	return &engine{
-		horizon:  st.cons.Deadline,
-		profile:  make([]float64, st.cons.Deadline),
-		warm:     false,
 		baseWin:  make([]sched.Window, n),
 		over:     make([]winEntry, n*st.nm),
 		overSet:  make([]bool, n*st.nm),
@@ -147,33 +141,8 @@ func newEngine(st *state) (*engine, error) {
 	}, nil
 }
 
-// applyCommit folds one committed decision into the profile and the
-// reservation lists.
-func (e *engine) applyCommit(d Decision, m *library.Module) {
-	for c := d.Start; c < d.Start+m.Delay && c < e.horizon; c++ {
-		e.profile[c] += m.Power
-	}
-	if d.NewFU {
-		e.resv = append(e.resv, nil)
-	}
-	e.resv[d.FU] = append(e.resv[d.FU], interval{d.Start, d.Start + m.Delay})
-}
-
-// revertCommit undoes applyCommit for the most recent decision (must be
-// d, bound to module m).
-func (e *engine) revertCommit(d Decision, m *library.Module) {
-	for c := d.Start; c < d.Start+m.Delay && c < e.horizon; c++ {
-		e.profile[c] -= m.Power
-	}
-	lst := e.resv[d.FU]
-	e.resv[d.FU] = lst[:len(lst)-1]
-	if d.NewFU {
-		e.resv = e.resv[:len(e.resv)-1]
-	}
-}
-
 // invalidateWindows drops the whole window cache (backtracks, abandoned
-// derivations); profile and reservations stay valid.
+// derivations, the coldWindows hook).
 func (e *engine) invalidateWindows() {
 	e.warm = false
 	e.baseValid = false
@@ -214,25 +183,6 @@ func (st *state) computeEntry(v cdfg.NodeID, mi int) winEntry {
 	}
 	w := sched.Window{Early: early.Start[v], Late: late.Start[v]}
 	return winEntry{w: w, ok: w.Width() >= 1, earlyStart: early.Start, lateStart: late.Start}
-}
-
-// rebuild recomputes profile and reservations from the committed state —
-// the clique-partition path commits in bulk without going through
-// commit(), then calls this before the merge pass.
-func (e *engine) rebuild(st *state) {
-	for c := range e.profile {
-		e.profile[c] = 0
-	}
-	e.resv = make([][]interval, len(st.fus))
-	for f := range st.fus {
-		for _, op := range st.fus[f].ops {
-			m := st.lib.Module(st.moduleOf[op])
-			e.resv[f] = append(e.resv[f], interval{st.start[op], st.start[op] + m.Delay})
-			for c := st.start[op]; c < st.start[op]+m.Delay && c < e.horizon; c++ {
-				e.profile[c] += m.Power
-			}
-		}
-	}
 }
 
 // markDirtyAfterCommit computes which nodes' windows the commitment of d

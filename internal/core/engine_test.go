@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"pchls/internal/bench"
@@ -9,14 +8,14 @@ import (
 	"pchls/internal/sched"
 )
 
-// TestEngineReducesSchedulerRuns checks the engine's reason to exist: on
-// a large benchmark under a binding power cap, the incremental path must
-// perform strictly fewer full scheduler runs than the legacy path while
-// producing the same design, with the savings visible in the cache
-// counters.
+// TestEngineReducesSchedulerRuns checks the window cache's reason to
+// exist: under a binding power cap, the cached run must perform strictly
+// fewer full scheduler runs than its coldWindows reference, which drops
+// the cache before every derivation, with the savings visible in the
+// cache counters.
 func TestEngineReducesSchedulerRuns(t *testing.T) {
 	lib := library.Table1()
-	for _, name := range []string{"elliptic", "fft8"} {
+	for _, name := range []string{"hal", "elliptic", "fft8"} {
 		g, err := bench.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -28,40 +27,34 @@ func TestEngineReducesSchedulerRuns(t *testing.T) {
 		cons := Constraints{Deadline: asap.Length() + 3, PowerMax: asap.PeakPower() * 0.8}
 		inc, err := Synthesize(g, lib, cons, Config{})
 		if err != nil {
-			t.Fatalf("%s: incremental: %v", name, err)
+			t.Fatalf("%s: cached: %v", name, err)
 		}
-		legacy, err := Synthesize(g, lib, cons, Config{DisableIncremental: true})
+		cold, err := Synthesize(g, lib, cons, Config{coldWindows: true})
 		if err != nil {
-			t.Fatalf("%s: legacy: %v", name, err)
+			t.Fatalf("%s: cold: %v", name, err)
 		}
-		if inc.Stats.SchedulerRuns >= legacy.Stats.SchedulerRuns {
-			t.Errorf("%s: incremental did %d full runs, legacy %d — no savings",
-				name, inc.Stats.SchedulerRuns, legacy.Stats.SchedulerRuns)
+		if inc.Stats.SchedulerRuns >= cold.Stats.SchedulerRuns {
+			t.Errorf("%s: cached run did %d full runs, cold %d — no savings",
+				name, inc.Stats.SchedulerRuns, cold.Stats.SchedulerRuns)
 		}
 		if inc.Stats.WindowCacheHits == 0 {
-			t.Errorf("%s: incremental run had zero window cache hits", name)
+			t.Errorf("%s: cached run had zero window cache hits", name)
 		}
-		if inc.Stats.ProfileRebuilds != 0 {
-			t.Errorf("%s: incremental run rebuilt the profile %d times", name, inc.Stats.ProfileRebuilds)
+		if cold.Stats.IncrementalRuns != 0 || cold.Stats.WindowCacheHits != 0 {
+			t.Errorf("%s: cold run reported cached work: %+v", name, cold.Stats)
 		}
-		if legacy.Stats.ProfileRebuilds == 0 && cons.PowerMax > 0 {
-			t.Errorf("%s: legacy run reported zero profile rebuilds", name)
-		}
-		if legacy.Stats.IncrementalRuns != 0 || legacy.Stats.WindowCacheHits != 0 {
-			t.Errorf("%s: legacy run reported incremental work: %+v", name, legacy.Stats)
-		}
-		t.Logf("%s: full runs %d -> %d (incremental: %d pinned runs, %d hits, %d misses, %d fallbacks)",
-			name, legacy.Stats.SchedulerRuns, inc.Stats.SchedulerRuns,
+		t.Logf("%s: full runs %d -> %d (cached: %d pinned runs, %d hits, %d misses, %d fallbacks)",
+			name, cold.Stats.SchedulerRuns, inc.Stats.SchedulerRuns,
 			inc.Stats.IncrementalRuns, inc.Stats.WindowCacheHits,
 			inc.Stats.WindowCacheMisses, inc.Stats.Fallbacks)
 	}
 }
 
-// TestEngineProfileAndReservations white-boxes the incremental
-// bookkeeping: after each commit of a real synthesis prefix, the engine's
-// profile must equal the from-scratch committedProfile and its
-// reservation lists must equal the re-derived ones; after an uncommit the
-// profile must return to (numerically) zero deviation.
+// TestEngineProfileAndReservations white-boxes the maintained
+// bookkeeping: after each commit of a real synthesis prefix, and after an
+// uncommit, the profile and the reservation lists must pass
+// auditCommitted (equal to a from-scratch rebuild). The audit itself must
+// panic on a corrupted profile or reservation list.
 func TestEngineProfileAndReservations(t *testing.T) {
 	lib := library.Table1()
 	g := bench.HAL()
@@ -73,31 +66,14 @@ func TestEngineProfileAndReservations(t *testing.T) {
 	if err := st.refineInitialModules(); err != nil {
 		t.Fatal(err)
 	}
+	audit := func() (failure any) {
+		defer func() { failure = recover() }()
+		st.auditCommitted()
+		return nil
+	}
 	check := func(step int) {
-		want := st.committedProfile(cons.Deadline)
-		for c := range want {
-			if math.Abs(st.eng.profile[c]-want[c]) > 1e-9 {
-				t.Fatalf("step %d: profile[%d] = %g, want %g", step, c, st.eng.profile[c], want[c])
-			}
-		}
-		if len(st.eng.resv) != len(st.fus) {
-			t.Fatalf("step %d: %d reservation lists for %d instances", step, len(st.eng.resv), len(st.fus))
-		}
-		for f := range st.fus {
-			var legacy []interval
-			for _, op := range st.fus[f].ops {
-				m := st.lib.Module(st.moduleOf[op])
-				legacy = append(legacy, interval{st.start[op], st.start[op] + m.Delay})
-			}
-			got := st.eng.resv[f]
-			if len(got) != len(legacy) {
-				t.Fatalf("step %d: instance %d has %d reservations, want %d", step, f, len(got), len(legacy))
-			}
-			for k := range got {
-				if got[k] != legacy[k] {
-					t.Fatalf("step %d: instance %d reservation %d = %+v, want %+v", step, f, k, got[k], legacy[k])
-				}
-			}
+		if r := audit(); r != nil {
+			t.Fatalf("step %d: %v", step, r)
 		}
 	}
 	var last Decision
@@ -112,18 +88,28 @@ func TestEngineProfileAndReservations(t *testing.T) {
 	}
 	st.uncommit(last)
 	check(-1)
+
+	st.profile[last.Start] += 0.5
+	if audit() == nil {
+		t.Error("audit accepted a corrupted profile")
+	}
+	st.profile[last.Start] -= 0.5
+	st.resv[0][0].e++
+	if audit() == nil {
+		t.Error("audit accepted a corrupted reservation list")
+	}
 }
 
 // TestStatsAdd checks the field-wise aggregation used by the sweep
 // surfaces.
 func TestStatsAdd(t *testing.T) {
 	a := Stats{SchedulerRuns: 1, IncrementalRuns: 2, WindowCacheHits: 3, WindowCacheMisses: 4,
-		WindowInvalidations: 5, FullInvalidations: 6, Fallbacks: 7, ProfileProbes: 8, ProfileRebuilds: 9}
+		WindowInvalidations: 5, FullInvalidations: 6, Fallbacks: 7, ProfileProbes: 8, SDCDerivations: 9}
 	b := Stats{SchedulerRuns: 10, IncrementalRuns: 20, WindowCacheHits: 30, WindowCacheMisses: 40,
-		WindowInvalidations: 50, FullInvalidations: 60, Fallbacks: 70, ProfileProbes: 80, ProfileRebuilds: 90}
+		WindowInvalidations: 50, FullInvalidations: 60, Fallbacks: 70, ProfileProbes: 80, SDCDerivations: 90}
 	got := a.Add(b)
 	want := Stats{SchedulerRuns: 11, IncrementalRuns: 22, WindowCacheHits: 33, WindowCacheMisses: 44,
-		WindowInvalidations: 55, FullInvalidations: 66, Fallbacks: 77, ProfileProbes: 88, ProfileRebuilds: 99}
+		WindowInvalidations: 55, FullInvalidations: 66, Fallbacks: 77, ProfileProbes: 88, SDCDerivations: 99}
 	if got != want {
 		t.Fatalf("Add = %+v, want %+v", got, want)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 	"pchls/internal/runner"
 	"pchls/internal/sched"
@@ -39,59 +40,67 @@ func goldenGrid(cp int, peak float64) []Constraints {
 	return grid
 }
 
-// requireSameDesign compares two synthesis outcomes for byte-identical
-// equivalence: same error disposition, identical serialized design,
-// identical decision log, identical report.
-func requireSameDesign(t *testing.T, label string, inc, legacy *Design, incErr, legacyErr error) {
+// requireSameDesign compares a cached synthesis outcome with its
+// coldWindows reference for byte-identical equivalence: same error
+// disposition, identical serialized design, identical decision log,
+// identical report.
+func requireSameDesign(t *testing.T, label string, inc, cold *Design, incErr, coldErr error) {
 	t.Helper()
-	if (incErr != nil) != (legacyErr != nil) {
-		t.Fatalf("%s: error disposition diverges:\n  incremental: %v\n  legacy:      %v", label, incErr, legacyErr)
+	if (incErr != nil) != (coldErr != nil) {
+		t.Fatalf("%s: error disposition diverges:\n  cached: %v\n  cold:   %v", label, incErr, coldErr)
 	}
 	if incErr != nil {
 		return
 	}
 	ij, err := inc.JSON()
 	if err != nil {
-		t.Fatalf("%s: incremental JSON: %v", label, err)
+		t.Fatalf("%s: cached JSON: %v", label, err)
 	}
-	lj, err := legacy.JSON()
+	cj, err := cold.JSON()
 	if err != nil {
-		t.Fatalf("%s: legacy JSON: %v", label, err)
+		t.Fatalf("%s: cold JSON: %v", label, err)
 	}
-	if !bytes.Equal(ij, lj) {
-		t.Fatalf("%s: serialized designs diverge:\n--- incremental ---\n%s\n--- legacy ---\n%s", label, ij, lj)
+	if !bytes.Equal(ij, cj) {
+		t.Fatalf("%s: serialized designs diverge:\n--- cached ---\n%s\n--- cold ---\n%s", label, ij, cj)
 	}
-	if !reflect.DeepEqual(inc.Decisions, legacy.Decisions) {
-		t.Fatalf("%s: decision logs diverge:\n  incremental: %+v\n  legacy:      %+v", label, inc.Decisions, legacy.Decisions)
+	if !reflect.DeepEqual(inc.Decisions, cold.Decisions) {
+		t.Fatalf("%s: decision logs diverge:\n  cached: %+v\n  cold:   %+v", label, inc.Decisions, cold.Decisions)
 	}
-	if ir, lr := inc.Report(), legacy.Report(); ir != lr {
-		t.Fatalf("%s: reports diverge:\n--- incremental ---\n%s\n--- legacy ---\n%s", label, ir, lr)
+	if ir, cr := inc.Report(), cold.Report(); ir != cr {
+		t.Fatalf("%s: reports diverge:\n--- cached ---\n%s\n--- cold ---\n%s", label, ir, cr)
 	}
 }
 
-// TestGoldenEquivalence gates the incremental evaluation engine: for
-// every benchmark × (T, P<) grid point exercised by the exploration
-// test surfaces, the engine and the DisableIncremental legacy path must
-// produce byte-identical serialized designs and decision logs (or fail
-// identically).
+// TestGoldenEquivalence gates the window cache: for every benchmark ×
+// (T, P<) grid point exercised by the exploration test surfaces, under
+// Table 1 and under the expanded 3-level DVS library the classic benchmark
+// workload pairs with it, the cached run and its coldWindows reference
+// must produce byte-identical serialized designs and decision logs (or
+// fail identically). The expanded library is where override windows
+// dominate the cache.
 func TestGoldenEquivalence(t *testing.T) {
-	lib := library.Table1()
-	for _, name := range goldenBenchmarks {
-		name := name
+	for bi, name := range goldenBenchmarks {
+		dvs, err := gen.Library(int64(1000+bi), gen.LibraryConfig{Levels: 3}).Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		libs := []*library.Library{library.Table1(), dvs}
 		t.Run(name, func(t *testing.T) {
 			g, err := bench.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			asap, err := sched.ASAP(g, sched.UniformFastest(lib))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cons := range goldenGrid(asap.Length(), asap.PeakPower()) {
-				label := fmt.Sprintf("%s T=%d P<=%g", name, cons.Deadline, cons.PowerMax)
-				inc, incErr := Synthesize(g, lib, cons, Config{})
-				legacy, legacyErr := Synthesize(g, lib, cons, Config{DisableIncremental: true})
-				requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
+			for li, lib := range libs {
+				asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cons := range goldenGrid(asap.Length(), asap.PeakPower()) {
+					label := fmt.Sprintf("%s lib%d T=%d P<=%g", name, li, cons.Deadline, cons.PowerMax)
+					inc, incErr := Synthesize(g, lib, cons, Config{})
+					cold, coldErr := Synthesize(g, lib, cons, Config{coldWindows: true})
+					requireSameDesign(t, label, inc, cold, incErr, coldErr)
+				}
 			}
 		})
 	}
@@ -114,14 +123,14 @@ func TestGoldenEquivalenceUnconstrained(t *testing.T) {
 			cons := Constraints{Deadline: T}
 			label := fmt.Sprintf("%s T=%d unconstrained", name, T)
 			inc, incErr := Synthesize(g, lib, cons, Config{})
-			legacy, legacyErr := Synthesize(g, lib, cons, Config{DisableIncremental: true})
-			requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
+			cold, coldErr := Synthesize(g, lib, cons, Config{coldWindows: true})
+			requireSameDesign(t, label, inc, cold, incErr, coldErr)
 		}
 	}
 }
 
 // TestGoldenEquivalencePortfolio runs the SynthesizeBest meta-heuristic
-// (portfolio + peak-shaving ladder) on both paths: every internal run
+// (portfolio + peak-shaving ladder) cached and cold: every internal run
 // must agree, so the winning design must too.
 func TestGoldenEquivalencePortfolio(t *testing.T) {
 	lib := library.Table1()
@@ -130,14 +139,14 @@ func TestGoldenEquivalencePortfolio(t *testing.T) {
 		cons := Constraints{Deadline: 17, PowerMax: p}
 		label := fmt.Sprintf("hal best T=17 P<=%g", p)
 		inc, incErr := SynthesizeBest(g, lib, cons, Config{})
-		legacy, legacyErr := SynthesizeBest(g, lib, cons, Config{DisableIncremental: true})
-		requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
+		cold, coldErr := SynthesizeBest(g, lib, cons, Config{coldWindows: true})
+		requireSameDesign(t, label, inc, cold, incErr, coldErr)
 	}
 }
 
 // TestGoldenEquivalenceParallelGrid replays the full benchmark × grid
 // equivalence matrix with every point synthesized concurrently (both the
-// incremental and the legacy path inside each worker), sharing one graph
+// cached and the cold run inside each worker), sharing one graph
 // and one library across all workers, and requires the results to be
 // byte-identical to a serial rerun. This is the aliasing gate for the
 // scratch-reuse optimizations: per-state arenas, flat window tables and
@@ -166,25 +175,25 @@ func TestGoldenEquivalenceParallelGrid(t *testing.T) {
 		}
 	}
 	type outcome struct {
-		incJSON, legacyJSON []byte
-		incErr, legacyErr   error
+		incJSON, coldJSON []byte
+		incErr, coldErr   error
 	}
 	run := func(workers int) []outcome {
 		res, err := runner.Map(context.Background(), len(points), runner.Config{Workers: workers},
 			func(_ context.Context, i int) (outcome, error) {
 				p := points[i]
 				var o outcome
-				var inc, legacy *Design
+				var inc, cold *Design
 				inc, o.incErr = Synthesize(p.g, lib, p.cons, Config{})
-				legacy, o.legacyErr = Synthesize(p.g, lib, p.cons, Config{DisableIncremental: true})
+				cold, o.coldErr = Synthesize(p.g, lib, p.cons, Config{coldWindows: true})
 				if o.incErr == nil {
 					if o.incJSON, o.incErr = inc.JSON(); o.incErr != nil {
 						return o, o.incErr
 					}
 				}
-				if o.legacyErr == nil {
-					if o.legacyJSON, o.legacyErr = legacy.JSON(); o.legacyErr != nil {
-						return o, o.legacyErr
+				if o.coldErr == nil {
+					if o.coldJSON, o.coldErr = cold.JSON(); o.coldErr != nil {
+						return o, o.coldErr
 					}
 				}
 				return o, nil
@@ -199,25 +208,25 @@ func TestGoldenEquivalenceParallelGrid(t *testing.T) {
 	for i, p := range points {
 		label := fmt.Sprintf("%s T=%d P<=%g", p.name, p.cons.Deadline, p.cons.PowerMax)
 		if (parallel[i].incErr != nil) != (serial[i].incErr != nil) ||
-			(parallel[i].legacyErr != nil) != (serial[i].legacyErr != nil) {
+			(parallel[i].coldErr != nil) != (serial[i].coldErr != nil) {
 			t.Fatalf("%s: parallel/serial error disposition diverges: %v/%v vs %v/%v",
-				label, parallel[i].incErr, parallel[i].legacyErr, serial[i].incErr, serial[i].legacyErr)
+				label, parallel[i].incErr, parallel[i].coldErr, serial[i].incErr, serial[i].coldErr)
 		}
 		if !bytes.Equal(parallel[i].incJSON, serial[i].incJSON) {
-			t.Fatalf("%s: incremental design differs between parallel and serial run", label)
+			t.Fatalf("%s: cached design differs between parallel and serial run", label)
 		}
-		if !bytes.Equal(parallel[i].legacyJSON, serial[i].legacyJSON) {
-			t.Fatalf("%s: legacy design differs between parallel and serial run", label)
+		if !bytes.Equal(parallel[i].coldJSON, serial[i].coldJSON) {
+			t.Fatalf("%s: cold design differs between parallel and serial run", label)
 		}
-		if parallel[i].incErr == nil && !bytes.Equal(parallel[i].incJSON, parallel[i].legacyJSON) {
-			t.Fatalf("%s: incremental and legacy designs diverge under concurrency", label)
+		if parallel[i].incErr == nil && !bytes.Equal(parallel[i].incJSON, parallel[i].coldJSON) {
+			t.Fatalf("%s: cached and cold designs diverge under concurrency", label)
 		}
 	}
 }
 
 // TestGoldenEquivalenceCliqueMode pins the static clique-partitioning
-// baseline, whose merge pass now runs over the engine's incrementally
-// maintained reservation lists.
+// baseline, whose merge pass runs over the maintained reservation lists
+// (audited against a from-scratch rebuild on the cold side).
 func TestGoldenEquivalenceCliqueMode(t *testing.T) {
 	lib := library.Table1()
 	for _, name := range goldenBenchmarks {
@@ -232,7 +241,7 @@ func TestGoldenEquivalenceCliqueMode(t *testing.T) {
 		cons := Constraints{Deadline: asap.Length() + 3, PowerMax: asap.PeakPower() * 0.8}
 		label := fmt.Sprintf("%s clique T=%d P<=%g", name, cons.Deadline, cons.PowerMax)
 		inc, incErr := SynthesizeCliquePartition(g, lib, cons, Config{})
-		legacy, legacyErr := SynthesizeCliquePartition(g, lib, cons, Config{DisableIncremental: true})
-		requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
+		cold, coldErr := SynthesizeCliquePartition(g, lib, cons, Config{coldWindows: true})
+		requireSameDesign(t, label, inc, cold, incErr, coldErr)
 	}
 }

@@ -161,11 +161,9 @@ func (st *state) mergePass() {
 }
 
 // overlaps reports whether any reservation of instance i overlaps one of j.
-// The two reservation lists are read simultaneously, so each gets its own
-// scratch buffer on the legacy path.
 func (st *state) overlaps(i, j int) bool {
-	for _, a := range st.reservationsInto(i, &st.busyA) {
-		for _, b := range st.reservationsInto(j, &st.busyB) {
+	for _, a := range st.resv[i] {
+		for _, b := range st.resv[j] {
 			if a.s < b.e && b.s < a.e {
 				return true
 			}
@@ -188,11 +186,9 @@ func (st *state) snapshotFUs() fuSnapshot {
 	for i, f := range st.fus {
 		s.fus[i] = instance{module: f.module, ops: append([]cdfg.NodeID(nil), f.ops...)}
 	}
-	if st.eng != nil {
-		s.resv = make([][]interval, len(st.eng.resv))
-		for i, r := range st.eng.resv {
-			s.resv[i] = append([]interval(nil), r...)
-		}
+	s.resv = make([][]interval, len(st.resv))
+	for i, r := range st.resv {
+		s.resv[i] = append([]interval(nil), r...)
 	}
 	return s
 }
@@ -200,20 +196,16 @@ func (st *state) snapshotFUs() fuSnapshot {
 func (st *state) restoreFUs(s fuSnapshot) {
 	st.fus = s.fus
 	st.fuOf = s.fuOf
-	if st.eng != nil {
-		st.eng.resv = s.resv
-	}
+	st.resv = s.resv
 }
 
 // mergeFUs moves all ops of instance j onto instance i and deletes j,
-// renumbering fuOf (and the engine's reservation lists alongside).
+// renumbering fuOf (and the reservation lists alongside).
 func (st *state) mergeFUs(i, j int) {
 	st.fus[i].ops = append(st.fus[i].ops, st.fus[j].ops...)
 	st.fus = append(st.fus[:j], st.fus[j+1:]...)
-	if st.eng != nil {
-		st.eng.resv[i] = append(st.eng.resv[i], st.eng.resv[j]...)
-		st.eng.resv = append(st.eng.resv[:j], st.eng.resv[j+1:]...)
-	}
+	st.resv[i] = append(st.resv[i], st.resv[j]...)
+	st.resv = append(st.resv[:j], st.resv[j+1:]...)
 	for n := range st.fuOf {
 		switch {
 		case st.fuOf[n] == j:

@@ -454,9 +454,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 		st.stats = st.stats.Add(d.Stats)
 		st.stats.Regions++
 	}
-	if st.eng != nil {
-		st.eng.rebuild(st)
-	}
+	st.rebuildCommitted()
 	st.mergePass()
 	for st.shiftMergePass() {
 		st.mergePass()
@@ -568,8 +566,8 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 	iOps := append([]cdfg.NodeID(nil), st.fus[i].ops...)
 	jOps := append([]cdfg.NodeID(nil), st.fus[j].ops...)
 	union := append(append([]cdfg.NodeID(nil), iOps...), jOps...)
-	iResv := append([]interval(nil), st.reservationsInto(i, &st.busyA)...)
-	jResv := append([]interval(nil), st.reservationsInto(j, &st.busyA)...)
+	iResv := append([]interval(nil), st.resv[i]...)
+	jResv := append([]interval(nil), st.resv[j]...)
 	mi, mj := st.fus[i].module, st.fus[j].module
 	type attempt struct {
 		rebind []cdfg.NodeID // ops re-bound to the target module first
@@ -600,19 +598,14 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 				attempt{iOps, mj, union, nil, true})
 		}
 	}
-	// Committed per-cycle power at entry, copied once per call: straight
-	// from the engine's incrementally maintained profile when it is live,
-	// rebuilt from the committed starts otherwise. Each attempt below works
-	// on its own copy, patched for the ops it re-binds (a module change the
-	// engine has not seen), so the re-timings never pay the full-profile
-	// rebuild that dominated the stitch at n=1000.
+	// Committed per-cycle power at entry, copied once per call from the
+	// maintained profile. Each attempt below works on its own copy, patched
+	// for the ops it re-binds (a module change the profile has not seen),
+	// so the re-timings never pay the full-profile rebuild that dominated
+	// the stitch at n=1000.
 	var baseProf []float64
 	if st.cons.PowerMax > 0 {
-		if st.eng != nil {
-			baseProf = append([]float64(nil), st.eng.profile...)
-		} else {
-			baseProf = append([]float64(nil), st.committedProfileScratch(st.cons.Deadline)...)
-		}
+		baseProf = append([]float64(nil), st.profile...)
 	}
 	for _, at := range attempts {
 		var prof []float64
@@ -653,18 +646,14 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 		saved := st.snapshotFUs()
 		st.fus[i].module = at.target
 		st.mergeFUs(i, j)
-		if st.eng != nil {
-			st.eng.rebuild(st)
-		}
+		st.rebuildCommitted()
 		if d2, err := st.finish(); err == nil && d2.Area() < cur-1e-9 {
 			return d2.Area(), true
 		}
 		st.restoreFUs(saved)
 		revert()
 		unbind()
-		if st.eng != nil {
-			st.eng.rebuild(st)
-		}
+		st.rebuildCommitted()
 	}
 	return cur, false
 }

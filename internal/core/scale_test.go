@@ -17,9 +17,8 @@ import (
 	"pchls/internal/verify"
 )
 
-// scaleInstances yields moderate random instances for the equivalence
-// sweeps; sizes straddle the engine's smallGraphNodes threshold so both
-// the warm-cache engine and the plain path see SDC windows.
+// scaleInstance yields a moderate random instance (8 to 35 nodes) for
+// the equivalence sweeps.
 func scaleInstance(seed int64) gen.Instance {
 	return gen.NewInstance(seed, gen.InstanceConfig{
 		Graph: gen.GraphConfig{Nodes: 8 + int(seed%28)},

@@ -3,11 +3,10 @@ package core
 import "fmt"
 
 // Stats counts the work one synthesis run performed. It is the
-// observability surface of the incremental evaluation engine: the
-// benchmark harness compares SchedulerRuns between the incremental and
-// the DisableIncremental paths, and the cache counters explain where the
-// savings come from. All counters are zero-based per run; Design.Stats
-// carries the counters of the run that produced the design.
+// observability surface of the evaluation engine: SchedulerRuns and
+// IncrementalRuns count the scheduler work, and the cache counters explain
+// where the window cache saved runs. All counters are zero-based per run;
+// Design.Stats carries the counters of the run that produced the design.
 type Stats struct {
 	// SchedulerRuns counts full pasap/palap executions (probes, window
 	// derivations, per-candidate overrides).
@@ -35,20 +34,13 @@ type Stats struct {
 	// ProfileProbes counts freeSlot feasibility probes against the
 	// committed power profile.
 	ProfileProbes int64
-	// ProfileRebuilds counts full committed-profile rebuilds; the
-	// incremental engine maintains the profile in O(delay) per commit and
-	// never rebuilds it on the hot path.
-	ProfileRebuilds int64
 	// SDCDerivations counts iterations whose candidate windows came from
 	// the SDC difference-constraint bounds (one O(V+E) pass) instead of
 	// per-candidate scheduler pairs.
 	SDCDerivations int64
 	// CompatPatches counts incremental compatibility-graph candidate
-	// patches (edges re-derived because a window changed); CompatRebuilds
-	// counts from-scratch rebuilds (only the differential audit performs
-	// them — the hot path never does).
-	CompatPatches  int64
-	CompatRebuilds int64
+	// patches (edges re-derived because a window changed).
+	CompatPatches int64
 	// Regions counts independently synthesized weakly-connected regions
 	// stitched into the design (zero for monolithic synthesis);
 	// RegionRepairs counts decompositions that needed the sequential
@@ -86,10 +78,8 @@ func (s Stats) Add(o Stats) Stats {
 		FullInvalidations:   s.FullInvalidations + o.FullInvalidations,
 		Fallbacks:           s.Fallbacks + o.Fallbacks,
 		ProfileProbes:       s.ProfileProbes + o.ProfileProbes,
-		ProfileRebuilds:     s.ProfileRebuilds + o.ProfileRebuilds,
 		SDCDerivations:      s.SDCDerivations + o.SDCDerivations,
 		CompatPatches:       s.CompatPatches + o.CompatPatches,
-		CompatRebuilds:      s.CompatRebuilds + o.CompatRebuilds,
 		Regions:             s.Regions + o.Regions,
 		RegionRepairs:       s.RegionRepairs + o.RegionRepairs,
 		PartitionFallbacks:  s.PartitionFallbacks + o.PartitionFallbacks,
@@ -111,10 +101,8 @@ func (s Stats) String() string {
 			"  full cache invalidations     %8d\n"+
 			"  incremental fallbacks        %8d\n"+
 			"  profile probes               %8d\n"+
-			"  profile rebuilds             %8d\n"+
 			"  sdc window derivations       %8d\n"+
 			"  compat edge patches          %8d\n"+
-			"  compat full rebuilds         %8d\n"+
 			"  regions stitched             %8d\n"+
 			"  region repairs               %8d\n"+
 			"  partition fallbacks          %8d\n"+
@@ -125,8 +113,7 @@ func (s Stats) String() string {
 		s.SchedulerRuns, s.IncrementalRuns,
 		s.WindowCacheHits, s.WindowCacheMisses,
 		s.WindowInvalidations, s.FullInvalidations, s.Fallbacks,
-		s.ProfileProbes, s.ProfileRebuilds,
-		s.SDCDerivations, s.CompatPatches, s.CompatRebuilds,
+		s.ProfileProbes, s.SDCDerivations, s.CompatPatches,
 		s.Regions, s.RegionRepairs, s.PartitionFallbacks,
 		s.CutEdges, s.BoundaryTransfers, s.SharedCrossRegion,
 		s.BoundTightenings)

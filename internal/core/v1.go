@@ -39,7 +39,6 @@ func (st *state) syncCompat() {
 		}
 	}
 	if st.cfg.auditCompat {
-		st.stats.CompatRebuilds++
 		if err := ic.Audit(); err != nil {
 			// Test-only invariant: the patched edge set must equal the
 			// from-scratch rebuild bit for bit.

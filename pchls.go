@@ -138,7 +138,10 @@ type (
 	// Constraints are the latency (Deadline, cycles) and per-cycle power
 	// (PowerMax; <= 0 disables) constraints.
 	Constraints = core.Constraints
-	// Config tunes the synthesizer (cost model, ablation switches).
+	// Config tunes the synthesizer beyond the constraints: cost model,
+	// ablation switches (DisableRepair, SkipAreaDescent), worker count,
+	// search perturbation and bounds, and the window and partition
+	// policies.
 	Config = core.Config
 	// Design is a complete synthesis result: schedule, allocation,
 	// binding, datapath and area breakdown.
@@ -147,7 +150,8 @@ type (
 	Decision = core.Decision
 	// Stats counts the work a synthesis run performed: full scheduler
 	// executions, incremental (pinned) runs, window-cache effectiveness and
-	// invalidations, and power-profile probes. Available on Design.Stats
+	// invalidations, power-profile probes, and the SDC, compatibility and
+	// decomposition counters of large graphs. Available on Design.Stats
 	// and aggregated over sweeps via Curve.TotalStats/Surface.TotalStats.
 	Stats = core.Stats
 	// CostModel holds register/multiplexer area coefficients.

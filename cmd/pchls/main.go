@@ -47,8 +47,6 @@ func main() {
 		tbOut    = flag.String("testbench", "", "with -simulate: write a self-checking Verilog testbench to this file")
 		workers  = flag.Int("j", 0, "concurrent synthesis runs in the portfolio (0 = GOMAXPROCS, 1 = serial); the design is identical for every setting")
 		verifyD  = flag.Bool("verify", false, "re-check the design with the independent constraint validator (precedence, T, P<, occupancy, binding, area)")
-		windows  = flag.String("windows", "auto", "candidate-window derivation: auto, exhaustive, or sdc (difference-constraint sweep for large graphs)")
-		partit   = flag.String("partition", "auto", "hierarchical decomposition of disconnected graphs: auto, off, or force")
 		pareto   = flag.Bool("pareto", false, "explore the constraint grid and print the non-dominated (area, latency, peak, lifetime) front instead of one design")
 		deads    = flag.String("deadlines", "", "with -pareto: comma-separated deadline grid (default: just -T)")
 		pows     = flag.String("powers", "", "with -pareto: comma-separated power-cap grid (default: just -P)")
@@ -84,24 +82,6 @@ func main() {
 	}
 
 	ccfg := pchls.Config{Workers: *workers}
-	switch *windows {
-	case "auto":
-	case "exhaustive":
-		ccfg.Windows = pchls.WindowsExhaustive
-	case "sdc":
-		ccfg.Windows = pchls.WindowsSDC
-	default:
-		fatal(fmt.Errorf("-windows %q: want auto, exhaustive or sdc", *windows))
-	}
-	switch *partit {
-	case "auto":
-	case "off":
-		ccfg.Partition = pchls.PartitionOff
-	case "force":
-		ccfg.Partition = pchls.PartitionForce
-	default:
-		fatal(fmt.Errorf("-partition %q: want auto, off or force", *partit))
-	}
 
 	if *pareto {
 		deadlines := []int{*deadline}
@@ -271,7 +251,6 @@ func main() {
 	}
 }
 
-// parseInputs parses "name=value,name=value" assignments.
 // parseIntList parses a comma-separated list of positive integers.
 func parseIntList(s string) ([]int, error) {
 	var out []int
@@ -298,6 +277,8 @@ func parseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
+// parseInputs parses "name=value,name=value" assignments. Empty and
+// repeated names are rejected.
 func parseInputs(s string) (map[string]int64, error) {
 	out := make(map[string]int64)
 	for _, pair := range strings.Split(s, ",") {
@@ -309,11 +290,18 @@ func parseInputs(s string) (map[string]int64, error) {
 		if !ok {
 			return nil, fmt.Errorf("pchls: bad input assignment %q (want name=value)", pair)
 		}
+		name = strings.TrimSpace(name)
+		if name == "" {
+			return nil, fmt.Errorf("pchls: bad input assignment %q (empty name)", pair)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("pchls: input %q assigned twice", name)
+		}
 		v, err := strconv.ParseInt(strings.TrimSpace(valStr), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("pchls: bad input value in %q: %w", pair, err)
 		}
-		out[strings.TrimSpace(name)] = v
+		out[name] = v
 	}
 	return out, nil
 }

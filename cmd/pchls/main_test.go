@@ -22,8 +22,8 @@ func TestParseInputs(t *testing.T) {
 	if err != nil || len(in) != 1 {
 		t.Fatalf("trailing comma: %v %v", in, err)
 	}
-	for _, bad := range []string{"x", "x=abc", "=3"} {
-		if _, err := parseInputs(bad); err == nil && bad != "=3" {
+	for _, bad := range []string{"x", "x=abc", "=3", " =3", "x=1,x=2", "x=1, x =2"} {
+		if _, err := parseInputs(bad); err == nil {
 			t.Errorf("parseInputs(%q) accepted", bad)
 		}
 	}

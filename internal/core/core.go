@@ -65,39 +65,37 @@ type Perturb struct {
 // enabled reports whether any perturbation is active.
 func (p Perturb) enabled() bool { return p.Jitter > 0 || p.ShuffleTies }
 
-// WindowPolicy selects how the per-candidate mobility windows are derived
-// (Config.Windows).
-type WindowPolicy int
+// windowPolicy selects how the per-candidate mobility windows are derived
+// (Config.windows).
+type windowPolicy int
 
 // The window-derivation policies.
 const (
-	// WindowsAuto (the zero value) derives windows exhaustively for small
-	// graphs and switches to the SDC difference-constraint bounds at
-	// sdcGraphNodes.
-	WindowsAuto WindowPolicy = iota
-	// WindowsExhaustive forces the per-candidate pasap/palap pairs
-	// regardless of size — the pre-refactor path, kept as the oracle.
-	WindowsExhaustive
-	// WindowsSDC forces the O(V+E) difference-constraint derivation
-	// regardless of size.
-	WindowsSDC
+	// windowsAuto (the zero value) derives windows with the SDC
+	// difference-constraint bounds when there is no power cap or the graph
+	// has at least sdcGraphNodes nodes, exhaustively otherwise.
+	windowsAuto windowPolicy = iota
+	// windowsExhaustive forces the per-candidate pasap/palap pairs.
+	windowsExhaustive
+	// windowsSDC forces the O(V+E) difference-constraint derivation.
+	windowsSDC
 )
 
-// PartitionPolicy selects hierarchical decomposition (Config.Partition).
-type PartitionPolicy int
+// partitionPolicy selects hierarchical decomposition (Config.partition).
+type partitionPolicy int
 
 // The decomposition policies.
 const (
-	// PartitionAuto (the zero value) decomposes graphs of at least
-	// partitionGraphNodes nodes that have two or more weakly-connected
-	// components; everything else synthesizes monolithically.
-	PartitionAuto PartitionPolicy = iota
-	// PartitionOff forces monolithic synthesis.
-	PartitionOff
-	// PartitionForce decomposes regardless of size: along component
+	// partitionAuto (the zero value) decomposes graphs of at least
+	// partitionGraphNodes nodes; everything else synthesizes
+	// monolithically.
+	partitionAuto partitionPolicy = iota
+	// partitionOff forces monolithic synthesis.
+	partitionOff
+	// partitionForce decomposes regardless of size: along component
 	// boundaries when the graph has two or more weakly-connected
 	// components, along a balanced min edge cut when it is connected.
-	PartitionForce
+	partitionForce
 )
 
 // Config tunes the synthesizer beyond the constraints.
@@ -134,35 +132,6 @@ type Config struct {
 	// an aborted pass produces no design, and the portfolio only ever adopts
 	// verified improvements over an incumbent it already holds.
 	AreaBound float64
-	// Windows selects the candidate-window derivation: exhaustive
-	// pasap/palap pairs (small graphs, the paper's formulation) or the SDC
-	// difference-constraint bounds (large graphs, O(V+E) per iteration).
-	// The zero value auto-selects by node count.
-	Windows WindowPolicy
-	// Partition selects hierarchical decomposition: large multi-component
-	// graphs are split into weakly-connected regions, synthesized
-	// independently on the worker pool and stitched back. The zero value
-	// auto-selects by node count.
-	Partition PartitionPolicy
-	// BaseProfile, when non-nil, is an ambient per-cycle power draw added
-	// to the committed profile before every P< check (scheduler stretches,
-	// slot probes). The sequential region-repair path of the decomposed
-	// synthesis threads the power already committed by earlier regions
-	// through it, so the stitched union respects the cap by construction.
-	// Cycles beyond len(BaseProfile) draw zero ambient power.
-	BaseProfile []float64
-	// Release, when non-nil, holds one entry per node: Release[i] > 0
-	// forbids node i from starting before that cycle (entries <= 0 are
-	// free). The min-cut partition path pins a part's boundary sinks to the
-	// committed finishes of upstream parts through it; every scheduler run
-	// (SDC sweeps, pasap/palap probes, repair locks) sees the same bound.
-	Release []int
-	// Due, when non-nil, holds one entry per node: Due[i] > 0 forbids node
-	// i from completing after that cycle (entries <= 0 unconstrained). The
-	// min-cut partition path bounds a part's boundary sources with the
-	// whole-graph SDC completion bounds so area descent inside one part
-	// cannot starve downstream parts of deadline slack.
-	Due []int
 
 	// noCompat disables the incremental-compatibility sharing prefilter on
 	// the SDC path. Test-only (in-package): proves the prefilter is
@@ -178,6 +147,30 @@ type Config struct {
 	// against a from-scratch rebuild. Test-only (in-package): the golden
 	// equivalence suites use it as the reference the cached run must match.
 	coldWindows bool
+	// windows and partition override the automatic window-derivation and
+	// decomposition choices. Test-only (in-package): the differential
+	// suites and the scaling benchmark pin one path with them.
+	windows   windowPolicy
+	partition partitionPolicy
+	// baseProfile, when non-nil, is an ambient per-cycle power draw added
+	// to the committed profile before every P< check (scheduler stretches,
+	// slot probes). The partition drivers thread the power already
+	// committed by other regions through it, so the stitched union
+	// respects the cap by construction. Cycles beyond len(baseProfile)
+	// draw zero ambient power.
+	baseProfile []float64
+	// release, when non-nil, holds one entry per node: release[i] > 0
+	// forbids node i from starting before that cycle (entries <= 0 are
+	// free). The min-cut driver pins a part's boundary sinks to the
+	// committed finishes of upstream parts through it; every scheduler run
+	// (SDC sweeps, pasap/palap probes, repair locks) sees the same bound.
+	release []int
+	// due, when non-nil, holds one entry per node: due[i] > 0 forbids node
+	// i from completing after that cycle (entries <= 0 unconstrained). The
+	// min-cut driver bounds a part's boundary sources with the whole-graph
+	// SDC completion bounds so area descent inside one part cannot starve
+	// downstream parts of deadline slack.
+	due []int
 }
 
 func (c Config) cost() bind.CostModel {
@@ -292,7 +285,7 @@ type state struct {
 
 	// Power-aware SDC tightening tables (partition paths only): per
 	// candidate module, the next/previous cycle where the ambient
-	// BaseProfile leaves no headroom for that module's power. BaseProfile
+	// baseProfile leaves no headroom for that module's power. baseProfile
 	// is immutable for the life of a state, so the tables are built once,
 	// lazily, on first use (tightenWindow).
 	tightNext map[int][]int
@@ -407,7 +400,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		st.moduleOf[n.ID] = mi
 	}
 	st.initTables()
-	if st.sdc = useSDC(g, cfg); st.sdc {
+	if st.sdc = useSDC(g, cons, cfg); st.sdc {
 		topo, err := g.TopoOrder()
 		if err != nil {
 			return nil, err
@@ -429,25 +422,27 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 	return st, nil
 }
 
-// sdcGraphNodes gates the SDC window derivation by graph size: below this
-// many nodes the exhaustive pasap/palap windows are exact and cheap, and
-// their extra tightness (they encode the power cap; the SDC bounds do not)
-// is worth keeping. Above it the per-candidate scheduler pairs are the
-// dominant cost and the relaxed windows win. All seven classic benchmarks
-// are far below the threshold, so the paper-faithful path is untouched.
-// See DESIGN.md §13.
+// sdcGraphNodes gates the SDC window derivation of capped runs by graph
+// size. Without a power cap pasap/palap degenerate to ASAP/ALAP under the
+// committed starts, so the exhaustive windows equal the SDC bounds and
+// every uncapped run takes the O(V+E) sweep. Under a cap the exhaustive
+// windows are tighter (they encode P<; the SDC bounds do not): below this
+// many nodes that tightness is cheap and worth keeping, above it the
+// per-candidate scheduler pairs are the dominant cost and the relaxed
+// windows win. All seven classic benchmarks are far below the threshold,
+// so their capped runs keep the paper-faithful path. See DESIGN.md §13.
 const sdcGraphNodes = 160
 
-// useSDC reports whether synthesis of g should derive candidate windows
-// from the SDC difference-constraint bounds.
-func useSDC(g *cdfg.Graph, cfg Config) bool {
-	switch cfg.Windows {
-	case WindowsExhaustive:
+// useSDC reports whether synthesis of g under cons should derive
+// candidate windows from the SDC difference-constraint bounds.
+func useSDC(g *cdfg.Graph, cons Constraints, cfg Config) bool {
+	switch cfg.windows {
+	case windowsExhaustive:
 		return false
-	case WindowsSDC:
+	case windowsSDC:
 		return true
 	}
-	return g.N() >= sdcGraphNodes
+	return cons.PowerMax <= 0 || g.N() >= sdcGraphNodes
 }
 
 // partitionGraphNodes gates hierarchical decomposition by graph size:
@@ -460,10 +455,10 @@ const partitionGraphNodes = 128
 // usePartition reports whether synthesis of g should try hierarchical
 // decomposition.
 func usePartition(g *cdfg.Graph, cfg Config) bool {
-	switch cfg.Partition {
-	case PartitionOff:
+	switch cfg.partition {
+	case partitionOff:
 		return false
-	case PartitionForce:
+	case partitionForce:
 		return true
 	}
 	return g.N() >= partitionGraphNodes
@@ -713,13 +708,13 @@ func (st *state) schedOpts() sched.Options {
 	return sched.Options{
 		PowerMax:    st.cons.PowerMax,
 		Select:      st.cfg.Select,
-		Base:        st.cfg.BaseProfile,
+		Base:        st.cfg.baseProfile,
 		FixedStarts: st.fixedStarts,
 		Delays:      st.delays,
 		Powers:      st.powers,
 		Arena:       st.arena,
-		Release:     st.cfg.Release,
-		Due:         st.cfg.Due,
+		Release:     st.cfg.release,
+		Due:         st.cfg.due,
 	}
 }
 
@@ -735,10 +730,10 @@ func (st *state) fillFixedStarts() {
 	}
 }
 
-// baseAt returns the ambient power Config.BaseProfile contributes at
+// baseAt returns the ambient power Config.baseProfile contributes at
 // cycle c (zero beyond its length, zero when unset).
 func (st *state) baseAt(c int) float64 {
-	if b := st.cfg.BaseProfile; c < len(b) {
+	if b := st.cfg.baseProfile; c < len(b) {
 		return b[c]
 	}
 	return 0

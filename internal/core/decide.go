@@ -84,15 +84,15 @@ func (st *state) sdcWindows() {
 	st.stats.SDCDerivations++
 	st.fillFixedStarts()
 	sched.DeriveSDCBounds(st.g, st.topo, st.cons.Deadline, st.delays, st.fixedStarts,
-		st.cfg.Release, st.cfg.Due, &st.sdcB)
-	// Power-aware bound propagation: when an ambient BaseProfile carries the
+		st.cfg.release, st.cfg.due, &st.sdcB)
+	// Power-aware bound propagation: when an ambient baseProfile carries the
 	// power already committed by other parts of a decomposed synthesis, any
 	// feasible start must leave headroom for the candidate's own draw across
 	// its whole execution — so window ends sitting under saturated ambient
 	// cycles can be pulled in before any placement probe runs. freeSlot
 	// re-checks every interior cycle, so this only removes starts that were
 	// doomed anyway (plus their cache/compat bookkeeping).
-	tighten := st.cons.PowerMax > 0 && len(st.cfg.BaseProfile) > 0
+	tighten := st.cons.PowerMax > 0 && len(st.cfg.baseProfile) > 0
 	for i, c := range st.committed {
 		if c {
 			continue
@@ -119,11 +119,11 @@ func (st *state) sdcWindows() {
 }
 
 // tightenWindow shrinks an SDC candidate window to the nearest start cycles
-// whose full execution interval fits under the ambient BaseProfile draw:
+// whose full execution interval fits under the ambient baseProfile draw:
 // starts where base(c) + module power would break the cap for some covered
 // cycle c are skipped from both ends. Interior starts are left to freeSlot.
 // The per-module blocked-cycle tables are built lazily and reused for the
-// life of the state (BaseProfile never changes within one run).
+// life of the state (baseProfile never changes within one run).
 func (st *state) tightenWindow(mi, d int, w sched.Window) (sched.Window, bool) {
 	T := st.cons.Deadline
 	next, prev := st.tightNext[mi], st.tightPrev[mi]

@@ -188,27 +188,20 @@ func (st *state) computeEntry(v cdfg.NodeID, mi int) winEntry {
 // markDirtyAfterCommit computes which nodes' windows the commitment of d
 // may have changed and marks them dirty.
 //
-// Without a power cap, windows are pure functions of precedence and the
-// fixed set, so exactly the committed node's ancestors and descendants
-// can move. With a cap the disturbance also travels through the shared
-// power profile: freeing or occupying cycles can move any node whose
-// feasible span touches them, and each moved node drags its own
-// precedence relatives along. That cascade is covered by a fixpoint over
+// The committed node's ancestors and descendants can move, and under the
+// power cap the disturbance also travels through the shared power
+// profile: freeing or occupying cycles can move any node whose feasible
+// span touches them, and each moved node drags its own precedence
+// relatives along. That cascade is covered by a fixpoint over
 // conservative spans — every dirty node contributes its span to the set
 // of disturbed cycles and its precedence relatives to the dirty set,
-// until no clean node's span overlaps a disturbed cycle.
+// until no clean node's span overlaps a disturbed cycle. Uncapped runs
+// take the SDC derivation (useSDC); an exhaustive one forced by the
+// windows test hook gets a superset of the precedence-only dirty set.
 func (st *state) markDirtyAfterCommit(d Decision) {
 	eng := st.eng
 	n := st.g.N()
 	u := int(d.Node)
-	if st.cons.PowerMax <= 0 {
-		for v := 0; v < n; v++ {
-			if !st.committed[v] && (eng.reach.Get(u, v) || eng.reach.Get(v, u)) {
-				eng.dirty[v] = true
-			}
-		}
-		return
-	}
 	changed := eng.changed
 	for c := range changed {
 		changed[c] = false
@@ -220,8 +213,8 @@ func (st *state) markDirtyAfterCommit(d Decision) {
 		if hi > len(changed) {
 			hi = len(changed)
 		}
-		for c := lo; c < hi; c++ {
-			changed[c] = true
+		if lo < hi {
+			fillTrue(changed[lo:hi])
 		}
 	}
 	span := func(v int) (int, int) {
@@ -291,4 +284,16 @@ func (st *state) markDirtyAfterCommit(d Decision) {
 		}
 	}
 	eng.queue = queue[:0] // keep the grown capacity for the next commit
+}
+
+// fillTrue sets every element of s. The doubling copies run as a few
+// vectorized memmoves, so marking a span of a long-deadline profile (2^17
+// cycles in the large benchmark) costs O(log n) calls rather than one
+// store per cycle, and its speed does not hinge on how the compiler
+// happens to align a byte-store loop.
+func fillTrue(s []bool) {
+	s[0] = true
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
 }

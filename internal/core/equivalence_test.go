@@ -106,25 +106,44 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestGoldenEquivalenceUnconstrained covers the PowerMax <= 0 regime,
-// where the invalidation rule is purely precedence-based.
+// TestGoldenEquivalenceUnconstrained is the differential gate behind the
+// uncapped window rule (useSDC): without a power cap the default run
+// derives its windows from the SDC bounds, and it must match the cold
+// exhaustive pasap/palap reference byte for byte — single pass and
+// SynthesizeBest, under Table 1 and under the expanded 3-level DVS
+// library, at the critical path and two looser deadlines.
 func TestGoldenEquivalenceUnconstrained(t *testing.T) {
-	lib := library.Table1()
-	for _, name := range goldenBenchmarks {
+	ref := Config{windows: windowsExhaustive, coldWindows: true}
+	for bi, name := range goldenBenchmarks {
 		g, err := bench.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+		dvs, err := gen.Library(int64(1000+bi), gen.LibraryConfig{Levels: 3}).Expand()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, T := range []int{asap.Length(), asap.Length() + 4} {
-			cons := Constraints{Deadline: T}
-			label := fmt.Sprintf("%s T=%d unconstrained", name, T)
-			inc, incErr := Synthesize(g, lib, cons, Config{})
-			cold, coldErr := Synthesize(g, lib, cons, Config{coldWindows: true})
-			requireSameDesign(t, label, inc, cold, incErr, coldErr)
+		for li, lib := range []*library.Library{library.Table1(), dvs} {
+			asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, T := range []int{asap.Length(), asap.Length() + 3, asap.Length() + 8} {
+				cons := Constraints{Deadline: T}
+				label := fmt.Sprintf("%s lib%d T=%d unconstrained", name, li, T)
+				d, dErr := Synthesize(g, lib, cons, Config{})
+				if dErr == nil && d.Stats.SDCDerivations == 0 {
+					t.Fatalf("%s: default run did not take the SDC derivation", label)
+				}
+				cold, coldErr := Synthesize(g, lib, cons, ref)
+				if coldErr == nil && cold.Stats.SDCDerivations != 0 {
+					t.Fatalf("%s: reference run took the SDC derivation", label)
+				}
+				requireSameDesign(t, label, d, cold, dErr, coldErr)
+				best, bestErr := SynthesizeBest(g, lib, cons, Config{})
+				coldBest, coldBestErr := SynthesizeBest(g, lib, cons, ref)
+				requireSameDesign(t, label+" best", best, coldBest, bestErr, coldBestErr)
+			}
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestMinCutDeterministicAcrossWorkers(t *testing.T) {
 		var ref *Design
 		var refErr error
 		for _, workers := range []int{1, 2, 8} {
-			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionForce, Workers: workers})
+			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionForce, Workers: workers})
 			label := fmt.Sprintf("seed %d workers=%d", seed, workers)
 			if workers == 1 {
 				ref, refErr = d, err
@@ -88,9 +88,9 @@ func TestMinCutVerifiesUnderPowerSweep(t *testing.T) {
 			}
 			cons := Constraints{Deadline: asap.Length() + asap.Length()/2, PowerMax: asap.PeakPower() * frac}
 			label := fmt.Sprintf("frac=%.2f seed=%d", frac, seed)
-			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionForce})
+			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionForce})
 			if err != nil {
-				if m, merr := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionOff}); merr == nil {
+				if m, merr := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionOff}); merr == nil {
 					t.Fatalf("%s: monolithic synthesis succeeds (area %.2f) but the min-cut path errors: %v", label, m.Area(), err)
 				}
 				continue
@@ -165,8 +165,8 @@ func TestMinCutAreaGapUnconstrained(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		inst, cons := connectedInstance(t, gen.PresetLayered, 300, seed, 0)
 		label := fmt.Sprintf("seed %d", seed)
-		p, perr := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionForce})
-		m, merr := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionOff})
+		p, perr := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionForce})
+		m, merr := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionOff})
 		if merr != nil {
 			t.Fatalf("%s: monolithic synthesis failed: %v", label, merr)
 		}

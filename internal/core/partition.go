@@ -29,14 +29,14 @@ const mincutPartTarget = 200
 // weakly-connected components decompose along component boundaries (regions
 // share no data dependency, so each region's schedule is valid in
 // isolation). Connected graphs large enough for the cut to pay off (or
-// forced by PartitionForce) decompose along a balanced min edge cut
+// forced by partitionForce) decompose along a balanced min edge cut
 // instead, with every severed dependency re-imposed as a boundary-transfer
 // constraint (synthesizeMinCut).
 //
 // Regions synthesized in parallel each respect the power cap alone but
 // may exceed it jointly; the stitch validation catches that, and the
 // sequential repair re-synthesizes the regions in order, threading the
-// power profile committed so far through Config.BaseProfile so the union
+// power profile committed so far through Config.baseProfile so the union
 // respects P< by construction. If that also fails, the graph synthesizes
 // monolithically (counted in Stats.PartitionFallbacks).
 //
@@ -47,7 +47,7 @@ const mincutPartTarget = 200
 func synthesizePartitioned(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*Design, error) {
 	comps := g.Components()
 	if len(comps) < 2 {
-		if cfg.Partition == PartitionForce || g.N() >= mincutGraphNodes {
+		if cfg.partition == partitionForce || g.N() >= mincutGraphNodes {
 			return synthesizeMinCut(g, lib, cons, cfg)
 		}
 		return synthesizeMono(g, lib, cons, cfg)
@@ -61,8 +61,7 @@ func synthesizePartitioned(g *cdfg.Graph, lib *library.Library, cons Constraints
 		subs[i] = sub
 	}
 	// Region runs are leaves: no nested decomposition, no nested worker
-	// fan-out, no incumbent cut (the bound is about whole designs), no
-	// inherited ambient profile.
+	// fan-out, no incumbent cut (the bound is about whole designs).
 	rcfg := regionConfig(cfg)
 
 	regions, err := runner.Map(context.Background(), len(subs), runner.Config{Workers: cfg.Workers},
@@ -99,16 +98,13 @@ func synthesizePartitioned(g *cdfg.Graph, lib *library.Library, cons Constraints
 }
 
 // regionConfig strips the per-region synthesis config of everything that
-// belongs to the whole-graph run: nested decomposition, worker fan-out, the
-// incumbent area bound, the ambient profile, and boundary pins (the
-// partition drivers set their own per part).
+// belongs to the whole-graph run: nested decomposition, worker fan-out and
+// the incumbent area bound. The partition drivers set each part's ambient
+// profile and boundary pins themselves.
 func regionConfig(cfg Config) Config {
-	cfg.Partition = PartitionOff
+	cfg.partition = partitionOff
 	cfg.Workers = 1
 	cfg.AreaBound = 0
-	cfg.BaseProfile = nil
-	cfg.Release = nil
-	cfg.Due = nil
 	return cfg
 }
 
@@ -125,7 +121,7 @@ func regionConfig(cfg Config) Config {
 //     bounds under fastest-feasible delays, so area descent inside an
 //     upstream part cannot consume slack that downstream parts need.
 //   - Parts see the per-cycle power committed by earlier waves as an
-//     ambient BaseProfile, which both constrains their placements and
+//     ambient baseProfile, which both constrains their placements and
 //     tightens their SDC windows (power-aware bound propagation,
 //     Stats.BoundTightenings).
 //
@@ -239,9 +235,9 @@ waveLoop:
 			func(_ context.Context, i int) (synthResult, error) {
 				pi := wave[i]
 				rc := rcfg
-				rc.BaseProfile = base // read-only while the wave runs
-				rc.Release = releases[pi]
-				rc.Due = dues[pi]
+				rc.baseProfile = base // read-only while the wave runs
+				rc.release = releases[pi]
+				rc.due = dues[pi]
 				d, err := Synthesize(subs[pi], lib, cons, rc)
 				return synthResult{d, err}, nil
 			})
@@ -258,9 +254,9 @@ waveLoop:
 			d, derr := results[i].d, results[i].err
 			if derr == nil && cons.PowerMax > 0 && !fitsUnderBase(base, d, realNs[pi], cons.PowerMax) {
 				rc := rcfg
-				rc.BaseProfile = base
-				rc.Release = releases[pi]
-				rc.Due = dues[pi]
+				rc.baseProfile = base
+				rc.release = releases[pi]
+				rc.due = dues[pi]
 				driver.RegionRepairs++
 				d, derr = Synthesize(subs[pi], lib, cons, rc)
 			}
@@ -391,10 +387,7 @@ func addRealPower(dst []float64, d *Design, realN int) {
 // verify.Check independently re-derives every constraint on the stitched
 // result.
 func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, comps [][]cdfg.NodeID, realNs []int, regions []*Design, driver Stats) (*Design, error) {
-	cfg.Partition = PartitionOff
-	cfg.BaseProfile = nil
-	cfg.Release = nil
-	cfg.Due = nil
+	cfg.partition = partitionOff
 	st, err := newState(g, lib, cons, cfg)
 	if err != nil {
 		return nil, err
@@ -471,7 +464,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 
 // stitchSequential is the power-coupled repair of the decomposed path:
 // regions synthesize one after another, each seeing the per-cycle power
-// the previous regions committed as an ambient BaseProfile, so every
+// the previous regions committed as an ambient baseProfile, so every
 // placement (scheduler stretches and slot probes alike) already accounts
 // for the neighbors and the stitched union respects the cap by
 // construction.
@@ -480,7 +473,7 @@ func stitchSequential(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg
 	ds := make([]*Design, len(subs))
 	for i, sub := range subs {
 		rc := rcfg
-		rc.BaseProfile = append([]float64(nil), base...)
+		rc.baseProfile = append([]float64(nil), base...)
 		d, err := Synthesize(sub, lib, cons, rc)
 		if err != nil {
 			return nil, err

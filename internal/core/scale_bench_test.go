@@ -1,4 +1,4 @@
-package pchls
+package core
 
 // Scaling benchmark lane: synthesis wall-time on seeded random graphs of
 // 100, 300 and 1000 computation nodes, comparing the scaling engine
@@ -8,7 +8,7 @@ package pchls
 // scripts/benchcompare gates the scale-mode budgets and the
 // legacy-over-scale speedup ratios against results/BENCH_scaling.json.
 //
-//	go test -bench Scaling -benchtime 1x .
+//	go test -bench Scaling -benchtime 1x ./internal/core
 
 import (
 	"context"
@@ -16,7 +16,10 @@ import (
 	"runtime/pprof"
 	"testing"
 
+	"pchls/internal/cdfg"
 	"pchls/internal/gen"
+	"pchls/internal/library"
+	"pchls/internal/sched"
 )
 
 // scalingTier is one (shape, size) point of the lane.
@@ -51,7 +54,7 @@ var scalingTiers = []scalingTier{
 // point is deterministic in the tier (fixed seed) and verified feasible
 // outside any timer, loosening the cap in 20% steps only as a safety
 // valve (the published tiers all accept the first point).
-func scalingInstance(b *testing.B, tier scalingTier) (*Graph, *Library, Constraints) {
+func scalingInstance(b *testing.B, tier scalingTier) (*cdfg.Graph, *library.Library, Constraints) {
 	b.Helper()
 	cfg, err := gen.PresetConfig(tier.preset, tier.nodes)
 	if err != nil {
@@ -59,7 +62,7 @@ func scalingInstance(b *testing.B, tier scalingTier) (*Graph, *Library, Constrai
 	}
 	cfg.Connect = tier.connect
 	inst := gen.NewInstance(int64(1000+tier.nodes), gen.InstanceConfig{Graph: cfg})
-	asap, err := ASAP(inst.Graph, UniformFastest(inst.Library))
+	asap, err := sched.ASAP(inst.Graph, sched.UniformFastest(inst.Library))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,14 +96,14 @@ func BenchmarkScaling(b *testing.B) {
 			cfg Config
 		}{
 			{"scale", Config{}},
-			{"legacy", Config{Windows: WindowsExhaustive, Partition: PartitionOff}},
+			{"legacy", Config{windows: windowsExhaustive, partition: partitionOff}},
 		}
 		if tier.connect {
 			// Connected tiers measure the min-cut decomposition, whose
 			// published floor is against the serial monolithic SDC pass
 			// (the previous default for a single-component graph), not
 			// the exhaustive engine.
-			modes[1].cfg = Config{Partition: PartitionOff}
+			modes[1].cfg = Config{partition: partitionOff}
 		}
 		g, lib, cons := scalingInstance(b, tier)
 		for _, mode := range modes {

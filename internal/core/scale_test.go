@@ -35,8 +35,8 @@ func TestSDCMatchesExhaustiveUnconstrained(t *testing.T) {
 		inst := scaleInstance(seed)
 		cons := Constraints{Deadline: inst.Deadline, PowerMax: 0}
 		label := fmt.Sprintf("seed %d n=%d T=%d", seed, inst.Graph.N(), cons.Deadline)
-		sdc, sdcErr := Synthesize(inst.Graph, inst.Library, cons, Config{Windows: WindowsSDC, Partition: PartitionOff})
-		ex, exErr := Synthesize(inst.Graph, inst.Library, cons, Config{Windows: WindowsExhaustive, Partition: PartitionOff})
+		sdc, sdcErr := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsSDC, partition: partitionOff})
+		ex, exErr := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsExhaustive, partition: partitionOff})
 		requireSameDesign(t, label, sdc, ex, sdcErr, exErr)
 		if sdcErr == nil && sdc.Stats.SDCDerivations == 0 {
 			t.Fatalf("%s: SDC policy ran without any SDC derivation", label)
@@ -53,8 +53,8 @@ func TestSDCPrefilterOutputNeutral(t *testing.T) {
 		inst := scaleInstance(seed)
 		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
 		label := fmt.Sprintf("seed %d n=%d T=%d P<=%g", seed, inst.Graph.N(), cons.Deadline, cons.PowerMax)
-		with, withErr := Synthesize(inst.Graph, inst.Library, cons, Config{Windows: WindowsSDC, Partition: PartitionOff})
-		without, withoutErr := Synthesize(inst.Graph, inst.Library, cons, Config{Windows: WindowsSDC, Partition: PartitionOff, noCompat: true})
+		with, withErr := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsSDC, partition: partitionOff})
+		without, withoutErr := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsSDC, partition: partitionOff, noCompat: true})
 		requireSameDesign(t, label, with, without, withErr, withoutErr)
 	}
 }
@@ -73,7 +73,7 @@ func TestSDCSynthesisVerifies(t *testing.T) {
 			continue
 		}
 		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
-		d, err := Synthesize(inst.Graph, inst.Library, cons, Config{Windows: WindowsSDC, Partition: PartitionOff})
+		d, err := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsSDC, partition: partitionOff})
 		if err != nil {
 			continue
 		}
@@ -114,7 +114,7 @@ func TestCompatIncrementalDifferential(t *testing.T) {
 			Graph: gen.GraphConfig{Nodes: 6 + int(seed%10)},
 		})
 		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
-		cfg := Config{Windows: WindowsSDC, Partition: PartitionOff, auditCompat: true}
+		cfg := Config{windows: windowsSDC, partition: partitionOff, auditCompat: true}
 		if _, err := Synthesize(inst.Graph, inst.Library, cons, cfg); err != nil {
 			continue // infeasible instances still audited every iteration they ran
 		}
@@ -122,7 +122,7 @@ func TestCompatIncrementalDifferential(t *testing.T) {
 }
 
 // TestPartitionStitchMatchesForced checks the decomposition path at the
-// core level: a multi-block graph synthesized with PartitionForce must
+// core level: a multi-block graph synthesized with partitionForce must
 // produce the same bytes for every worker count (region order is fixed
 // by the component order, not by scheduling), must verify independently,
 // and must report the regions in its stats.
@@ -135,7 +135,7 @@ func TestPartitionStitchMatchesForced(t *testing.T) {
 		var ref *Design
 		var refErr error
 		for _, workers := range []int{1, 2, 8} {
-			cfg := Config{Partition: PartitionForce, Workers: workers}
+			cfg := Config{partition: partitionForce, Workers: workers}
 			d, err := Synthesize(inst.Graph, inst.Library, cons, cfg)
 			label := fmt.Sprintf("seed %d workers=%d", seed, workers)
 			if workers == 1 {
@@ -172,8 +172,8 @@ func TestPartitionMatchesMonolithicUnconstrained(t *testing.T) {
 		})
 		cons := Constraints{Deadline: inst.Deadline, PowerMax: 0}
 		label := fmt.Sprintf("seed %d", seed)
-		part, partErr := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionForce})
-		mono, monoErr := Synthesize(inst.Graph, inst.Library, cons, Config{Partition: PartitionOff})
+		part, partErr := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionForce})
+		mono, monoErr := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionOff})
 		if (partErr != nil) != (monoErr != nil) {
 			t.Fatalf("%s: error disposition diverges: partitioned %v, monolithic %v", label, partErr, monoErr)
 		}

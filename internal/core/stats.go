@@ -36,7 +36,8 @@ type Stats struct {
 	ProfileProbes int64
 	// SDCDerivations counts iterations whose candidate windows came from
 	// the SDC difference-constraint bounds (one O(V+E) pass) instead of
-	// per-candidate scheduler pairs.
+	// per-candidate scheduler pairs: every iteration of an uncapped run,
+	// and of a capped run on a graph of at least 160 nodes.
 	SDCDerivations int64
 	// CompatPatches counts incremental compatibility-graph candidate
 	// patches (edges re-derived because a window changed).
@@ -61,7 +62,7 @@ type Stats struct {
 	// within precedence slack onto an instance from another region).
 	SharedCrossRegion int64
 	// BoundTightenings counts SDC candidate windows shrunk by the
-	// power-aware bound propagation against the ambient BaseProfile power
+	// power-aware bound propagation against the ambient baseProfile power
 	// committed by already-synthesized parts.
 	BoundTightenings int64
 }

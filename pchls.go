@@ -140,8 +140,7 @@ type (
 	Constraints = core.Constraints
 	// Config tunes the synthesizer beyond the constraints: cost model,
 	// ablation switches (DisableRepair, SkipAreaDescent), worker count,
-	// search perturbation and bounds, and the window and partition
-	// policies.
+	// search perturbation and bounds.
 	Config = core.Config
 	// Design is a complete synthesis result: schedule, allocation,
 	// binding, datapath and area breakdown.
@@ -150,39 +149,13 @@ type (
 	Decision = core.Decision
 	// Stats counts the work a synthesis run performed: full scheduler
 	// executions, incremental (pinned) runs, window-cache effectiveness and
-	// invalidations, power-profile probes, and the SDC, compatibility and
-	// decomposition counters of large graphs. Available on Design.Stats
-	// and aggregated over sweeps via Curve.TotalStats/Surface.TotalStats.
+	// invalidations, power-profile probes, the SDC derivations of uncapped
+	// and large runs, and the compatibility and decomposition counters of
+	// large graphs. Available on Design.Stats and aggregated over sweeps
+	// via Curve.TotalStats/Surface.TotalStats.
 	Stats = core.Stats
 	// CostModel holds register/multiplexer area coefficients.
 	CostModel = bind.CostModel
-	// WindowPolicy selects how candidate mobility windows are derived
-	// (Config.Windows): exhaustive per-candidate scheduler pairs, the
-	// O(V+E) SDC difference-constraint sweep, or automatic by graph size.
-	WindowPolicy = core.WindowPolicy
-	// PartitionPolicy selects hierarchical decomposition into
-	// weakly-connected regions (Config.Partition).
-	PartitionPolicy = core.PartitionPolicy
-)
-
-// Window and partition policies for Config.Windows / Config.Partition.
-const (
-	// WindowsAuto picks exhaustive windows for small graphs and the SDC
-	// sweep above the size threshold (the default).
-	WindowsAuto = core.WindowsAuto
-	// WindowsExhaustive forces the per-candidate scheduler pairs.
-	WindowsExhaustive = core.WindowsExhaustive
-	// WindowsSDC forces the difference-constraint window derivation.
-	WindowsSDC = core.WindowsSDC
-	// PartitionAuto decomposes large graphs (the default): along component
-	// boundaries when disconnected, along a balanced min edge cut when
-	// connected.
-	PartitionAuto = core.PartitionAuto
-	// PartitionOff always synthesizes monolithically.
-	PartitionOff = core.PartitionOff
-	// PartitionForce decomposes regardless of size: by components when the
-	// graph is disconnected, by min cut when it is connected.
-	PartitionForce = core.PartitionForce
 )
 
 // Synthesis errors (match with errors.Is).

@@ -12,7 +12,7 @@ import (
 // (>=128 computation nodes, >=2 weakly-connected components) the default
 // Config must take the partition path, and the stitched design must be
 // byte-identical — serialized JSON — whether the regions are synthesized
-// on 1, 2 or 8 workers, forced or auto-selected. The whole test runs
+// on 1, 2 or 8 workers. The whole test runs
 // under -race in the tier-1 suite, so it doubles as the data-race gate
 // for the region runner pool. Every stitched result must also pass the
 // independent validator.
@@ -55,9 +55,7 @@ func TestPartitionStitchDeterministicAcrossWorkers(t *testing.T) {
 		}
 
 		for _, workers := range []int{1, 2, 8} {
-			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{
-				Partition: PartitionForce, Workers: workers,
-			})
+			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -69,7 +67,7 @@ func TestPartitionStitchDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(j, refJSON) {
-				t.Fatalf("seed %d: forced partition on %d workers diverges from the auto result", seed, workers)
+				t.Fatalf("seed %d: partitioned synthesis on %d workers diverges from the default run", seed, workers)
 			}
 		}
 	}

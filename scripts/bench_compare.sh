@@ -55,12 +55,12 @@ if has_lane scaling; then
     # otherwise also select layered-n1000).
     echo "== BenchmarkScaling n100/n300 + connected n1000 tiers (-benchtime 1x -benchmem -count 2)"
     go test -run '^$' -bench 'BenchmarkScaling/^(layered-n100|layered-n300|blocks-n300|layered-n1000-connected|mixed-n1000-connected)$' \
-        -benchtime 1x -benchmem -count 2 -timeout 30m . | tee "$OUT/scaling.txt"
+        -benchtime 1x -benchmem -count 2 -timeout 30m ./internal/core | tee "$OUT/scaling.txt"
     SCALING_TIERS="layered-n100,layered-n300,blocks-n300,layered-n1000-connected,mixed-n1000-connected"
     if [[ "${PCHLS_SCALING_FULL:-}" == "1" ]]; then
         echo "== BenchmarkScaling n1000 tiers incl. exhaustive legacy (-benchtime 1x; each legacy pass takes ~20 min)"
         PCHLS_SCALING_FULL=1 go test -run '^$' -bench 'BenchmarkScaling/^(layered-n1000|blocks-n1000)$' \
-            -benchtime 1x -benchmem -timeout 90m . | tee -a "$OUT/scaling.txt"
+            -benchtime 1x -benchmem -timeout 90m ./internal/core | tee -a "$OUT/scaling.txt"
         SCALING_TIERS="" # empty = gate every tier in the baseline
     fi
     ARGS+=(-scaling results/BENCH_scaling.json -scalingout "$OUT/scaling.txt" -scalingtiers "$SCALING_TIERS")

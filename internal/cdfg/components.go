@@ -1,9 +1,6 @@
 package cdfg
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Components returns the weakly-connected components of the graph: the
 // node sets that are mutually reachable when every edge is treated as
@@ -12,11 +9,12 @@ import (
 // result is deterministic regardless of insertion history. An empty graph
 // yields no components.
 //
-// Weak connectivity is the decomposition boundary of hierarchical
+// Weak connectivity is the zero-cut decomposition boundary of hierarchical
 // synthesis: two operations in different weak components share no data
 // dependency, directly or transitively, so their schedules interact only
-// through the shared power budget and the shared functional units — both
-// of which the stitching pass reconciles.
+// through the shared power budget (which the acceptance walk of the
+// partition driver enforces) and the shared functional units (which the
+// stitching pass reconciles).
 func (g *Graph) Components() [][]NodeID {
 	n := len(g.nodes)
 	comp := make([]int, n)
@@ -50,49 +48,4 @@ func (g *Graph) Components() [][]NodeID {
 		out = append(out, members)
 	}
 	return out
-}
-
-// Subgraph returns the subgraph induced by ids under the given name: node
-// li of the result is g's node ids[li] with its name and operation
-// preserved, and every edge of g between two member nodes is kept. An
-// edge crossing the boundary of the set is an error — the function
-// extracts edge-closed sets (weakly-connected components), where losing
-// an edge silently would corrupt the precedence structure.
-func (g *Graph) Subgraph(name string, ids []NodeID) (*Graph, error) {
-	toLocal := make([]NodeID, len(g.nodes))
-	for i := range toLocal {
-		toLocal[i] = None
-	}
-	sub := New(name)
-	for _, id := range ids {
-		if !g.valid(id) {
-			return nil, fmt.Errorf("cdfg: Subgraph: node id %d out of range [0,%d)", id, len(g.nodes))
-		}
-		if toLocal[id] != None {
-			return nil, fmt.Errorf("cdfg: Subgraph: node %q listed twice", g.nodes[id].Name)
-		}
-		li, err := sub.AddNode(g.nodes[id].Name, g.nodes[id].Op)
-		if err != nil {
-			return nil, err
-		}
-		toLocal[id] = li
-	}
-	for _, id := range ids {
-		for _, p := range g.preds[id] {
-			if toLocal[p] == None {
-				return nil, fmt.Errorf("cdfg: Subgraph: edge %q -> %q leaves the node set",
-					g.nodes[p].Name, g.nodes[id].Name)
-			}
-		}
-		for _, s := range g.succs[id] {
-			if toLocal[s] == None {
-				return nil, fmt.Errorf("cdfg: Subgraph: edge %q -> %q leaves the node set",
-					g.nodes[id].Name, g.nodes[s].Name)
-			}
-			if err := sub.AddEdge(toLocal[id], toLocal[s]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sub, nil
 }

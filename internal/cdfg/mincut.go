@@ -191,11 +191,12 @@ func sortCutEdges(cut []CutEdge) {
 
 // InducedSubgraph extracts the subgraph induced by ids: nodes keep their
 // names and ops, edges with both endpoints inside the set are kept, and edges
-// crossing the boundary are silently dropped (unlike Subgraph, which rejects
-// them). Local IDs follow the order of ids. The result may violate per-op
-// fan-in minimums — computation nodes that lost all predecessors to the cut —
-// so callers that need a Validate-clean graph must repair arity themselves
-// (see core's ghost-input handling).
+// crossing the boundary are silently dropped. Local IDs follow the order of
+// ids, and each node's edges are added in its successor order. The result
+// may violate per-op fan-in minimums — computation nodes that lost all
+// predecessors to the cut — so callers that need a Validate-clean graph must
+// repair arity themselves (see core's ghost-input handling). A closed set,
+// such as a weakly-connected component, loses no edge.
 func (g *Graph) InducedSubgraph(name string, ids []NodeID) (*Graph, error) {
 	sub := New(name)
 	toLocal := make(map[NodeID]NodeID, len(ids))

@@ -181,10 +181,6 @@ func TestInducedSubgraphDropsBoundaryEdges(t *testing.T) {
 	if got := sub.Succs(0); !reflect.DeepEqual(got, []NodeID{1, 2}) {
 		t.Fatalf("local succs of node 0 = %v, want [1 2]", got)
 	}
-	// Subgraph (the strict variant) must still reject the same set.
-	if _, err := g.Subgraph("mid", []NodeID{2, 3, 4}); err == nil {
-		t.Fatal("strict Subgraph accepted a boundary-crossing set")
-	}
 	// Node 2 (global 4, op Sub) lost its predecessor: arity repair is the
 	// caller's job, so Validate on the raw induced subgraph fails.
 	if err := sub.Validate(); err == nil {

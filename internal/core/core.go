@@ -93,8 +93,9 @@ const (
 	// partitionOff forces monolithic synthesis.
 	partitionOff
 	// partitionForce decomposes regardless of size: along component
-	// boundaries when the graph has two or more weakly-connected
-	// components, along a balanced min edge cut when it is connected.
+	// boundaries (a zero-edge cut) when the graph has two or more
+	// weakly-connected components, along a balanced min edge cut when it
+	// is connected. Both run the same wave driver.
 	partitionForce
 )
 
@@ -154,7 +155,7 @@ type Config struct {
 	partition partitionPolicy
 	// baseProfile, when non-nil, is an ambient per-cycle power draw added
 	// to the committed profile before every P< check (scheduler stretches,
-	// slot probes). The partition drivers thread the power already
+	// slot probes). The wave driver threads the power already
 	// committed by other regions through it, so the stitched union
 	// respects the cap by construction. Cycles beyond len(baseProfile)
 	// draw zero ambient power.
@@ -448,8 +449,10 @@ func useSDC(g *cdfg.Graph, cons Constraints, cfg Config) bool {
 // partitionGraphNodes gates hierarchical decomposition by graph size:
 // below it even a multi-component graph synthesizes monolithically (the
 // classic path; byte-identical results matter more than the split's
-// savings at these sizes). Decomposition additionally requires two or
-// more weakly-connected components — it never cuts data dependencies.
+// savings at these sizes). Above it, a graph with two or more
+// weakly-connected components splits along them; a connected graph is cut
+// along a balanced min edge cut only from mincutGraphNodes on, with the
+// severed data dependencies re-imposed across the parts.
 const partitionGraphNodes = 128
 
 // usePartition reports whether synthesis of g should try hierarchical
@@ -482,10 +485,11 @@ func expandLevels(lib *library.Library) (*library.Library, error) {
 // Synthesize runs the combined scheduling/allocation/binding algorithm.
 // Multi-level libraries are first lowered into their single-level
 // expansion (one module per voltage operating point; see expandLevels).
-// Large graphs that split into several weakly-connected components are
-// decomposed: the regions synthesize independently on the worker pool and
-// the results are stitched back together (see synthesizePartitioned);
-// everything else runs the monolithic greedy loop.
+// Large graphs are decomposed, along their weakly-connected components when
+// they have several and along a balanced min edge cut when a connected
+// graph is large enough: the parts synthesize wave by wave on the worker
+// pool and the results are stitched back together (see
+// synthesizePartitioned); everything else runs the monolithic greedy loop.
 func Synthesize(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*Design, error) {
 	lib, err := expandLevels(lib)
 	if err != nil {

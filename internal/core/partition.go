@@ -25,82 +25,34 @@ const mincutGraphNodes = 512
 const mincutPartTarget = 200
 
 // synthesizePartitioned is the hierarchical-decomposition entry point for
-// graphs that usePartition selected. Graphs with two or more
-// weakly-connected components decompose along component boundaries (regions
-// share no data dependency, so each region's schedule is valid in
-// isolation). Connected graphs large enough for the cut to pay off (or
-// forced by partitionForce) decompose along a balanced min edge cut
-// instead, with every severed dependency re-imposed as a boundary-transfer
-// constraint (synthesizeMinCut).
-//
-// Regions synthesized in parallel each respect the power cap alone but
-// may exceed it jointly; the stitch validation catches that, and the
-// sequential repair re-synthesizes the regions in order, threading the
-// power profile committed so far through Config.baseProfile so the union
-// respects P< by construction. If that also fails, the graph synthesizes
-// monolithically (counted in Stats.PartitionFallbacks).
-//
-// Every stitched result is re-checked by the engine-independent
-// verify.Check before being returned. The function is deterministic for
-// every worker count: runner.Map preserves region order, and stitching
-// walks regions in that order.
+// graphs that usePartition selected. It only picks the parts and the cut
+// between them; synthesizeWaves does the rest. Graphs with two or more
+// weakly-connected components split along component boundaries with no cut
+// edges (the parts share no data dependency). Connected graphs large enough
+// for the cut to pay off (or forced by partitionForce) split along a
+// balanced min edge cut (cdfg.PartitionBalanced). Anything else synthesizes
+// monolithically.
 func synthesizePartitioned(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*Design, error) {
-	comps := g.Components()
-	if len(comps) < 2 {
-		if cfg.partition == partitionForce || g.N() >= mincutGraphNodes {
-			return synthesizeMinCut(g, lib, cons, cfg)
+	parts := g.Components()
+	var cut []cdfg.CutEdge
+	if len(parts) < 2 {
+		if cfg.partition != partitionForce && g.N() < mincutGraphNodes {
+			return synthesizeMono(g, lib, cons, cfg)
 		}
-		return synthesizeMono(g, lib, cons, cfg)
-	}
-	subs := make([]*cdfg.Graph, len(comps))
-	for i, ids := range comps {
-		sub, err := g.Subgraph(fmt.Sprintf("%s#%d", g.Name, i), ids)
-		if err != nil {
-			return nil, fmt.Errorf("core: internal error extracting region %d: %w", i, err)
-		}
-		subs[i] = sub
-	}
-	// Region runs are leaves: no nested decomposition, no nested worker
-	// fan-out, no incumbent cut (the bound is about whole designs).
-	rcfg := regionConfig(cfg)
-
-	regions, err := runner.Map(context.Background(), len(subs), runner.Config{Workers: cfg.Workers},
-		func(_ context.Context, i int) (synthResult, error) {
-			d, err := Synthesize(subs[i], lib, cons, rcfg)
-			return synthResult{d, err}, nil
-		})
-	if err == nil {
-		ds := make([]*Design, len(regions))
-		ok := true
-		for i, r := range regions {
-			if r.err != nil {
-				ok = false
-				break
-			}
-			ds[i] = r.d
-		}
-		if ok {
-			if d, err := stitchRegions(g, lib, cons, cfg, comps, nil, ds, Stats{}); err == nil {
-				return d, nil
-			}
+		k := min(max(g.N()/mincutPartTarget, 2), 16)
+		var err error
+		parts, cut, err = g.PartitionBalanced(k)
+		if err != nil || len(parts) < 2 {
+			return synthesizeMono(g, lib, cons, cfg)
 		}
 	}
-	if cons.PowerMax > 0 {
-		if d, err := stitchSequential(g, lib, cons, cfg, comps, subs, rcfg); err == nil {
-			return d, nil
-		}
-	}
-	d, err := synthesizeMono(g, lib, cons, cfg)
-	if d != nil {
-		d.Stats.PartitionFallbacks++
-	}
-	return d, err
+	return synthesizeWaves(g, lib, cons, cfg, parts, cut)
 }
 
 // regionConfig strips the per-region synthesis config of everything that
 // belongs to the whole-graph run: nested decomposition, worker fan-out and
-// the incumbent area bound. The partition drivers set each part's ambient
-// profile and boundary pins themselves.
+// the incumbent area bound. synthesizeWaves sets each part's ambient
+// profile and boundary pins itself.
 func regionConfig(cfg Config) Config {
 	cfg.partition = partitionOff
 	cfg.Workers = 1
@@ -108,14 +60,15 @@ func regionConfig(cfg Config) Config {
 	return cfg
 }
 
-// synthesizeMinCut decomposes a connected graph along a balanced min edge
-// cut (cdfg.PartitionBalanced) and synthesizes the parts wave by wave on
-// the worker pool: parts with no cut edges between them run concurrently,
-// and every cut edge u -> v is re-imposed on the downstream part as a
-// release — v may not start before u's committed finish — enforced through
-// the same SDC sweeps and pasap/palap bounds as in-part precedence
-// (sched.Options.Release/Due), not a separate mechanism. Two measures keep
-// the cut's QoR loss in check:
+// synthesizeWaves synthesizes the parts of a decomposition wave by wave on
+// the worker pool and stitches the results. Parts are lists of parent node
+// IDs in quotient-topological order (no cut edge runs from a later part to
+// an earlier one); cut lists the severed dependencies. Parts with no cut
+// edges between them run concurrently, and every cut edge u -> v is
+// re-imposed on the downstream part as a release — v may not start before
+// u's committed finish — enforced through the same SDC sweeps and
+// pasap/palap bounds as in-part precedence (sched.Options.Release/Due), not
+// a separate mechanism. Two measures keep the cut's QoR loss in check:
 //
 //   - Boundary sources carry dues from the whole-graph SDC completion
 //     bounds under fastest-feasible delays, so area descent inside an
@@ -125,29 +78,22 @@ func regionConfig(cfg Config) Config {
 //     tightens their SDC windows (power-aware bound propagation,
 //     Stats.BoundTightenings).
 //
-// Within a wave, parts are power-coupled only: an acceptance walk in part
-// order re-synthesizes any member whose committed profile jointly breaks
-// the cap against the accumulated base (the sequential repair of the
-// component path, woven in per wave and counted in Stats.RegionRepairs).
-// Any part failure abandons the decomposition for the monolithic path
+// Weakly-connected components are the zero-cut case: every part lands in
+// wave 0 and nothing gets a release or a due.
+//
+// Within a wave, parts are power-coupled only: each respects the cap alone
+// but may break it jointly. An acceptance walk in part order re-synthesizes
+// any member whose committed profile breaks the cap against the power
+// accepted so far, with that accumulated profile as its baseProfile, so the
+// stitched union respects P< by construction (each re-synthesized part
+// counts in Stats.RegionRepairs). Any part failure, or a stitch that fails
+// validation, abandons the decomposition for the monolithic path
 // (Stats.PartitionFallbacks). The stitched result must pass verify.Check.
 //
-// Deterministic for every worker count: the cut, the wave grouping, the
-// acceptance order, and the stitch all follow part order.
-func synthesizeMinCut(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*Design, error) {
+// Deterministic for every worker count: the wave grouping, the acceptance
+// order, and the stitch all follow part order.
+func synthesizeWaves(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, parts [][]cdfg.NodeID, cut []cdfg.CutEdge) (*Design, error) {
 	n := g.N()
-	k := n / mincutPartTarget
-	if k < 2 {
-		k = 2
-	}
-	if k > 16 {
-		k = 16
-	}
-	parts, cut, err := g.PartitionBalanced(k)
-	if err != nil || len(parts) < 2 {
-		return synthesizeMono(g, lib, cons, cfg)
-	}
-
 	partIdx := make([]int, n)
 	localIdx := make([]int, n)
 	for pi, ids := range parts {
@@ -159,7 +105,7 @@ func synthesizeMinCut(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg
 	subs := make([]*cdfg.Graph, len(parts))
 	realNs := make([]int, len(parts))
 	for pi, ids := range parts {
-		sub, err := g.InducedSubgraph(fmt.Sprintf("%s#cut%d", g.Name, pi), ids)
+		sub, err := g.InducedSubgraph(fmt.Sprintf("%s#%d", g.Name, pi), ids)
 		if err != nil {
 			return nil, fmt.Errorf("core: internal error extracting part %d: %w", pi, err)
 		}
@@ -226,19 +172,23 @@ func synthesizeMinCut(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg
 	driver.CutEdges = int64(len(cut))
 	rcfg := regionConfig(cfg)
 	base := make([]float64, cons.Deadline)
+	// partConfig is part pi's config against the power accepted so far and
+	// its boundary pins.
+	partConfig := func(pi int) Config {
+		rc := rcfg
+		rc.baseProfile = base
+		rc.release = releases[pi]
+		rc.due = dues[pi]
+		return rc
+	}
 	ds := make([]*Design, len(parts))
 	failed := false
 waveLoop:
 	for _, wave := range waves {
-		wave := wave
 		results, err := runner.Map(context.Background(), len(wave), runner.Config{Workers: cfg.Workers},
 			func(_ context.Context, i int) (synthResult, error) {
-				pi := wave[i]
-				rc := rcfg
-				rc.baseProfile = base // read-only while the wave runs
-				rc.release = releases[pi]
-				rc.due = dues[pi]
-				d, err := Synthesize(subs[pi], lib, cons, rc)
+				// base and the pins are read-only while the wave runs.
+				d, err := Synthesize(subs[wave[i]], lib, cons, partConfig(wave[i]))
 				return synthResult{d, err}, nil
 			})
 		if err != nil {
@@ -253,12 +203,8 @@ waveLoop:
 		for i, pi := range wave {
 			d, derr := results[i].d, results[i].err
 			if derr == nil && cons.PowerMax > 0 && !fitsUnderBase(base, d, realNs[pi], cons.PowerMax) {
-				rc := rcfg
-				rc.baseProfile = base
-				rc.release = releases[pi]
-				rc.due = dues[pi]
 				driver.RegionRepairs++
-				d, derr = Synthesize(subs[pi], lib, cons, rc)
+				d, derr = Synthesize(subs[pi], lib, cons, partConfig(pi))
 			}
 			if derr != nil {
 				failed = true
@@ -372,21 +318,20 @@ func addRealPower(dst []float64, d *Design, realN int) {
 // graph: committed starts, modules and binding carry over (module indices
 // agree — every part shares the parent library), functional units
 // concatenate with re-based indices, and the commit logs append in part
-// order. realNs, when non-nil, gives each part's real node count: nodes at
-// or past it are min-cut ghost inputs, dropped from the stitched design
-// along with any instance or decision that only served them (instance
-// indices are remapped). driver carries the cut/boundary counters of the
-// min-cut driver into the stitched stats.
+// order. realNs gives each part's real node count: nodes at or past it are
+// min-cut ghost inputs, dropped from the stitched design along with any
+// instance or decision that only served them (instance indices are
+// remapped). driver carries the cut/boundary/repair counters of
+// synthesizeWaves into the stitched stats.
 //
-// The merge pass then reconciles shared instances across region
+// The merge pass then reconciles shared instances across part
 // boundaries, the shift-merge pass re-times operations within precedence
 // slack to share instances whose reservations collide (cross-region
-// sharing), finish re-validates the joint schedule — this is where a joint
-// power-cap violation of independently synthesized regions, or a severed
-// dependency a part scheduled too early, surfaces as an error — and
+// sharing), finish re-validates the joint schedule — this is where a
+// severed dependency a part scheduled too early surfaces as an error — and
 // verify.Check independently re-derives every constraint on the stitched
 // result.
-func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, comps [][]cdfg.NodeID, realNs []int, regions []*Design, driver Stats) (*Design, error) {
+func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, parts [][]cdfg.NodeID, realNs []int, regions []*Design, driver Stats) (*Design, error) {
 	cfg.partition = partitionOff
 	st, err := newState(g, lib, cons, cfg)
 	if err != nil {
@@ -394,11 +339,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 	}
 	st.stats = st.stats.Add(driver)
 	for ri, d := range regions {
-		ids := comps[ri]
-		rn := len(ids)
-		if realNs != nil {
-			rn = realNs[ri]
-		}
+		ids, rn := parts[ri], realNs[ri]
 		fuBase := len(st.fus)
 		fuMap := make([]int, len(d.FUs))
 		kept := 0
@@ -459,38 +400,6 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 	if err := verify.Check(VerifyInput(d)); err != nil {
 		return nil, fmt.Errorf("core: stitched design rejected by the verifier: %w", err)
 	}
-	return d, nil
-}
-
-// stitchSequential is the power-coupled repair of the decomposed path:
-// regions synthesize one after another, each seeing the per-cycle power
-// the previous regions committed as an ambient baseProfile, so every
-// placement (scheduler stretches and slot probes alike) already accounts
-// for the neighbors and the stitched union respects the cap by
-// construction.
-func stitchSequential(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, comps [][]cdfg.NodeID, subs []*cdfg.Graph, rcfg Config) (*Design, error) {
-	base := make([]float64, cons.Deadline)
-	ds := make([]*Design, len(subs))
-	for i, sub := range subs {
-		rc := rcfg
-		rc.baseProfile = append([]float64(nil), base...)
-		d, err := Synthesize(sub, lib, cons, rc)
-		if err != nil {
-			return nil, err
-		}
-		ds[i] = d
-		for li := range d.Schedule.Start {
-			s, dl, p := d.Schedule.Start[li], d.Schedule.Delay[li], d.Schedule.Power[li]
-			for c := s; c < s+dl && c < len(base); c++ {
-				base[c] += p
-			}
-		}
-	}
-	d, err := stitchRegions(g, lib, cons, cfg, comps, nil, ds, Stats{})
-	if err != nil {
-		return nil, err
-	}
-	d.Stats.RegionRepairs++
 	return d, nil
 }
 

@@ -125,7 +125,10 @@ func TestCompatIncrementalDifferential(t *testing.T) {
 // core level: a multi-block graph synthesized with partitionForce must
 // produce the same bytes for every worker count (region order is fixed
 // by the component order, not by scheduling), must verify independently,
-// and must report the regions in its stats.
+// and must report the regions in its stats. A second pass under tight
+// power caps pins the power-coupled repair of the component case: the
+// components synthesize in one wave with no cut edges, and the acceptance
+// walk must re-synthesize the parts that jointly break the cap.
 func TestPartitionStitchMatchesForced(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		inst := gen.NewInstance(seed, gen.InstanceConfig{
@@ -151,6 +154,36 @@ func TestPartitionStitchMatchesForced(t *testing.T) {
 				continue
 			}
 			requireSameDesign(t, label, d, ref, err, refErr)
+		}
+	}
+	// Tight caps: every seed below has components that fit the cap alone
+	// but break it jointly, so the acceptance walk must repair parts.
+	for _, seed := range []int64{82, 127, 190, 301, 361, 395, 420, 426} {
+		inst := gen.NewInstance(seed, gen.InstanceConfig{
+			Graph:          gen.GraphConfig{Nodes: 20 + int(seed%60), Blocks: 2 + int(seed%3)},
+			PowerFactorMin: 1.0, PowerFactorMax: 1.8,
+		})
+		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
+		var ref *Design
+		for _, workers := range []int{1, 2, 8} {
+			label := fmt.Sprintf("tight-cap seed %d workers=%d", seed, workers)
+			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{partition: partitionForce, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if workers > 1 {
+				requireSameDesign(t, label, d, ref, nil, nil)
+				continue
+			}
+			ref = d
+			if verr := verify.Check(VerifyInput(d)); verr != nil {
+				t.Fatalf("%s: stitched design fails verification: %v", label, verr)
+			}
+			st := d.Stats
+			if st.RegionRepairs == 0 || st.CutEdges != 0 || st.Regions != int64(len(inst.Graph.Components())) {
+				t.Fatalf("%s: want repairs > 0, no cut edges and one region per component (%d):\n%v",
+					label, len(inst.Graph.Components()), st)
+			}
 		}
 	}
 }

@@ -42,19 +42,21 @@ type Stats struct {
 	// CompatPatches counts incremental compatibility-graph candidate
 	// patches (edges re-derived because a window changed).
 	CompatPatches int64
-	// Regions counts independently synthesized weakly-connected regions
-	// stitched into the design (zero for monolithic synthesis);
-	// RegionRepairs counts decompositions that needed the sequential
-	// power-coupled re-synthesis; PartitionFallbacks counts decompositions
-	// abandoned for the monolithic path.
+	// Regions counts the parts of a decomposition stitched into the design,
+	// whether they came from weakly-connected components or from a min-cut
+	// partition (zero for monolithic synthesis); RegionRepairs counts parts
+	// the acceptance walk re-synthesized against the power committed by the
+	// parts accepted before them, because they broke the cap jointly;
+	// PartitionFallbacks counts decompositions abandoned for the monolithic
+	// path.
 	Regions            int64
 	RegionRepairs      int64
 	PartitionFallbacks int64
 	// CutEdges counts the edges severed by the min-cut partitioning of a
-	// connected graph (zero for component decomposition and monolithic
-	// runs); BoundaryTransfers counts committed-finish pins threaded across
-	// those edges into downstream parts (one per cut edge per partitioned
-	// attempt that reached the downstream part).
+	// connected graph (zero for component decomposition, which severs none,
+	// and for monolithic runs); BoundaryTransfers counts committed-finish
+	// pins threaded across those edges into downstream parts (one per cut
+	// edge per partitioned attempt that reached the downstream part).
 	CutEdges          int64
 	BoundaryTransfers int64
 	// SharedCrossRegion counts functional-unit instances eliminated by the

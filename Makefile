@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-compare bench-pareto bench-scaling test-alloc figures fuzz cover cover-report sweep lint vulncheck serve smoke cluster-smoke loadtest clean
+.PHONY: all build test test-race vet bench bench-scaling test-alloc figures fuzz cover cover-report sweep lint vulncheck serve smoke cluster-smoke loadtest clean
 
 all: build vet test
 
@@ -26,28 +26,19 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE .
 
-# Benchmark regression gate: re-run the checked-in suites and fail when
-# ns/op or allocs/op regresses >20% vs results/BENCH_*.json
-# (override with BENCH_TOLERANCE=0.30 etc.).
-bench-compare:
-	./scripts/bench_compare.sh
-
-# Pareto lane only: multi-objective exploration wall time plus the
-# exactly-pinned front size and minimum front area QoR metrics
-# (results/BENCH_pareto.json).
-bench-pareto:
-	BENCH_LANES=pareto ./scripts/bench_compare.sh
-
 # Full scaling lane: every BenchmarkScaling tier including the two
-# ~20-minute legacy n=1000 passes, gated against results/BENCH_scaling.json budgets
-# and the legacy-over-scale speedup floors.
+# ~20-minute exhaustive legacy n=1000 passes; the benchmark fails any tier
+# whose legacy-over-scale speedup is below its floor. Wall time of the
+# engine itself is A/B-gated by scripts/bench_ab.sh (benchmark/).
 bench-scaling:
-	PCHLS_SCALING_FULL=1 BENCH_LANES=scaling ./scripts/bench_compare.sh
+	PCHLS_SCALING_FULL=1 $(GO) test -run '^$$' -bench BenchmarkScaling -benchtime 1x -timeout 90m ./internal/core
 
-# Allocation-regression tests (hot-path AllocsPerRun budgets); these are
-# meaningless under -race, so they get their own race-free lane.
+# Allocation-regression tests (hot-path and benchmark-point AllocsPerRun
+# budgets) plus the scaling tiers' exact work counters; these are
+# meaningless under -race, or too slow there, so they get their own
+# race-free lane.
 test-alloc:
-	$(GO) test -run Allocs -v ./internal/sched ./internal/core ./internal/compat
+	$(GO) test -run Allocs -v . ./internal/sched ./internal/core ./internal/compat ./internal/explore ./internal/server
 
 # Full experiment artifacts: Figure 2 CSVs + HTML, Figure 1 report,
 # time-power surface.

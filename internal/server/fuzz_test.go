@@ -29,6 +29,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`"just a string"`,
 		`{`,
 		``,
+		`{"benchmark":"hal","deadline":8388608,"power_max":20}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -51,8 +52,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		if g == nil || lib == nil {
 			t.Fatalf("validated request has nil graph or library for %q", data)
 		}
-		if cons.Deadline <= 0 {
-			t.Fatalf("validated request has non-positive deadline %d for %q", cons.Deadline, data)
+		if cons.Deadline <= 0 || cons.Deadline > maxDeadline {
+			t.Fatalf("validated request has deadline %d outside (0, %d] for %q", cons.Deadline, maxDeadline, data)
 		}
 		// A validated request must survive graph traversal and key
 		// derivation without panicking.

@@ -18,8 +18,8 @@ import (
 // through their validating JSON unmarshalers (internal/cdfg,
 // internal/library), so a request that decodes successfully already
 // carries a structurally valid CDFG and module library; the remaining
-// checks here are cross-field (exactly one graph source, positive
-// deadline, sane grids).
+// checks here are cross-field (exactly one graph source, a deadline in
+// (0, maxDeadline], sane grids).
 
 // synthesizeRequest is the body of POST /v1/synthesize.
 type synthesizeRequest struct {
@@ -182,11 +182,30 @@ func checkPower(name string, p float64) error {
 	return nil
 }
 
+// maxDeadline caps every request deadline, in cycles. Synthesis time and
+// memory grow linearly with the deadline (power profiles span it: on
+// elliptic, T = 2^20 costs about a second and 17 MB), so the cap bounds
+// what one request can cost whatever its graph. It is the paretoMaxPeriods
+// scale.
+const maxDeadline = 1 << 20
+
+// checkDeadline checks one deadline of the request field named field
+// against (0, maxDeadline].
+func checkDeadline(field string, d int) error {
+	switch {
+	case d <= 0:
+		return badRequest(fmt.Sprintf("%q must be a positive cycle count", field), nil)
+	case d > maxDeadline:
+		return badRequest(fmt.Sprintf("%q must be at most %d cycles", field, maxDeadline), nil)
+	}
+	return nil
+}
+
 // checkConstraints checks a single-point request's deadline and power
 // budget.
 func checkConstraints(deadline int, powerMax float64) (core.Constraints, error) {
-	if deadline <= 0 {
-		return core.Constraints{}, badRequest(`"deadline" must be a positive cycle count`, nil)
+	if err := checkDeadline("deadline", deadline); err != nil {
+		return core.Constraints{}, err
 	}
 	if err := checkPower("power_max", powerMax); err != nil {
 		return core.Constraints{}, err
@@ -204,8 +223,8 @@ func checkAxes(kind string, deadlines []int, powers []float64) error {
 		return badRequest(fmt.Sprintf("%s grid has more than %d cells", kind, maxGridPoints), nil)
 	}
 	for _, d := range deadlines {
-		if d <= 0 {
-			return badRequest(`every "deadlines" entry must be positive`, nil)
+		if err := checkDeadline("deadlines", d); err != nil {
+			return err
 		}
 	}
 	for _, p := range powers {
@@ -255,8 +274,8 @@ func (req *sweepRequest) validate() (*cdfg.Graph, *library.Library, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if req.Deadline <= 0 {
-		return nil, nil, badRequest(`"deadline" must be a positive cycle count`, nil)
+	if err := checkDeadline("deadline", req.Deadline); err != nil {
+		return nil, nil, err
 	}
 	for _, f := range []struct {
 		name string

@@ -575,6 +575,58 @@ func TestSweepGridCap(t *testing.T) {
 	}
 }
 
+// TestDeadlineCap rejects a deadline one cycle over maxDeadline on every
+// endpoint that takes one, and in a batch item, with a 400 that names the
+// cap; a deadline at the cap still validates.
+func TestDeadlineCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	over := maxDeadline + 1
+	cases := []struct{ name, path, body string }{
+		{"synthesize", "/v1/synthesize", fmt.Sprintf(`{"benchmark":"hal","deadline":%d,"power_max":20}`, over)},
+		{"portfolio", "/v1/portfolio", fmt.Sprintf(`{"benchmark":"hal","deadline":%d,"k":2,"budget":1}`, over)},
+		{"sweep", "/v1/sweep", fmt.Sprintf(`{"benchmark":"hal","deadline":%d,"power_min":5,"power_max":20,"step":5}`, over)},
+		{"surface", "/v1/surface", fmt.Sprintf(`{"benchmark":"hal","deadlines":[17,%d],"powers":[20]}`, over)},
+		{"pareto", "/v1/pareto", fmt.Sprintf(`{"benchmark":"hal","deadlines":[%d],"powers":[20]}`, over)},
+	}
+	limit := fmt.Sprint(maxDeadline)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp := postJSON(t, ts.URL+tc.path, tc.body)
+			b := readBody(t, resp)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, b)
+			}
+			if !strings.Contains(string(b), limit) {
+				t.Errorf("error %s does not name the %s-cycle cap", b, limit)
+			}
+		})
+	}
+	t.Run("batch item", func(t *testing.T) {
+		resp := postJSON(t, ts.URL+"/v1/batch", fmt.Sprintf(`{"requests":[{"synthesize":%s}]}`, cases[0].body))
+		raw := readBody(t, resp)
+		var out struct {
+			Results []batchResult `json:"results"`
+		}
+		if err := json.Unmarshal(raw, &out); err != nil || len(out.Results) != 1 {
+			t.Fatalf("batch response %s: %v", raw, err)
+		}
+		if got := out.Results[0]; got.Status != http.StatusBadRequest || !strings.Contains(string(got.Body), limit) {
+			t.Errorf("batch item = %d %s, want 400 naming the cap", got.Status, got.Body)
+		}
+	})
+	t.Run("at cap", func(t *testing.T) {
+		if _, _, _, err := (&synthesizeRequest{Benchmark: "hal", Deadline: maxDeadline}).validate(); err != nil {
+			t.Errorf("synthesize: %v", err)
+		}
+		if _, _, err := (&sweepRequest{Benchmark: "hal", Deadline: maxDeadline, PowerMax: 5, Step: 5}).validate(); err != nil {
+			t.Errorf("sweep: %v", err)
+		}
+		if _, _, err := (&surfaceRequest{Benchmark: "hal", Deadlines: []int{maxDeadline}, Powers: []float64{20}}).validate(); err != nil {
+			t.Errorf("surface: %v", err)
+		}
+	})
+}
+
 func TestSweepAndSurface(t *testing.T) {
 	_, ts := newTestServer(t, Config{ExploreWorkers: 2})
 
@@ -652,33 +704,40 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// serverBenchBody is the request BenchmarkServerSynthesize and
+// TestServerSynthesizeAllocs post.
+const serverBenchBody = `{"benchmark":"hal","deadline":17,"power_max":20}`
+
+// postServerBench serves serverBenchBody through s's full handler stack.
+func postServerBench(tb testing.TB, s *Server) {
+	tb.Helper()
+	req := httptest.NewRequest("POST", "/v1/synthesize", strings.NewReader(serverBenchBody))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("status = %d", rec.Code)
+	}
+}
+
 // BenchmarkServerSynthesize measures a synthesize round-trip through the
 // full handler stack, cold (fresh cache every iteration) versus warm
 // (every iteration after the first is a cache hit).
+// TestServerSynthesizeAllocs holds both to allocation budgets; wall time
+// is A/B-gated by the serve workload of the benchmark/ harness.
 func BenchmarkServerSynthesize(b *testing.B) {
-	const body = `{"benchmark":"hal","deadline":17,"power_max":20}`
-	post := func(b *testing.B, s *Server) int {
-		req := httptest.NewRequest("POST", "/v1/synthesize", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status = %d", rec.Code)
-		}
-		return rec.Body.Len()
-	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			post(b, New(Config{}))
+			postServerBench(b, New(Config{}))
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
 		s := New(Config{})
-		post(b, s) // prime the cache
+		postServerBench(b, s) // prime the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(b, s)
+			postServerBench(b, s)
 		}
 	})
 }

@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzParse$$' -fuzztime=30s ./internal/library/
 	$(GO) test -fuzz=FuzzParseJSON -fuzztime=30s ./internal/library/
 	$(GO) test -fuzz=FuzzRunnerMap -fuzztime=30s ./internal/runner/
+	$(GO) test -fuzz=FuzzWindowsDirty -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzSynthesizeVerify -fuzztime=30s .
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"pchls/internal/cdfg"
 	"pchls/internal/sched"
 )
@@ -25,9 +27,11 @@ func (st *state) getWin(v cdfg.NodeID, mi int) (sched.Window, bool) {
 // every (uncommitted op, module) candidate into the state's flat window
 // table: point windows once locked, the SDC bounds above sdcGraphNodes,
 // and otherwise the exhaustive pasap/palap windows. The assumed-module
-// windows all come from one pasap/palap pair; only overrides need extra
-// runs. The engine serves clean nodes from its cache and re-derives only
-// the dirty subset, audited against the full post-commit pasap probe.
+// windows all come from one pasap/palap pair (baseWindows); each other
+// candidate needs an override pair, served from the engine's cache when
+// an entry survived the commitments since it was derived. Entries are
+// stored only when the base pair succeeded, since the cache's validity
+// rests on it.
 func (st *state) candidateWindows() {
 	if st.cfg.coldWindows {
 		st.auditCommitted()
@@ -49,19 +53,97 @@ func (st *state) candidateWindows() {
 		st.sdcWindows()
 		return
 	}
-	if st.eng.warm {
-		if st.reusedWindows() {
-			return
+	eng := st.eng
+	baseOK := st.baseWindows()
+	for i, c := range st.committed {
+		if c {
+			continue
 		}
-		// The incremental derivation was rejected; rebuild the cache
-		// from scratch.
-		st.eng.invalidateWindows()
-		st.stats.FullInvalidations++
-		for i := range st.winSet {
-			st.winSet[i] = false
+		v := cdfg.NodeID(i)
+		for _, mi := range st.cand[v] {
+			if mi == st.moduleOf[v] && baseOK {
+				if w := eng.baseWin[v]; w.Width() >= 1 {
+					st.setWin(v, mi, w)
+				}
+				continue
+			}
+			idx := int(v)*st.nm + mi
+			if eng.overSet[idx] {
+				st.stats.WindowCacheHits++
+				if ent := eng.over[idx]; ent.ok {
+					st.setWin(v, mi, ent.w)
+				}
+				continue
+			}
+			st.stats.WindowCacheMisses++
+			ent := st.computeEntry(v, mi)
+			if baseOK {
+				eng.over[idx] = ent
+				eng.overSet[idx] = true
+			}
+			if ent.ok {
+				st.setWin(v, mi, ent.w)
+			}
 		}
 	}
-	st.refreshedWindows()
+	eng.warm = baseOK
+	for i := range eng.dirty {
+		eng.dirty[i] = false
+	}
+}
+
+// baseWindows derives the base windows (every node under its assumed
+// module) into eng.baseWin from the cheapest source and reports whether
+// the base pair succeeded:
+//   - reuse them outright when the last commitment provably left the pair
+//     unchanged (baseValid);
+//   - on a warm cache, re-derive them with sched.WindowsDirty (clean
+//     nodes replayed, dirty nodes re-placed) and audit the Early side
+//     against the exact post-commit pasap probe; a stale pin or an audit
+//     mismatch counts a Fallback and drops the whole cache;
+//   - otherwise run the full pair, reusing the probe, when present, as
+//     the Early schedule.
+func (st *state) baseWindows() bool {
+	eng := st.eng
+	if eng.warm {
+		if eng.baseValid {
+			return true
+		}
+		st.stats.IncrementalRuns += 2
+		ws, err := sched.WindowsDirty(st.g, st.baseBind, st.cons.Deadline, st.schedOpts(), eng.baseWin, eng.dirty)
+		// Audit: any node whose pinned Early start disagrees with the exact
+		// probe means the dirty set was too small.
+		if err == nil && slices.EqualFunc(ws, eng.probe.Start, func(w sched.Window, s int) bool { return w.Early == s }) {
+			eng.baseWin = ws
+			return true
+		}
+		st.stats.Fallbacks++
+		eng.invalidateWindows()
+		st.stats.FullInvalidations++
+	}
+	opts := st.schedOpts()
+	early, err := eng.probe, error(nil)
+	if early == nil {
+		st.stats.SchedulerRuns++
+		early, err = sched.PASAP(st.g, st.baseBind, opts)
+	}
+	if err != nil || early.Length() > st.cons.Deadline {
+		return false
+	}
+	st.stats.SchedulerRuns++
+	late, err := sched.PALAP(st.g, st.baseBind, st.cons.Deadline, opts)
+	if err != nil {
+		return false
+	}
+	for i := range eng.baseWin {
+		eng.baseWin[i] = sched.Window{Early: early.Start[i], Late: late.Start[i]}
+	}
+	eng.probe = early
+	// Snapshot the module assumptions the cached runs are made under;
+	// entry validity across a later commitment requires the committed
+	// module to match this snapshot.
+	eng.assumed = append(eng.assumed[:0], st.moduleOf...)
+	return true
 }
 
 // sdcWindows derives every candidate window from the SDC
@@ -187,140 +269,6 @@ func (st *state) tightenWindow(mi, d int, w sched.Window) (sched.Window, bool) {
 		return w, false
 	}
 	return sched.Window{Early: e, Late: l}, true
-}
-
-// refreshedWindows is the engine's cold-path derivation: the base
-// pasap/palap pair under the assumed modules plus one override pair per
-// other candidate — except that the post-commit probe, when present, is
-// reused as the base Early schedule, saving one full run — with every
-// result (including infeasible candidates) stored in the cache. The cache
-// becomes warm only when the base pair succeeded, since the reuse path
-// pins clean nodes to base windows.
-func (st *state) refreshedWindows() {
-	eng := st.eng
-	opts := st.schedOpts()
-	early, err1 := eng.probe, error(nil)
-	if early == nil {
-		st.stats.SchedulerRuns++
-		early, err1 = sched.PASAP(st.g, st.baseBind, opts)
-	}
-	var late *sched.Schedule
-	var err2 error
-	if err1 == nil && early.Length() <= st.cons.Deadline {
-		st.stats.SchedulerRuns++
-		late, err2 = sched.PALAP(st.g, st.baseBind, st.cons.Deadline, opts)
-	}
-	baseOK := err1 == nil && early.Length() <= st.cons.Deadline && err2 == nil
-	if baseOK {
-		for i := range eng.baseWin {
-			eng.baseWin[i] = sched.Window{Early: early.Start[i], Late: late.Start[i]}
-		}
-		eng.probe = early
-		// Snapshot the module assumptions the cached runs are made under;
-		// entry validity across a later commitment requires the committed
-		// module to match this snapshot.
-		eng.assumed = append(eng.assumed[:0], st.moduleOf...)
-	}
-
-	for i, c := range st.committed {
-		if c {
-			continue
-		}
-		v := cdfg.NodeID(i)
-		for _, mi := range st.cand[v] {
-			if mi == st.moduleOf[v] && baseOK {
-				w := eng.baseWin[v]
-				if w.Width() >= 1 {
-					st.setWin(v, mi, w)
-				}
-				continue
-			}
-			st.stats.WindowCacheMisses++
-			ent := st.computeEntry(v, mi)
-			if baseOK {
-				idx := int(v)*st.nm + mi
-				eng.over[idx] = ent
-				eng.overSet[idx] = true
-			}
-			if ent.ok {
-				st.setWin(v, mi, ent.w)
-			}
-		}
-	}
-	eng.warm = baseOK
-	eng.baseValid = false
-	for i := range eng.dirty {
-		eng.dirty[i] = false
-	}
-}
-
-// reusedWindows is the engine's warm path. When the last commitment
-// provably left the base pair unchanged (baseValid), the base windows
-// are reused outright with no scheduler run; otherwise they are
-// re-derived by the dirty-subset schedulers (clean nodes replayed, dirty
-// nodes re-placed) and audited against the exact post-commit pasap
-// probe. Override candidates are served from the cache — every surviving
-// entry was proven valid by the per-commit filter in noteProbe — and
-// only dropped entries are recomputed. false means the pinned
-// derivation was rejected — stale pin or audit mismatch — and the caller
-// must fall back to refreshedWindows.
-func (st *state) reusedWindows() bool {
-	eng := st.eng
-	ws := eng.baseWin
-	if !eng.baseValid {
-		opts := st.schedOpts()
-		st.stats.IncrementalRuns += 2
-		var err error
-		ws, err = sched.WindowsDirty(st.g, st.baseBind, st.cons.Deadline, opts, eng.baseWin, eng.dirty)
-		if err != nil {
-			st.stats.Fallbacks++
-			return false
-		}
-		// Audit: the incremental Early side must agree with the full pasap
-		// probe on every node; any disagreement means the dirty set was
-		// too small.
-		for i := range ws {
-			if ws[i].Early != eng.probe.Start[i] {
-				st.stats.Fallbacks++
-				return false
-			}
-		}
-	}
-	for i, c := range st.committed {
-		if c {
-			continue
-		}
-		v := cdfg.NodeID(i)
-		for _, mi := range st.cand[v] {
-			if mi == st.moduleOf[v] {
-				w := ws[v]
-				if w.Width() >= 1 {
-					st.setWin(v, mi, w)
-				}
-				continue
-			}
-			idx := int(v)*st.nm + mi
-			if eng.overSet[idx] {
-				st.stats.WindowCacheHits++
-				if ent := eng.over[idx]; ent.ok {
-					st.setWin(v, mi, ent.w)
-				}
-				continue
-			}
-			st.stats.WindowCacheMisses++
-			ent := st.computeEntry(v, mi)
-			eng.over[idx] = ent
-			eng.overSet[idx] = true
-			if ent.ok {
-				st.setWin(v, mi, ent.w)
-			}
-		}
-	}
-	eng.baseWin = ws
-	for i := range eng.dirty {
-		eng.dirty[i] = false
-	}
-	return true
 }
 
 // muxEstimate approximates the interconnect cost of binding v onto

@@ -212,3 +212,76 @@ func TestParetoRejectsEmptyGridAndBadBattery(t *testing.T) {
 		t.Errorf("Model() = %q, want peukert", b.Model())
 	}
 }
+
+// TestParetoDropsDominatedCells runs a grid on which some feasible cells
+// are dominated: elliptic on Table 1 at deadlines cp+{0,1,2,4,8} and at
+// the power floor times {1.2,1.5,2,3,5} plus the unconstrained budget.
+// Every cell is scored independently of the explorer, and the front must
+// hold exactly the distinct objective tuples no other cell dominates.
+func TestParetoDropsDominatedCells(t *testing.T) {
+	g, _ := bench.ByName("elliptic")
+	lib := library.Table1()
+	asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor, err := lib.MinPowerFloor(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := asap.Length()
+	deadlines := []int{cp, cp + 1, cp + 2, cp + 4, cp + 8}
+	powers := []float64{floor * 1.2, floor * 1.5, floor * 2, floor * 3, floor * 5, 0}
+	battery, err := DefaultBattery(g, lib, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := ExplorePareto(g, lib, ParetoConfig{
+		Deadlines: deadlines, Powers: powers, Battery: battery, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type tuple [4]float64
+	var cells []tuple
+	seen := map[tuple]bool{}
+	for _, T := range deadlines {
+		for _, P := range powers {
+			d, err := core.SynthesizeBest(g, lib, core.Constraints{Deadline: T, PowerMax: P}, core.Config{})
+			if err != nil {
+				continue
+			}
+			life, _ := battery.Lifetime(d.Schedule.Profile(), 1<<20)
+			tp := tuple{d.Area(), float64(d.Schedule.Length()), d.Schedule.PeakPower(), float64(life)}
+			if !seen[tp] {
+				seen[tp] = true
+				cells = append(cells, tp)
+			}
+		}
+	}
+	dominates := func(q, p tuple) bool {
+		return q[0] <= p[0] && q[1] <= p[1] && q[2] <= p[2] && q[3] >= p[3] && q != p
+	}
+	want := map[tuple]bool{}
+	for _, p := range cells {
+		dominated := false
+		for _, q := range cells {
+			dominated = dominated || dominates(q, p)
+		}
+		if !dominated {
+			want[p] = true
+		}
+	}
+	if len(cells) != 7 || len(want) != 5 {
+		t.Fatalf("grid has %d distinct feasible tuples and %d non-dominated, want 7 and 5", len(cells), len(want))
+	}
+	if len(front.Points) != len(want) {
+		t.Fatalf("front has %d points, want %d:\n%s", len(front.Points), len(want), front.CSV())
+	}
+	for _, p := range front.Points {
+		if tp := (tuple{p.Area, float64(p.Latency), p.Peak, float64(p.Lifetime)}); !want[tp] {
+			t.Errorf("front point %+v is dominated or not a grid cell", tp)
+		}
+	}
+}

@@ -76,12 +76,8 @@ func TimeSweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, 
 	if cfg.Step <= 0 || cfg.TMax < cfg.TMin || cfg.TMin <= 0 {
 		return TimeCurve{}, fmt.Errorf("%w: tmin %d tmax %d step %d", ErrBadGrid, cfg.TMin, cfg.TMax, cfg.Step)
 	}
-	var deadlines []int
-	for T := cfg.TMin; T <= cfg.TMax; T += cfg.Step {
-		deadlines = append(deadlines, T)
-	}
 	cells, err := grid{
-		deadlines:  deadlines,
+		deadlines:  deadlineGrid(cfg.TMin, cfg.TMax, cfg.Step),
 		powers:     []float64{powerMax},
 		singlePass: cfg.SinglePass,
 		workers:    cfg.Workers,
@@ -101,6 +97,19 @@ func TimeSweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, 
 		}
 	}
 	return curve, nil
+}
+
+// deadlineGrid returns the inclusive deadline grid [min, max] at step > 0.
+// It stops before a step would pass max, comparing the remaining room
+// rather than the next value, so a grid ending near math.MaxInt or a huge
+// step cannot overflow into negative or endless deadlines.
+func deadlineGrid(min, max, step int) []int {
+	deadlines := []int{min}
+	for T := min; max-T >= step; {
+		T += step
+		deadlines = append(deadlines, T)
+	}
+	return deadlines
 }
 
 // CSV renders the time curve with a header.

@@ -1,7 +1,10 @@
 package explore
 
 import (
+	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +91,43 @@ func TestTimeSweepBadGrid(t *testing.T) {
 		if _, err := TimeSweep(bench.HAL(), library.Table1(), 0, cfg); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("cfg %+v accepted", cfg)
 		}
+	}
+}
+
+// TestTimeSweepGridNoOverflow: the deadline grid must neither wrap into
+// negative deadlines under a huge step nor loop forever when it ends near
+// math.MaxInt.
+func TestTimeSweepGridNoOverflow(t *testing.T) {
+	for _, c := range []struct {
+		min, max, step int
+		want           []int
+	}{
+		{1, 10, 3, []int{1, 4, 7, 10}},
+		{5, 5, 1, []int{5}},
+		{1, 10, math.MaxInt, []int{1}},
+		{math.MaxInt - 5, math.MaxInt, 2, []int{math.MaxInt - 5, math.MaxInt - 3, math.MaxInt - 1}},
+		{math.MaxInt, math.MaxInt, 1, []int{math.MaxInt}},
+	} {
+		if got := deadlineGrid(c.min, c.max, c.step); !slices.Equal(got, c.want) {
+			t.Errorf("deadlineGrid(%d, %d, %d) = %v, want %v", c.min, c.max, c.step, got, c.want)
+		}
+	}
+
+	c, err := TimeSweep(bench.HAL(), library.Table1(), 0, TimeSweepConfig{TMin: 1, TMax: 10, Step: math.MaxInt, SinglePass: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Points) != 1 || c.Points[0].Deadline != 1 {
+		t.Errorf("huge step: points %+v, want the single deadline 1", c.Points)
+	}
+
+	// A grid ending at math.MaxInt must be built and returned; the
+	// cancelled context keeps the (enormous) deadlines from being run.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = TimeSweepContext(ctx, bench.HAL(), library.Table1(), 0, TimeSweepConfig{TMin: math.MaxInt - 5, TMax: math.MaxInt, Step: 2, Workers: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("grid ending at MaxInt: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -33,8 +33,7 @@ type Arena struct {
 	order  []cdfg.NodeID
 
 	// pasapPinned scratch.
-	profile  []float64
-	fixedIDs []cdfg.NodeID
+	profile []float64
 
 	// palapPinned scratch (distinct from the buffers the nested pasap run
 	// on the reversed graph uses).
@@ -42,7 +41,7 @@ type Arena struct {
 	rfixed []int
 	rpin   []int
 
-	// WindowsDirty pin scratch.
+	// windowsPinned pin scratch.
 	pin []int
 }
 

@@ -21,10 +21,16 @@ func sameSchedule(t *testing.T, label string, want, got *Schedule) {
 	}
 }
 
-// TestPASAPDirtyAllDirtyMatchesFull: with every node dirty the pinned
+// pins returns the pin slice that replays every clean node at its start in
+// prev and leaves dirty nodes to the full placement search.
+func pins(prev *Schedule, dirty []bool) []int {
+	return pinsFrom(nil, len(prev.Start), func(i int) int { return prev.Start[i] }, dirty)
+}
+
+// TestPinnedAllDirtyMatchesFull: with every node dirty the pinned
 // scheduler degenerates to the full one, on every benchmark, with and
 // without a power cap.
-func TestPASAPDirtyAllDirtyMatchesFull(t *testing.T) {
+func TestPinnedAllDirtyMatchesFull(t *testing.T) {
 	lib := library.Table1()
 	for _, name := range incrBenchmarks {
 		g, err := bench.ByName(name)
@@ -46,7 +52,7 @@ func TestPASAPDirtyAllDirtyMatchesFull(t *testing.T) {
 			for i := range dirty {
 				dirty[i] = true
 			}
-			inc, err := PASAPDirty(g, b, opts, full, dirty)
+			inc, err := pasapPinned(g, b, opts, pins(full, dirty), 0)
 			if err != nil {
 				t.Fatalf("%s P<=%g: dirty run: %v", name, pmax, err)
 			}
@@ -93,12 +99,12 @@ func TestDirtySubsetMatchesFull(t *testing.T) {
 				for i := range dirty {
 					dirty[i] = rng.Intn(3) == 0
 				}
-				e, err := PASAPDirty(g, b, opts, early, dirty)
+				e, err := pasapPinned(g, b, opts, pins(early, dirty), 0)
 				if err != nil {
 					t.Fatalf("%s P<=%g trial %d: pasap dirty: %v", name, pmax, trial, err)
 				}
 				sameSchedule(t, name+"/pasap", early, e)
-				l, err := PALAPDirty(g, b, deadline, opts, late, dirty)
+				l, err := palapPinned(g, b, deadline, opts, pins(late, dirty))
 				if err != nil {
 					t.Fatalf("%s P<=%g trial %d: palap dirty: %v", name, pmax, trial, err)
 				}
@@ -117,10 +123,10 @@ func TestDirtySubsetMatchesFull(t *testing.T) {
 	}
 }
 
-// TestPASAPDirtyStaleDetection corrupts the previous placement of a clean
+// TestPinnedStaleDetection corrupts the previous placement of a clean
 // node and requires the replay to fail with ErrStale rather than silently
 // diverge from the full scheduler.
-func TestPASAPDirtyStaleDetection(t *testing.T) {
+func TestPinnedStaleDetection(t *testing.T) {
 	lib := library.Table1()
 	g, err := bench.ByName("hal")
 	if err != nil {
@@ -142,7 +148,7 @@ func TestPASAPDirtyStaleDetection(t *testing.T) {
 		}
 		prev := &Schedule{Start: append([]int(nil), full.Start...)}
 		prev.Start[i]++
-		if _, err := PASAPDirty(g, b, Options{}, prev, dirty); !errors.Is(err, ErrStale) {
+		if _, err := pasapPinned(g, b, Options{}, pins(prev, dirty), 0); !errors.Is(err, ErrStale) {
 			t.Fatalf("late pin of node %d: err = %v, want ErrStale", i, err)
 		}
 		break
@@ -158,7 +164,7 @@ func TestPASAPDirtyStaleDetection(t *testing.T) {
 		if full.Start[i] == 0 {
 			continue
 		}
-		if _, err := PASAPDirty(g, b, Options{}, prev, dirty); !errors.Is(err, ErrStale) {
+		if _, err := pasapPinned(g, b, Options{}, pins(prev, dirty), 0); !errors.Is(err, ErrStale) {
 			t.Fatalf("early pin of node %d: err = %v, want ErrStale", i, err)
 		}
 		break
@@ -187,7 +193,7 @@ func TestWindowsDirtyWithFixed(t *testing.T) {
 			t.Fatalf("%s: base windows: %v", name, err)
 		}
 		// Fix node 0 at its early start, as the synthesizer does on commit.
-		opts.Fixed = map[cdfg.NodeID]int{0: base[0].Early}
+		opts.FixedStarts = fixOne(g.N(), 0, base[0].Early)
 		full, err := Windows(g, b, deadline, opts)
 		if err != nil {
 			t.Fatalf("%s: fixed windows: %v", name, err)

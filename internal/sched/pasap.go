@@ -35,26 +35,13 @@ type Options struct {
 	// typically the power already committed by bound operations during
 	// synthesis. Cycles beyond len(Base) have zero ambient power.
 	Base []float64
-	// Fixed predetermines the start times of some nodes. Fixed nodes are
-	// placed first (their power is accounted) and never moved; the
-	// scheduler only places the remaining nodes. A fixed node's
-	// predecessors must also be consistent, which Validate will confirm.
-	Fixed map[cdfg.NodeID]int
-	// FixedStarts is the allocation-free form of Fixed: when non-nil it
-	// takes precedence, must have one entry per node, and FixedStarts[i]
-	// >= 0 fixes node i at that start (negative entries are free). The
-	// scheduler never mutates or retains the slice, so callers may reuse
-	// one buffer across runs.
+	// FixedStarts predetermines the start times of some nodes: when non-nil
+	// it has one entry per node, and FixedStarts[i] >= 0 fixes node i at
+	// that start (negative entries are free). Fixed nodes are placed first
+	// (their power is accounted) and never moved; the scheduler only places
+	// the remaining nodes. The scheduler never mutates or retains the
+	// slice, so callers may reuse one buffer across runs.
 	FixedStarts []int
-	// Horizon caps the last cycle (exclusive) the scheduler may use. Zero
-	// means automatic: len(Base) + sumDelay*maxDelay + 1, where sumDelay is
-	// the total delay of all nodes and maxDelay the largest one (at least
-	// 1). The serial bound sumDelay is not enough: greedy stretching in a
-	// fragmented power profile can overshoot it, since one busy cycle can
-	// block up to maxDelay candidate windows of a long operation. The
-	// automatic horizon also reaches sumDelay*maxDelay past the end of every
-	// fixed or released node, so their transitive successors fit after them.
-	Horizon int
 	// Delays/Powers, when both non-nil, give each node's execution delay
 	// and per-cycle power directly, indexed by node ID, and the Binding
 	// is never called. Returned schedules alias the two slices (and leave
@@ -95,27 +82,31 @@ func (o *Options) baseAt(c int) float64 {
 
 // fixedAt returns node id's predetermined start, if any.
 func (o *Options) fixedAt(id cdfg.NodeID) (int, bool) {
-	if o.FixedStarts != nil {
-		if s := o.FixedStarts[id]; s >= 0 {
-			return s, true
-		}
-		return 0, false
+	if o.FixedStarts != nil && o.FixedStarts[id] >= 0 {
+		return o.FixedStarts[id], true
 	}
-	s, ok := o.Fixed[id]
-	return s, ok
+	return 0, false
 }
 
-// hasFixed reports whether any node is predetermined.
-func (o *Options) hasFixed() bool {
-	if o.FixedStarts != nil {
-		for _, s := range o.FixedStarts {
-			if s >= 0 {
-				return true
-			}
+// check rejects per-node tables whose length does not match the graph, so
+// a short slice is an error rather than an index panic mid-run.
+func (o *Options) check(g *cdfg.Graph) error {
+	for _, f := range [...]struct {
+		name string
+		n    int
+		set  bool
+	}{
+		{"FixedStarts", len(o.FixedStarts), o.FixedStarts != nil},
+		{"Delays", len(o.Delays), o.Delays != nil},
+		{"Powers", len(o.Powers), o.Powers != nil},
+		{"Release", len(o.Release), o.Release != nil},
+		{"Due", len(o.Due), o.Due != nil},
+	} {
+		if f.set && f.n != g.N() {
+			return fmt.Errorf("sched: options: %s has %d entries for %d nodes", f.name, f.n, g.N())
 		}
-		return false
 	}
-	return len(o.Fixed) > 0
+	return nil
 }
 
 // releaseAt returns node id's earliest allowed start (0 when free).
@@ -161,20 +152,34 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // order.
 //
 // It returns an error wrapping ErrPowerInfeasible if some operation's own
-// power exceeds PowerMax, and an error if the graph is cyclic or a fixed
-// placement is negative.
+// power exceeds PowerMax, and an error if the graph is cyclic, a fixed
+// placement is negative, or a per-node option table does not have one
+// entry per node.
 func PASAP(g *cdfg.Graph, bind Binding, opts Options) (*Schedule, error) {
-	return pasapPinned(g, bind, opts, nil)
+	return pasapPinned(g, bind, opts, nil, 0)
 }
 
-// pasapPinned is the shared core of PASAP and PASAPDirty. pin, when
-// non-nil, replays nodes with pin[id] >= 0 at exactly that start cycle
-// instead of searching; pinned placements are still verified against
-// precedence, the fixed-successor bound, and the power profile built so
-// far, returning an error wrapping ErrStale when a replay is no longer
-// consistent. Entries with pin[id] < 0 (and all fixed nodes) are placed
-// exactly as PASAP places them.
-func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedule, error) {
+// pasapPinned is the shared core of PASAP, PALAP and the windows. pin,
+// when non-nil, replays nodes with pin[id] >= 0 at exactly that start
+// cycle instead of searching; pinned placements are still verified
+// against precedence, the fixed-successor bound, and the power profile
+// built so far, returning an error wrapping ErrStale when a replay is no
+// longer consistent. Entries with pin[id] < 0 (and all fixed nodes) are
+// placed exactly as PASAP places them.
+//
+// horizon caps the last cycle (exclusive) the scheduler may use; PALAP
+// passes its deadline. Zero means automatic: len(Base) +
+// sumDelay*maxDelay + 1, where sumDelay is the total delay of all nodes
+// and maxDelay the largest one (at least 1). The serial bound sumDelay is
+// not enough: greedy stretching in a fragmented power profile can
+// overshoot it, since one busy cycle can block up to maxDelay candidate
+// windows of a long operation. The automatic horizon also reaches
+// sumDelay*maxDelay past the end of every fixed or released node, so
+// their transitive successors fit after them.
+func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int, horizon int) (*Schedule, error) {
+	if err := opts.check(g); err != nil {
+		return nil, err
+	}
 	a := opts.arenaFor(g)
 	var order []cdfg.NodeID
 	var err error
@@ -188,12 +193,7 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedul
 		return nil, err
 	}
 	s := newScheduleOpts(g, bind, &opts)
-	horizon := opts.Horizon
 	if horizon <= 0 {
-		// A serial placement always exists, but greedy stretching can
-		// overshoot the serial bound when the power profile is fragmented:
-		// one busy cycle can block up to maxDelay candidate windows of a
-		// long operation. sumDelay*maxDelay is a safe overapproximation.
 		sumDelay, maxD := 0, 1
 		for _, d := range s.Delay {
 			sumDelay += d
@@ -202,33 +202,21 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedul
 			}
 		}
 		horizon = len(opts.Base) + sumDelay*maxD + 1
-		// Fixed placements may sit arbitrarily late; leave room for their
-		// transitive successors beyond them.
-		if opts.FixedStarts != nil {
-			for id, start := range opts.FixedStarts {
-				if start < 0 {
-					continue
-				}
-				if end := start + s.Delay[id] + sumDelay*maxD; end > horizon {
-					horizon = end
-				}
-			}
-		} else {
-			for id, start := range opts.Fixed {
-				if end := start + s.Delay[id] + sumDelay*maxD; end > horizon {
-					horizon = end
-				}
+		// Fixed and released nodes may sit arbitrarily late; leave room for
+		// their transitive successors beyond them.
+		extend := func(id, start int) {
+			if end := start + s.Delay[id] + sumDelay*maxD; end > horizon {
+				horizon = end
 			}
 		}
-		// Released nodes may likewise be forced arbitrarily late.
-		if opts.Release != nil {
-			for id, start := range opts.Release {
-				if start <= 0 {
-					continue
-				}
-				if end := start + s.Delay[id] + sumDelay*maxD; end > horizon {
-					horizon = end
-				}
+		for id, start := range opts.FixedStarts {
+			if start >= 0 {
+				extend(id, start)
+			}
+		}
+		for id, start := range opts.Release {
+			if start > 0 {
+				extend(id, start)
 			}
 		}
 	}
@@ -258,36 +246,12 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedul
 
 	// Place fixed nodes first so their power is visible to everything else,
 	// in ascending node order (deterministic).
-	if opts.FixedStarts != nil {
-		for i, start := range opts.FixedStarts {
-			if start < 0 {
-				continue
-			}
-			if err := place(cdfg.NodeID(i), start); err != nil {
-				return nil, err
-			}
+	for i, start := range opts.FixedStarts {
+		if start < 0 {
+			continue
 		}
-	} else if len(opts.Fixed) > 0 {
-		var fixedIDs []cdfg.NodeID
-		if a != nil {
-			fixedIDs = growIDs(&a.fixedIDs, 0)
-		}
-		for id := range opts.Fixed {
-			fixedIDs = append(fixedIDs, id)
-		}
-		if a != nil {
-			a.fixedIDs = fixedIDs
-		}
-		// Deterministic order (map iteration is random).
-		for i := 1; i < len(fixedIDs); i++ {
-			for j := i; j > 0 && fixedIDs[j] < fixedIDs[j-1]; j-- {
-				fixedIDs[j], fixedIDs[j-1] = fixedIDs[j-1], fixedIDs[j]
-			}
-		}
-		for _, id := range fixedIDs {
-			if err := place(id, opts.Fixed[id]); err != nil {
-				return nil, err
-			}
+		if err := place(cdfg.NodeID(i), start); err != nil {
+			return nil, err
 		}
 	}
 
@@ -443,15 +407,14 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 // the graph cannot finish within deadline cycles under the constraint, and
 // ErrPowerInfeasible when some single operation exceeds PowerMax.
 //
-// Options semantics match PASAP; Base and Fixed/FixedStarts are
+// Options semantics match PASAP; Base, FixedStarts, Release and Due are
 // interpreted in the forward time frame ([0, deadline)) and converted
-// internally. A nonzero opts.Horizon is ignored: the horizon of a PALAP
-// schedule is the deadline.
+// internally. The horizon of a PALAP schedule is the deadline.
 func PALAP(g *cdfg.Graph, bind Binding, deadline int, opts Options) (*Schedule, error) {
 	return palapPinned(g, bind, deadline, opts, nil)
 }
 
-// palapPinned is the shared core of PALAP and PALAPDirty. pin semantics
+// palapPinned is the shared core of PALAP and the windows. pin semantics
 // match pasapPinned, expressed in the forward time frame: pin[id] >= 0
 // replays node id at that forward start, converted internally into the
 // reversed frame.
@@ -459,11 +422,14 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 	if deadline <= 0 {
 		return nil, fmt.Errorf("sched: palap: deadline %d must be positive", deadline)
 	}
+	if err := opts.check(g); err != nil {
+		return nil, err
+	}
 	a := opts.arenaFor(g)
 	r := a.reverseOf(g)
 	// Reverse the ambient profile into the reversed time frame.
 	ropts := Options{
-		PowerMax: opts.PowerMax, Select: opts.Select, Horizon: deadline,
+		PowerMax: opts.PowerMax, Select: opts.Select,
 		Delays: opts.Delays, Powers: opts.Powers, Arena: opts.Arena,
 	}
 	if len(opts.Base) > 0 {
@@ -479,7 +445,7 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 		ropts.Base = rbase
 	}
 	delays := opts.Delays
-	if delays == nil && (opts.hasFixed() || pin != nil || opts.Release != nil || opts.Due != nil) {
+	if delays == nil && (opts.FixedStarts != nil || pin != nil || opts.Release != nil || opts.Due != nil) {
 		delays = newSchedule(g, bind).Delay
 	}
 	// Release/due swap roles under time reversal: a forward release R
@@ -509,8 +475,7 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 		}
 		ropts.Release, ropts.Due = rrel, rdue
 	}
-	switch {
-	case opts.FixedStarts != nil:
+	if opts.FixedStarts != nil {
 		var rfixed []int
 		if a != nil {
 			rfixed = growInts(&a.rfixed, len(opts.FixedStarts))
@@ -525,11 +490,6 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 			}
 		}
 		ropts.FixedStarts = rfixed
-	case len(opts.Fixed) > 0:
-		ropts.Fixed = make(map[cdfg.NodeID]int, len(opts.Fixed))
-		for id, start := range opts.Fixed {
-			ropts.Fixed[id] = deadline - start - delays[id]
-		}
 	}
 	var rpin []int
 	if pin != nil {
@@ -546,7 +506,7 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 			}
 		}
 	}
-	rs, err := pasapPinned(r, bind, ropts, rpin)
+	rs, err := pasapPinned(r, bind, ropts, rpin, deadline)
 	if err != nil {
 		// A horizon overflow in the reversed frame means the deadline
 		// cannot be met; single-operation power infeasibility passes
@@ -590,14 +550,30 @@ func (w Window) Width() int { return w.Late - w.Early + 1 }
 // because pasap/palap are heuristics the windows are not exact — they bound
 // the design space explored by the synthesizer, as in the paper.
 func Windows(g *cdfg.Graph, bind Binding, deadline int, opts Options) ([]Window, error) {
-	early, err := PASAP(g, bind, opts)
+	return windowsPinned(g, bind, deadline, opts, nil, nil)
+}
+
+// windowsPinned is the one pasap/palap pair body of Windows and
+// WindowsDirty. With prev nil every node is placed by the full search;
+// otherwise nodes with dirty[i] == false are replayed at prev[i].Early in
+// the pasap run and at prev[i].Late in the palap run.
+func windowsPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, prev []Window, dirty []bool) ([]Window, error) {
+	a := opts.arenaFor(g)
+	var pin []int
+	if prev != nil {
+		pin = pinsFrom(a, g.N(), func(i int) int { return prev[i].Early }, dirty)
+	}
+	early, err := pasapPinned(g, bind, opts, pin, 0)
 	if err != nil {
 		return nil, err
 	}
 	if deadline > 0 && early.Length() > deadline {
 		return nil, fmt.Errorf("sched: windows: pasap length %d exceeds deadline %d: %w", early.Length(), deadline, ErrDeadline)
 	}
-	late, err := PALAP(g, bind, deadline, opts)
+	if prev != nil {
+		pin = pinsFrom(a, g.N(), func(i int) int { return prev[i].Late }, dirty)
+	}
+	late, err := palapPinned(g, bind, deadline, opts, pin)
 	if err != nil {
 		return nil, err
 	}

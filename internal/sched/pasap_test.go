@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,17 @@ func chain(t *testing.T) *cdfg.Graph {
 	g.MustAddEdge(m1, a1)
 	g.MustAddEdge(a1, o1)
 	return g
+}
+
+// fixOne returns a FixedStarts table over n nodes that fixes only node id,
+// at start.
+func fixOne(n int, id cdfg.NodeID, start int) []int {
+	fixed := make([]int, n)
+	for i := range fixed {
+		fixed[i] = -1
+	}
+	fixed[id] = start
+	return fixed
 }
 
 // wide builds a graph with k independent multiplies between one input and
@@ -208,7 +220,7 @@ func TestPASAPWithFixedNodes(t *testing.T) {
 	g := chain(t)
 	bind := fastest(t)
 	m, _ := g.Lookup("m1")
-	s, err := PASAP(g, bind, Options{Fixed: map[cdfg.NodeID]int{m.ID: 5}})
+	s, err := PASAP(g, bind, Options{FixedStarts: fixOne(g.N(), m.ID, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +241,7 @@ func TestPASAPFixedBeyondAutoHorizon(t *testing.T) {
 	a := g.MustAddNode("a", cdfg.Add)
 	b := g.MustAddNode("b", cdfg.Add)
 	g.MustAddEdge(a, b)
-	s, err := PASAP(g, fastest(t), Options{Fixed: map[cdfg.NodeID]int{a: 100}})
+	s, err := PASAP(g, fastest(t), Options{FixedStarts: fixOne(g.N(), a, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,4 +440,29 @@ func TestQuickPALAPValidAndMeetsDeadline(t *testing.T) {
 
 func randName(i int) string {
 	return "v" + string(rune('a'+i/26%26)) + string(rune('a'+i%26))
+}
+
+// TestShortOptionSlicesRejected: a per-node option table whose length is
+// not the node count is an error naming the field, for both schedulers,
+// never an index panic.
+func TestShortOptionSlicesRejected(t *testing.T) {
+	g := chain(t)
+	bind := fastest(t)
+	for _, c := range []struct {
+		field string
+		opts  Options
+	}{
+		{"FixedStarts", Options{FixedStarts: []int{0}}},
+		{"Release", Options{Release: []int{0, 1}}},
+		{"Due", Options{Due: []int{9, 9, 9, 9, 9}}},
+		{"Delays", Options{Delays: []int{1}, Powers: []float64{1, 1, 1, 1}}},
+		{"Powers", Options{Delays: []int{1, 1, 1, 1}, Powers: []float64{1}}},
+	} {
+		if _, err := PASAP(g, bind, c.opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("PASAP with a bad %s: err = %v, want an error naming the field", c.field, err)
+		}
+		if _, err := PALAP(g, bind, 20, c.opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("PALAP with a bad %s: err = %v, want an error naming the field", c.field, err)
+		}
+	}
 }

@@ -126,8 +126,8 @@ func bindingPoint(tb testing.TB, g *Graph, lib *Library) Constraints {
 
 // BenchmarkSynthesize measures the one-pass synthesizer on every paper
 // benchmark at bindingPoint. The custom metrics expose the evaluation
-// engine's work: full PASAP/PALAP scheduler runs, pinned incremental runs
-// and window-cache hits per synthesis. TestSynthesizePins holds that work
+// engine's work: full PASAP/PALAP scheduler runs and window-cache hits
+// per synthesis. TestSynthesizePins holds that work
 // and the area exactly, TestSynthesizeAllocs the allocations; wall time
 // is A/B-gated by the classic workload of the benchmark/ harness.
 func BenchmarkSynthesize(b *testing.B) {
@@ -150,7 +150,6 @@ func BenchmarkSynthesize(b *testing.B) {
 				}
 			})
 			b.ReportMetric(float64(st.SchedulerRuns), "full-runs")
-			b.ReportMetric(float64(st.IncrementalRuns), "pinned-runs")
 			b.ReportMetric(float64(st.WindowCacheHits), "cache-hits")
 		})
 	}

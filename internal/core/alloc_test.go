@@ -17,9 +17,9 @@ import (
 // TestBestDecisionSteadyStateAllocs pins the allocation count of one warm
 // bestDecision iteration on the largest and the smallest paper benchmark:
 // the flat window table, the scheduler arena and the lookup tables must
-// hold — the only allocations left are the dirty-subset scheduler pair
-// behind WindowsDirty (schedule shells, start arrays, the window slice)
-// plus cache entries for candidates the last commit invalidated.
+// hold — the only allocations left are the base palap run (schedule
+// shells and start arrays; the pasap side is the post-commit probe) plus
+// cache entries for candidates the last commit invalidated.
 func TestBestDecisionSteadyStateAllocs(t *testing.T) {
 	lib := library.Table1()
 	for _, name := range []string{"elliptic", "hal"} {
@@ -65,9 +65,9 @@ func TestBestDecisionSteadyStateAllocs(t *testing.T) {
 			// A repeated warm iteration is served from the flat window
 			// table, the override cache and the scheduler arena. On
 			// elliptic the last commit left the base pair valid, so it
-			// allocates nothing; on hal it re-runs the pinned WindowsDirty
-			// pair, which allocates 7. The pre-optimization map-of-maps
-			// path allocated several hundred per iteration.
+			// allocates nothing; on hal it runs one full PALAP, which
+			// allocates 4. The pre-optimization map-of-maps path allocated
+			// several hundred per iteration.
 			const max = 8
 			if got > max {
 				t.Fatalf("warm bestDecision allocates %.1f/run, budget %d", got, max)

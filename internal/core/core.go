@@ -415,11 +415,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 			st.v1 = v1
 		}
 	}
-	eng, err := newEngine(st)
-	if err != nil {
-		return nil, err
-	}
-	st.eng = eng
+	st.eng = newEngine(st)
 	return st, nil
 }
 
@@ -911,8 +907,8 @@ func (st *state) uncommit(d Decision) {
 // a recompute. Entries failing the condition are dropped; when the base
 // pair itself passes (the new probe equals the previous one and the late
 // schedule had u at s), the next iteration reuses all base windows with
-// no scheduler run at all, otherwise the commitment's disturbance is
-// folded into the dirty set for the pinned re-derivation.
+// no scheduler run at all, otherwise it re-derives them from the probe
+// plus one full palap.
 func (st *state) noteProbe(d Decision, probe *sched.Schedule) {
 	eng := st.eng
 	if eng.warm {
@@ -934,9 +930,6 @@ func (st *state) noteProbe(d Decision, probe *sched.Schedule) {
 			st.stats.WindowInvalidations++
 		}
 		eng.baseValid = moduleMatch && eng.baseWin[u].Late == s && sameStarts(eng.probe, probe)
-		if !eng.baseValid {
-			st.markDirtyAfterCommit(d)
-		}
 	}
 	eng.probe = probe
 }

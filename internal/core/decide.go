@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"pchls/internal/cdfg"
 	"pchls/internal/sched"
 )
@@ -55,6 +53,12 @@ func (st *state) candidateWindows() {
 	}
 	eng := st.eng
 	baseOK := st.baseWindows()
+	if !baseOK && eng.warm {
+		// The override entries that survived the last commitment rest on
+		// the base pair, which no longer exists.
+		eng.invalidateWindows()
+		st.stats.FullInvalidations++
+	}
 	for i, c := range st.committed {
 		if c {
 			continue
@@ -87,39 +91,17 @@ func (st *state) candidateWindows() {
 		}
 	}
 	eng.warm = baseOK
-	for i := range eng.dirty {
-		eng.dirty[i] = false
-	}
 }
 
 // baseWindows derives the base windows (every node under its assumed
-// module) into eng.baseWin from the cheapest source and reports whether
-// the base pair succeeded:
-//   - reuse them outright when the last commitment provably left the pair
-//     unchanged (baseValid);
-//   - on a warm cache, re-derive them with sched.WindowsDirty (clean
-//     nodes replayed, dirty nodes re-placed) and audit the Early side
-//     against the exact post-commit pasap probe; a stale pin or an audit
-//     mismatch counts a Fallback and drops the whole cache;
-//   - otherwise run the full pair, reusing the probe, when present, as
-//     the Early schedule.
+// module) into eng.baseWin and reports whether the base pair succeeded.
+// It reuses them outright when the last commitment provably left the pair
+// unchanged (baseValid); otherwise it runs the full pair, reusing the
+// exact post-commit probe, when present, as the Early schedule.
 func (st *state) baseWindows() bool {
 	eng := st.eng
-	if eng.warm {
-		if eng.baseValid {
-			return true
-		}
-		st.stats.IncrementalRuns += 2
-		ws, err := sched.WindowsDirty(st.g, st.baseBind, st.cons.Deadline, st.schedOpts(), eng.baseWin, eng.dirty)
-		// Audit: any node whose pinned Early start disagrees with the exact
-		// probe means the dirty set was too small.
-		if err == nil && slices.EqualFunc(ws, eng.probe.Start, func(w sched.Window, s int) bool { return w.Early == s }) {
-			eng.baseWin = ws
-			return true
-		}
-		st.stats.Fallbacks++
-		eng.invalidateWindows()
-		st.stats.FullInvalidations++
+	if eng.warm && eng.baseValid {
+		return true
 	}
 	opts := st.schedOpts()
 	early, err := eng.probe, error(nil)

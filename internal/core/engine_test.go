@@ -43,10 +43,9 @@ func TestEngineReducesSchedulerRuns(t *testing.T) {
 		if cold.Stats.IncrementalRuns != 0 || cold.Stats.WindowCacheHits != 0 {
 			t.Errorf("%s: cold run reported cached work: %+v", name, cold.Stats)
 		}
-		t.Logf("%s: full runs %d -> %d (cached: %d pinned runs, %d hits, %d misses, %d fallbacks)",
+		t.Logf("%s: full runs %d -> %d (cached: %d hits, %d misses)",
 			name, cold.Stats.SchedulerRuns, inc.Stats.SchedulerRuns,
-			inc.Stats.IncrementalRuns, inc.Stats.WindowCacheHits,
-			inc.Stats.WindowCacheMisses, inc.Stats.Fallbacks)
+			inc.Stats.WindowCacheHits, inc.Stats.WindowCacheMisses)
 	}
 }
 

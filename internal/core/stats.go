@@ -3,16 +3,19 @@ package core
 import "fmt"
 
 // Stats counts the work one synthesis run performed. It is the
-// observability surface of the evaluation engine: SchedulerRuns and
-// IncrementalRuns count the scheduler work, and the cache counters explain
-// where the window cache saved runs. All counters are zero-based per run;
-// Design.Stats carries the counters of the run that produced the design.
+// observability surface of the evaluation engine: SchedulerRuns counts the
+// scheduler work, and the cache counters explain where the window cache
+// saved runs. All counters are zero-based per run; Design.Stats carries
+// the counters of the run that produced the design.
 type Stats struct {
 	// SchedulerRuns counts full pasap/palap executions (probes, window
 	// derivations, per-candidate overrides).
 	SchedulerRuns int64
-	// IncrementalRuns counts dirty-subset (pinned) scheduler executions,
-	// each of which replaces a full run on the incremental path.
+	// IncrementalRuns is always 0: no window derivation pins nodes any
+	// more. It stays because the v1 wire carries it (the
+	// X-Pchls-Incremental-Runs header, total_stats.incremental_runs and
+	// pchls_engine_incremental_runs_total) and the benchmark harness
+	// reads it.
 	IncrementalRuns int64
 	// WindowCacheHits counts (node, module) candidate windows served from
 	// the engine's cache without any scheduler run.
@@ -24,12 +27,11 @@ type Stats struct {
 	// WindowInvalidations counts cached candidate entries discarded by
 	// the post-commit invalidation rule.
 	WindowInvalidations int64
-	// FullInvalidations counts whole-cache resets: cold starts,
-	// backtracks, and incremental derivations abandoned mid-way.
+	// FullInvalidations counts whole-cache resets: backtracks, and warm
+	// iterations whose base pair failed.
 	FullInvalidations int64
-	// Fallbacks counts iterations where the incremental derivation was
-	// rejected (stale pin or audit mismatch) and the full derivation ran
-	// instead.
+	// Fallbacks is always 0: there is no incremental derivation left to
+	// fall back from. It stays because the benchmark harness reads it.
 	Fallbacks int64
 	// ProfileProbes counts freeSlot feasibility probes against the
 	// committed power profile.
@@ -97,12 +99,10 @@ func (s Stats) Add(o Stats) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf(
 		"  scheduler runs (full)        %8d\n"+
-			"  scheduler runs (incremental) %8d\n"+
 			"  window cache hits            %8d\n"+
 			"  window cache misses          %8d\n"+
 			"  window invalidations         %8d\n"+
 			"  full cache invalidations     %8d\n"+
-			"  incremental fallbacks        %8d\n"+
 			"  profile probes               %8d\n"+
 			"  sdc window derivations       %8d\n"+
 			"  compat edge patches          %8d\n"+
@@ -113,9 +113,9 @@ func (s Stats) String() string {
 			"  boundary transfers           %8d\n"+
 			"  cross-region shares          %8d\n"+
 			"  bound tightenings            %8d\n",
-		s.SchedulerRuns, s.IncrementalRuns,
+		s.SchedulerRuns,
 		s.WindowCacheHits, s.WindowCacheMisses,
-		s.WindowInvalidations, s.FullInvalidations, s.Fallbacks,
+		s.WindowInvalidations, s.FullInvalidations,
 		s.ProfileProbes, s.SDCDerivations, s.CompatPatches,
 		s.Regions, s.RegionRepairs, s.PartitionFallbacks,
 		s.CutEdges, s.BoundaryTransfers, s.SharedCrossRegion,

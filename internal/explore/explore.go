@@ -121,9 +121,13 @@ func SweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, dead
 	if !(cfg.Step > 0 && cfg.PowerMin >= 0 && cfg.PowerMax >= cfg.PowerMin) || math.IsInf(cfg.PowerMax, 1) || math.IsInf(cfg.Step, 1) {
 		return Curve{}, fmt.Errorf("%w: min %g max %g step %g", ErrBadGrid, cfg.PowerMin, cfg.PowerMax, cfg.Step)
 	}
+	powers := PowerGrid(cfg.PowerMin, cfg.PowerMax, cfg.Step, 0)
+	if powers == nil {
+		return Curve{}, fmt.Errorf("%w: step %g stops advancing before max %g", ErrBadGrid, cfg.Step, cfg.PowerMax)
+	}
 	cells, err := grid{
 		deadlines:  []int{deadline},
-		powers:     PowerGrid(cfg.PowerMin, cfg.PowerMax, cfg.Step, 0),
+		powers:     powers,
 		singlePass: cfg.SinglePass,
 		workers:    cfg.Workers,
 		inFlight:   cfg.InFlight,

@@ -78,6 +78,7 @@ func TestSweepBadGrid(t *testing.T) {
 		{PowerMin: 5, PowerMax: math.NaN(), Step: 1},
 		{PowerMin: 5, PowerMax: 10, Step: math.NaN()},
 		{PowerMin: 5, PowerMax: 10, Step: math.Inf(1)},
+		{PowerMin: 1e17, PowerMax: 1e17 + 100, Step: 1}, // p += step cannot advance
 	} {
 		if _, err := Sweep(bench.HAL(), library.Table1(), 17, cfg); !errors.Is(err, ErrBadGrid) {
 			t.Errorf("cfg %+v accepted", cfg)

@@ -25,10 +25,15 @@ func SynthesizeCell(ctx context.Context, g *cdfg.Graph, lib *library.Library, co
 // step, in increasing order. Samples are an accumulating sum, so their
 // values are bit-identical wherever the grid is rebuilt. A limit > 0 stops
 // after that many samples, which bounds the work of sizing a grid that
-// may be too large to build.
+// may be too large to build. It returns nil when adding step no longer
+// changes a sample short of max (a step below the float spacing of the
+// bounds), since the grid would repeat that sample forever.
 func PowerGrid(min, max, step float64, limit int) []float64 {
 	var powers []float64
 	for p := min; p <= max+1e-9 && (limit <= 0 || len(powers) < limit); p += step {
+		if p+step == p {
+			return nil
+		}
 		powers = append(powers, p)
 	}
 	return powers

@@ -84,28 +84,22 @@ func TestPALAPSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWindowsDirtySteadyStateAllocs pins the warm-path window
-// re-derivation: one pasap + one palap pair plus the returned window
-// slice.
-func TestWindowsDirtySteadyStateAllocs(t *testing.T) {
+// TestWindowsSteadyStateAllocs pins the window derivation: one pasap +
+// one palap pair plus the returned window slice.
+func TestWindowsSteadyStateAllocs(t *testing.T) {
 	g := bench.Elliptic()
 	opts, bind := hotOptions(g, 20)
-	prev, err := Windows(g, bind, 40, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := make([]bool, g.N())
-	if _, err := WindowsDirty(g, bind, 40, opts, prev, dirty); err != nil {
+	if _, err := Windows(g, bind, 40, opts); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(50, func() {
-		if _, err := WindowsDirty(g, bind, 40, opts, prev, dirty); err != nil {
+		if _, err := Windows(g, bind, 40, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const max = 7 // pasap (2) + palap (4) + the []Window result
 	if got > max {
-		t.Fatalf("WindowsDirty steady state allocates %.1f/run, budget %d", got, max)
+		t.Fatalf("Windows steady state allocates %.1f/run, budget %d", got, max)
 	}
 }
 

@@ -6,7 +6,7 @@ import "pchls/internal/cdfg"
 // synthesis runs pasap/palap hundreds to thousands of times over the same
 // graph; without an arena every run reallocates its topological-order
 // buffers, its power profile, the reversed graph of the palap pass, and
-// the pin/fixed conversion slices. An Arena, passed via Options.Arena,
+// the base/fixed conversion slices. An Arena, passed via Options.Arena,
 // caches the graph-invariant artifacts (topological orders, the reversed
 // graph) and recycles the per-run buffers, making the steady-state
 // scheduler hot path allocation-free apart from the returned Schedule.
@@ -32,17 +32,13 @@ type Arena struct {
 	bucket []int
 	order  []cdfg.NodeID
 
-	// pasapPinned scratch.
+	// pasapWithin scratch.
 	profile []float64
 
-	// palapPinned scratch (distinct from the buffers the nested pasap run
-	// on the reversed graph uses).
+	// PALAP scratch (distinct from the buffers the nested pasap run on the
+	// reversed graph uses).
 	rbase  []float64
 	rfixed []int
-	rpin   []int
-
-	// windowsPinned pin scratch.
-	pin []int
 }
 
 // NewArena returns an arena bound to g. All buffers are grown lazily.

@@ -7,20 +7,21 @@ import (
 	"pchls/internal/gen"
 )
 
-// FuzzWindowsDirty holds the pinned re-derivation to its contract on
-// random graphs: with a random subset of nodes fixed through FixedStarts,
-// a random power cap and a random dirty mask, replaying the clean nodes
-// at the full runs' own starts must reproduce the full runs exactly —
-// WindowsDirty over the full windows equals Windows, and the pinned
-// pasap/palap replays equal PASAP/PALAP. This is the one base
-// re-derivation the synthesizer's exhaustive regime uses.
-func FuzzWindowsDirty(f *testing.F) {
+// FuzzWindows holds the window derivation to its contract on random
+// graphs: with a random subset of nodes fixed through FixedStarts and a
+// random power cap, Windows is exactly the (PASAP, PALAP) start pair, both
+// schedules are valid under the cap and the deadline, every fixed node
+// starts where it was fixed, and an arena — fresh, or warmed by a run
+// under other options — changes nothing. Windows may legitimately come
+// out inverted (TestWindowsMatchExhaustiveFeasibility), so Early <= Late
+// is not asserted.
+func FuzzWindows(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(128), uint8(2), uint8(3), false)
 	f.Add(int64(42), uint8(20), uint8(0), uint8(0), uint8(1), true)
 	f.Add(int64(7), uint8(30), uint8(255), uint8(5), uint8(2), false)
 	f.Add(int64(-9), uint8(3), uint8(40), uint8(1), uint8(4), true)
 	f.Add(int64(2026), uint8(14), uint8(90), uint8(7), uint8(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, nodes, capPct, slack, fixEvery uint8, arena bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nodes, capPct, slack, fixEvery uint8, warm bool) {
 		g := gen.Graph(seed, gen.GraphConfig{Nodes: 1 + int(nodes)%40})
 		lib := gen.Library(seed, gen.LibraryConfig{ModulesPerOp: 2, DelayMax: 3})
 		bind := UniformFastest(lib)
@@ -38,9 +39,6 @@ func FuzzWindowsDirty(f *testing.F) {
 			}
 			opts.PowerMax = lo + (asap.PeakPower()-lo)*float64(capPct)/255
 		}
-		if arena {
-			opts.Arena = NewArena(g)
-		}
 		early, err := PASAP(g, bind, opts)
 		if err != nil {
 			t.Fatalf("pasap under a feasible cap: %v", err)
@@ -56,41 +54,49 @@ func FuzzWindowsDirty(f *testing.F) {
 				opts.FixedStarts[i] = early.Start[i]
 			}
 		}
-		full, err := Windows(g, bind, deadline, opts)
-		if err != nil {
-			return // the fixed subset left no feasible pair; nothing to replay
-		}
-		pasap, err := PASAP(g, bind, opts)
-		if err != nil {
-			t.Fatalf("pasap after Windows succeeded: %v", err)
-		}
-		palap, err := PALAP(g, bind, deadline, opts)
-		if err != nil {
-			t.Fatalf("palap after Windows succeeded: %v", err)
-		}
-		dirty := make([]bool, g.N())
-		for i := range dirty {
-			dirty[i] = rng.Intn(3) == 0
-		}
 
-		ws, err := WindowsDirty(g, bind, deadline, opts, full, dirty)
-		if err != nil {
-			t.Fatalf("windows dirty: %v", err)
+		ws, err := Windows(g, bind, deadline, opts)
+		pasap, perr := PASAP(g, bind, opts)
+		palap, lerr := PALAP(g, bind, deadline, opts)
+		if pairOK := perr == nil && pasap.Length() <= deadline && lerr == nil; (err == nil) != pairOK {
+			t.Fatalf("Windows err = %v, but pasap err = %v, palap err = %v", err, perr, lerr)
 		}
-		for i := range ws {
-			if ws[i] != full[i] {
-				t.Fatalf("window[%d] = %+v, want %+v", i, ws[i], full[i])
+		if err != nil {
+			return // the fixed subset left no feasible pair
+		}
+		for i, w := range ws {
+			if w.Early != pasap.Start[i] || w.Late != palap.Start[i] {
+				t.Fatalf("window[%d] = %+v, want {%d %d}", i, w, pasap.Start[i], palap.Start[i])
 			}
 		}
-		e, err := pasapPinned(g, bind, opts, pins(pasap, dirty), 0)
-		if err != nil {
-			t.Fatalf("pinned pasap: %v", err)
+		for _, s := range []*Schedule{pasap, palap} {
+			if err := s.Validate(opts.PowerMax, deadline); err != nil {
+				t.Fatal(err)
+			}
+			for i, fs := range opts.FixedStarts {
+				if fs >= 0 && s.Start[i] != fs {
+					t.Fatalf("fixed node %d starts at %d, want %d", i, s.Start[i], fs)
+				}
+			}
 		}
-		sameSchedule(t, "pasap", pasap, e)
-		l, err := palapPinned(g, bind, deadline, opts, pins(palap, dirty))
-		if err != nil {
-			t.Fatalf("pinned palap: %v", err)
+
+		opts.Arena = NewArena(g)
+		if warm {
+			// Leave the arena's buffers sized and filled by another run.
+			if _, err := Windows(g, bind, deadline+3, Options{Arena: opts.Arena}); err != nil {
+				t.Fatalf("unconstrained windows: %v", err)
+			}
 		}
-		sameSchedule(t, "palap", palap, l)
+		for run := 0; run < 2; run++ {
+			aws, err := Windows(g, bind, deadline, opts)
+			if err != nil {
+				t.Fatalf("arena run %d: %v", run, err)
+			}
+			for i := range aws {
+				if aws[i] != ws[i] {
+					t.Fatalf("arena run %d: window[%d] = %+v, want %+v", run, i, aws[i], ws[i])
+				}
+			}
+		}
 	})
 }

@@ -52,9 +52,9 @@ type Options struct {
 	Delays []int
 	Powers []float64
 	// Arena recycles scheduler scratch (topological orders, the reversed
-	// graph, profiles, pin buffers) across runs over the same graph. Nil
-	// means allocate per run. An arena bound to a different graph is
-	// ignored. Not safe for concurrent use.
+	// graph, profiles, conversion buffers) across runs over the same
+	// graph. Nil means allocate per run. An arena bound to a different
+	// graph is ignored. Not safe for concurrent use.
 	Arena *Arena
 	// Release, when non-nil, holds one entry per node: Release[i] > 0
 	// forbids node i from starting before that cycle (entries <= 0 are
@@ -156,27 +156,20 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // placement is negative, or a per-node option table does not have one
 // entry per node.
 func PASAP(g *cdfg.Graph, bind Binding, opts Options) (*Schedule, error) {
-	return pasapPinned(g, bind, opts, nil, 0)
+	return pasapWithin(g, bind, opts, 0)
 }
 
-// pasapPinned is the shared core of PASAP, PALAP and the windows. pin,
-// when non-nil, replays nodes with pin[id] >= 0 at exactly that start
-// cycle instead of searching; pinned placements are still verified
-// against precedence, the fixed-successor bound, and the power profile
-// built so far, returning an error wrapping ErrStale when a replay is no
-// longer consistent. Entries with pin[id] < 0 (and all fixed nodes) are
-// placed exactly as PASAP places them.
-//
-// horizon caps the last cycle (exclusive) the scheduler may use; PALAP
-// passes its deadline. Zero means automatic: len(Base) +
-// sumDelay*maxDelay + 1, where sumDelay is the total delay of all nodes
-// and maxDelay the largest one (at least 1). The serial bound sumDelay is
-// not enough: greedy stretching in a fragmented power profile can
-// overshoot it, since one busy cycle can block up to maxDelay candidate
-// windows of a long operation. The automatic horizon also reaches
+// pasapWithin is the shared core of PASAP and PALAP. horizon caps the
+// last cycle (exclusive) the scheduler may use; PALAP passes its
+// deadline. Zero means automatic: len(Base) + sumDelay*maxDelay + 1,
+// where sumDelay is the total delay of all nodes and maxDelay the
+// largest one (at least 1). The serial bound sumDelay is not enough:
+// greedy stretching in a fragmented power profile can overshoot it, since
+// one busy cycle can block up to maxDelay candidate windows of a long
+// operation. The automatic horizon also reaches
 // sumDelay*maxDelay past the end of every fixed or released node, so
 // their transitive successors fit after them.
-func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int, horizon int) (*Schedule, error) {
+func pasapWithin(g *cdfg.Graph, bind Binding, opts Options, horizon int) (*Schedule, error) {
 	if err := opts.check(g); err != nil {
 		return nil, err
 	}
@@ -301,26 +294,12 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int, horizon i
 		}
 		// Stretch: increase the execution offset until power fits.
 		start := t
-		if pin != nil && pin[id] >= 0 {
-			// Replay a clean node at its previous start. No search happens,
-			// but the placement is re-verified: precedence may have tightened,
-			// the power profile may have shifted under it, or (with no power
-			// cap) the node may now be able to start earlier — all of which
-			// mean the caller's dirty set was too small.
-			start = pin[id]
-			if start < t || start > latest || !fits(id, start) ||
-				(opts.PowerMax <= 0 && start != t) {
-				return nil, fmt.Errorf("sched: pasap: pinned node %q invalid at cycle %d (bounds [%d,%d]): %w",
-					g.Node(id).Name, start, t, latest, ErrStale)
-			}
-		} else {
-			for start <= latest && !fits(id, start) {
-				start++
-			}
-			if start > latest {
-				return nil, fmt.Errorf("sched: pasap: node %q cannot be placed in [%d,%d] under P< = %.3g: %w",
-					g.Node(id).Name, t, latest, opts.PowerMax, ErrHorizon)
-			}
+		for start <= latest && !fits(id, start) {
+			start++
+		}
+		if start > latest {
+			return nil, fmt.Errorf("sched: pasap: node %q cannot be placed in [%d,%d] under P< = %.3g: %w",
+				g.Node(id).Name, t, latest, opts.PowerMax, ErrHorizon)
 		}
 		if err := place(id, start); err != nil {
 			return nil, err
@@ -411,14 +390,6 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 // interpreted in the forward time frame ([0, deadline)) and converted
 // internally. The horizon of a PALAP schedule is the deadline.
 func PALAP(g *cdfg.Graph, bind Binding, deadline int, opts Options) (*Schedule, error) {
-	return palapPinned(g, bind, deadline, opts, nil)
-}
-
-// palapPinned is the shared core of PALAP and the windows. pin semantics
-// match pasapPinned, expressed in the forward time frame: pin[id] >= 0
-// replays node id at that forward start, converted internally into the
-// reversed frame.
-func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []int) (*Schedule, error) {
 	if deadline <= 0 {
 		return nil, fmt.Errorf("sched: palap: deadline %d must be positive", deadline)
 	}
@@ -445,7 +416,7 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 		ropts.Base = rbase
 	}
 	delays := opts.Delays
-	if delays == nil && (opts.FixedStarts != nil || pin != nil || opts.Release != nil || opts.Due != nil) {
+	if delays == nil && (opts.FixedStarts != nil || opts.Release != nil || opts.Due != nil) {
 		delays = newSchedule(g, bind).Delay
 	}
 	// Release/due swap roles under time reversal: a forward release R
@@ -491,22 +462,7 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 		}
 		ropts.FixedStarts = rfixed
 	}
-	var rpin []int
-	if pin != nil {
-		if a != nil {
-			rpin = growInts(&a.rpin, len(pin))
-		} else {
-			rpin = make([]int, len(pin))
-		}
-		for id, p := range pin {
-			if p < 0 {
-				rpin[id] = -1
-			} else {
-				rpin[id] = deadline - p - delays[id]
-			}
-		}
-	}
-	rs, err := pasapPinned(r, bind, ropts, rpin, deadline)
+	rs, err := pasapWithin(r, bind, ropts, deadline)
 	if err != nil {
 		// A horizon overflow in the reversed frame means the deadline
 		// cannot be met; single-operation power infeasibility passes
@@ -550,30 +506,14 @@ func (w Window) Width() int { return w.Late - w.Early + 1 }
 // because pasap/palap are heuristics the windows are not exact — they bound
 // the design space explored by the synthesizer, as in the paper.
 func Windows(g *cdfg.Graph, bind Binding, deadline int, opts Options) ([]Window, error) {
-	return windowsPinned(g, bind, deadline, opts, nil, nil)
-}
-
-// windowsPinned is the one pasap/palap pair body of Windows and
-// WindowsDirty. With prev nil every node is placed by the full search;
-// otherwise nodes with dirty[i] == false are replayed at prev[i].Early in
-// the pasap run and at prev[i].Late in the palap run.
-func windowsPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, prev []Window, dirty []bool) ([]Window, error) {
-	a := opts.arenaFor(g)
-	var pin []int
-	if prev != nil {
-		pin = pinsFrom(a, g.N(), func(i int) int { return prev[i].Early }, dirty)
-	}
-	early, err := pasapPinned(g, bind, opts, pin, 0)
+	early, err := PASAP(g, bind, opts)
 	if err != nil {
 		return nil, err
 	}
 	if deadline > 0 && early.Length() > deadline {
 		return nil, fmt.Errorf("sched: windows: pasap length %d exceeds deadline %d: %w", early.Length(), deadline, ErrDeadline)
 	}
-	if prev != nil {
-		pin = pinsFrom(a, g.N(), func(i int) int { return prev[i].Late }, dirty)
-	}
-	late, err := palapPinned(g, bind, deadline, opts, pin)
+	late, err := PALAP(g, bind, deadline, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pchls/internal/bench"
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
 )
@@ -360,6 +361,52 @@ func TestWindowsDeadlineTooTight(t *testing.T) {
 	_, err := Windows(g, fastest(t), 3, Options{})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("windows = %v, want ErrDeadline", err)
+	}
+}
+
+// TestWindowsWithFixed exercises the derivation under the synthesizer's
+// real usage: a power cap and one node fixed (committed) at its early
+// start. The windows are the PASAP/PALAP start pair, and the fixed node's
+// window is the point at its fixed start.
+func TestWindowsWithFixed(t *testing.T) {
+	lib := library.Table1()
+	for _, name := range []string{"hal", "elliptic"} {
+		g, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := UniformFastest(lib)
+		asap, err := ASAP(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := asap.Length() + 3
+		opts := Options{PowerMax: asap.PeakPower() * 0.8}
+		base, err := Windows(g, b, deadline, opts)
+		if err != nil {
+			t.Fatalf("%s: base windows: %v", name, err)
+		}
+		opts.FixedStarts = fixOne(g.N(), 0, base[0].Early)
+		ws, err := Windows(g, b, deadline, opts)
+		if err != nil {
+			t.Fatalf("%s: fixed windows: %v", name, err)
+		}
+		early, err := PASAP(g, b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late, err := PALAP(g, b, deadline, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range ws {
+			if w.Early != early.Start[i] || w.Late != late.Start[i] {
+				t.Fatalf("%s: window[%d] = %+v, want {%d %d}", name, i, w, early.Start[i], late.Start[i])
+			}
+		}
+		if want := (Window{base[0].Early, base[0].Early}); ws[0] != want {
+			t.Fatalf("%s: fixed node window = %+v, want %+v", name, ws[0], want)
+		}
 	}
 }
 

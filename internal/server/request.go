@@ -290,7 +290,10 @@ func (req *sweepRequest) validate() (*cdfg.Graph, *library.Library, error) {
 	}
 	// Sized by the grid rule the sweep itself uses, stopping one sample
 	// past the cap.
-	if len(explore.PowerGrid(req.PowerMin, req.PowerMax, req.Step, maxGridPoints+1)) > maxGridPoints {
+	switch n := len(explore.PowerGrid(req.PowerMin, req.PowerMax, req.Step, maxGridPoints+1)); {
+	case n == 0:
+		return nil, nil, badRequest("sweep grid step is below the float spacing of its samples", nil)
+	case n > maxGridPoints:
 		return nil, nil, badRequest(fmt.Sprintf("sweep grid has more than %d points", maxGridPoints), nil)
 	}
 	return g, resolveLibrary(req.Library), nil

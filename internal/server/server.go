@@ -199,7 +199,7 @@ func New(cfg Config) *Server {
 
 	s.engineRuns = s.reg.Counter("pchls_engine_synth_total", "synthesis computations executed (cache misses that ran the engine)")
 	s.schedulerRuns = s.reg.Counter("pchls_engine_scheduler_runs_total", "full pasap/palap scheduler executions across all requests")
-	s.incrementalRuns = s.reg.Counter("pchls_engine_incremental_runs_total", "pinned incremental scheduler executions across all requests")
+	s.incrementalRuns = s.reg.Counter("pchls_engine_incremental_runs_total", "incremental scheduler executions across all requests (always 0, kept for the v1 wire)")
 	s.windowHits = s.reg.Counter("pchls_engine_window_cache_hits_total", "engine window-cache hits across all requests")
 	s.windowMisses = s.reg.Counter("pchls_engine_window_cache_misses_total", "engine window-cache misses across all requests")
 	s.rejected = s.reg.Counter("pchls_admission_rejected_total", "requests rejected by admission control (429)")

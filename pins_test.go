@@ -11,8 +11,8 @@ import (
 // worker count, so any change to them is a behaviour change.
 
 // synthesizePins are BenchmarkSynthesize's graphs with the scheduler runs,
-// pinned incremental runs, window-cache hits and area Synthesize
-// reproduces at bindingPoint, and the lowest allocs/op ever recorded for
+// incremental runs (always 0: no derivation pins nodes any more),
+// window-cache hits and area Synthesize reproduces at bindingPoint, and the lowest allocs/op ever recorded for
 // the point (TestSynthesizeAllocs allows 20% over it).
 var synthesizePins = []struct {
 	name                            string
@@ -20,13 +20,13 @@ var synthesizePins = []struct {
 	area                            float64
 	allocs                          int
 }{
-	{"hal", 130, 22, 22, 1078, 833},
-	{"cosine", 1398, 72, 144, 2784, 5065},
-	{"elliptic", 769, 60, 230, 1609, 3109},
-	{"fir16", 973, 50, 43, 2628, 3787},
-	{"ar", 514, 26, 115, 1218, 2097},
-	{"diffeq2", 269, 32, 73, 1025, 1302},
-	{"fft8", 1053, 70, 154, 2122, 4021},
+	{"hal", 141, 0, 22, 1078, 833},
+	{"cosine", 1434, 0, 144, 2784, 5065},
+	{"elliptic", 799, 0, 230, 1609, 3109},
+	{"fir16", 998, 0, 43, 2628, 3787},
+	{"ar", 527, 0, 115, 1218, 2097},
+	{"diffeq2", 285, 0, 73, 1025, 1302},
+	{"fft8", 1088, 0, 154, 2122, 4021},
 }
 
 // TestSynthesizePins checks every BenchmarkSynthesize point against its

@@ -106,8 +106,8 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 			})
 		}
 	}
-	// The bulk commits above bypassed commit(); bring the profile and
-	// reservation lists up to date for the merge pass.
+	// The bulk commits above bypassed commit(); bring the profile up to
+	// date for the merge pass.
 	st.rebuildCommitted()
 	st.mergePass()
 	return st.finish()
@@ -219,9 +219,10 @@ func packable(g *cdfg.Graph, st *state, windows []sched.Window, ops []int) bool 
 
 // packPartition assigns concrete start times: a list schedule over the
 // partition's instances under precedence, instance exclusivity and the
-// power cap, then a deadline check. On a deadline miss it returns the
-// violating node (for the split repair) and an error; violator is -1 for
-// non-repairable failures.
+// power cap, then a deadline check. It accumulates the placements into
+// the state's profile, cleared first, so fit checks the cap against it.
+// On a deadline miss it returns the violating node (for the split repair)
+// and an error; violator is -1 for non-repairable failures.
 func packPartition(g *cdfg.Graph, st *state, windows []sched.Window, partition clique.Partition) (violator int, err error) {
 	instanceOf := make([]int, g.N())
 	for bi, block := range partition {
@@ -245,8 +246,7 @@ func packPartition(g *cdfg.Graph, st *state, windows []sched.Window, partition c
 		}
 		prio[u] = best + st.lib.Module(st.moduleOf[u]).Delay
 	}
-	horizon := st.cons.Deadline
-	profile := make([]float64, horizon)
+	clear(st.profile)
 	busyUntil := make([]int, len(partition))
 	placed := make([]bool, g.N())
 	remaining := g.N()
@@ -278,29 +278,14 @@ func packPartition(g *cdfg.Graph, st *state, windows []sched.Window, partition c
 		if b := busyUntil[instanceOf[pick]]; b > earliest {
 			earliest = b
 		}
-		start := earliest
-		for {
-			if start+m.Delay > horizon {
-				return pick, fmt.Errorf("core: clique mode: %q does not fit by T=%d: %w",
-					g.Node(cdfg.NodeID(pick)).Name, horizon, ErrInfeasible)
-			}
-			ok := true
-			if st.cons.PowerMax > 0 {
-				for c := start; c < start+m.Delay; c++ {
-					if profile[c]+m.Power > st.cons.PowerMax+1e-9 {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				break
-			}
-			start++
+		start, ok := st.fit(cdfg.NodeID(pick), nil, earliest, st.cons.Deadline, m.Delay, m.Power, false)
+		if !ok {
+			return pick, fmt.Errorf("core: clique mode: %q does not fit by T=%d: %w",
+				g.Node(cdfg.NodeID(pick)).Name, st.cons.Deadline, ErrInfeasible)
 		}
 		st.start[pick] = start
 		for c := start; c < start+m.Delay; c++ {
-			profile[c] += m.Power
+			st.profile[c] += m.Power
 		}
 		busyUntil[instanceOf[pick]] = start + m.Delay
 		placed[pick] = true

@@ -144,9 +144,9 @@ type Config struct {
 	auditCompat bool
 	// coldWindows drops the window cache before every derivation, so each
 	// iteration runs the full per-candidate pasap/palap pairs, and
-	// cross-checks the committed power profile and reservation lists
-	// against a from-scratch rebuild. Test-only (in-package): the golden
-	// equivalence suites use it as the reference the cached run must match.
+	// cross-checks the committed power profile against a from-scratch
+	// rebuild. Test-only (in-package): the golden equivalence suites use
+	// it as the reference the cached run must match.
 	coldWindows bool
 	// windows and partition override the automatic window-derivation and
 	// decomposition choices. Test-only (in-package): the differential
@@ -246,10 +246,14 @@ type state struct {
 	fuAreaCommitted float64
 
 	// profile is the per-cycle power drawn by committed operations over
-	// [0, Deadline), and resv the busy intervals of each instance
-	// (parallel to fus); commit and uncommit maintain both in O(delay).
+	// [0, Deadline); commit and uncommit maintain it in O(delay). An
+	// instance's busy intervals are read from its ops' start and delays.
 	profile []float64
-	resv    [][]interval
+	// undo is the shift merge's undo log: every start, module and profile
+	// value its in-place re-timings overwrite (see tryShiftMerge), and
+	// shiftBuf its reused operation list.
+	undo     []undoRec
+	shiftBuf []cdfg.NodeID
 	// eng is the exhaustive derivation's window cache (empty on the SDC
 	// path, which never reads it).
 	eng   *engine
@@ -394,7 +398,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 	// the most latency-optimistic assumption, so if it misses the deadline
 	// no uniform refinement can meet it either.
 	for _, n := range g.Nodes() {
-		mi, err := st.fastestFeasible(n.Op)
+		mi, err := fastestFeasible(lib, cons, n.Op)
 		if err != nil {
 			return nil, err
 		}
@@ -677,24 +681,24 @@ func SynthesizeBestContext(ctx context.Context, g *cdfg.Graph, lib *library.Libr
 
 // fastestFeasible picks the minimum-delay module for op whose power fits
 // the constraint, breaking ties toward smaller area.
-func (st *state) fastestFeasible(op cdfg.Op) (int, error) {
+func fastestFeasible(lib *library.Library, cons Constraints, op cdfg.Op) (int, error) {
 	best := -1
-	for _, mi := range st.lib.Candidates(op) {
-		m := st.lib.Module(mi)
-		if st.cons.PowerMax > 0 && m.Power > st.cons.PowerMax+1e-9 {
+	for _, mi := range lib.Candidates(op) {
+		m := lib.Module(mi)
+		if cons.PowerMax > 0 && m.Power > cons.PowerMax+1e-9 {
 			continue
 		}
 		if best < 0 {
 			best = mi
 			continue
 		}
-		b := st.lib.Module(best)
+		b := lib.Module(best)
 		if m.Delay < b.Delay || (m.Delay == b.Delay && m.Area < b.Area) {
 			best = mi
 		}
 	}
 	if best < 0 {
-		return 0, fmt.Errorf("core: no module for %s fits P< = %.3g: %w", op, st.cons.PowerMax, ErrInfeasible)
+		return 0, fmt.Errorf("core: no module for %s fits P< = %.3g: %w", op, cons.PowerMax, ErrInfeasible)
 	}
 	return best, nil
 }
@@ -800,26 +804,23 @@ func (st *state) committedProfile() []float64 {
 	return p
 }
 
-// rebuildCommitted recomputes the profile and the reservation lists from
-// the committed state. The clique-partition and stitch paths commit in
-// bulk, and the stitch's re-timings move starts, without going through
-// commit(); they call this before the next probe.
+// rebuildCommitted recomputes the profile from the committed state. The
+// clique-partition and stitch paths commit in bulk without going through
+// commit(), and the shift merge re-times in place; they call this before
+// the next probe.
 func (st *state) rebuildCommitted() {
 	clear(st.profile)
-	st.resv = make([][]interval, len(st.fus))
 	for f := range st.fus {
 		for _, op := range st.fus[f].ops {
-			iv := interval{st.start[op], st.start[op] + st.delays[op]}
-			st.resv[f] = append(st.resv[f], iv)
-			for c := iv.s; c < iv.e && c < len(st.profile); c++ {
+			for c := st.start[op]; c < st.start[op]+st.delays[op] && c < len(st.profile); c++ {
 				st.profile[c] += st.powers[op]
 			}
 		}
 	}
 }
 
-// auditCommitted panics unless the maintained profile and reservation
-// lists equal a from-scratch rebuild. Test-only invariant, checked under
+// auditCommitted panics unless the maintained profile equals a
+// from-scratch rebuild. Test-only invariant, checked under
 // Config.coldWindows.
 func (st *state) auditCommitted() {
 	for c, want := range st.committedProfile() {
@@ -827,23 +828,9 @@ func (st *state) auditCommitted() {
 			panic(fmt.Sprintf("core: committed profile audit failed: cycle %d draws %g, rebuilt %g", c, st.profile[c], want))
 		}
 	}
-	if len(st.resv) != len(st.fus) {
-		panic(fmt.Sprintf("core: reservation audit failed: %d lists for %d instances", len(st.resv), len(st.fus)))
-	}
-	for f, inst := range st.fus {
-		if len(st.resv[f]) != len(inst.ops) {
-			panic(fmt.Sprintf("core: reservation audit failed: instance %d has %d intervals for %d ops", f, len(st.resv[f]), len(inst.ops)))
-		}
-		for k, op := range inst.ops {
-			if want := (interval{st.start[op], st.start[op] + st.delays[op]}); st.resv[f][k] != want {
-				panic(fmt.Sprintf("core: reservation audit failed: instance %d interval %d is %+v, rebuilt %+v", f, k, st.resv[f][k], want))
-			}
-		}
-	}
 }
 
-// commit applies a decision, folding it into the profile and the
-// reservation lists.
+// commit applies a decision, folding it into the profile.
 func (st *state) commit(d Decision) {
 	mi := st.moduleIndexOf(d)
 	m := st.lib.Module(mi)
@@ -852,12 +839,10 @@ func (st *state) commit(d Decision) {
 	st.setModule(d.Node, mi)
 	if d.NewFU {
 		st.fus = append(st.fus, instance{module: mi})
-		st.resv = append(st.resv, nil)
 		st.fuAreaCommitted += m.Area
 	}
 	st.fuOf[d.Node] = d.FU
 	st.fus[d.FU].ops = append(st.fus[d.FU].ops, d.Node)
-	st.resv[d.FU] = append(st.resv[d.FU], interval{d.Start, d.Start + m.Delay})
 	for c := d.Start; c < d.Start+m.Delay && c < len(st.profile); c++ {
 		st.profile[c] += m.Power
 	}
@@ -880,15 +865,13 @@ func (st *state) uncommit(d Decision) {
 	st.fuOf[d.Node] = -1
 	f := &st.fus[d.FU]
 	f.ops = f.ops[:len(f.ops)-1]
-	st.resv[d.FU] = st.resv[d.FU][:len(st.resv[d.FU])-1]
 	if d.NewFU {
 		st.fuAreaCommitted -= st.lib.Module(st.fus[d.FU].module).Area
 		st.fus = st.fus[:len(st.fus)-1]
-		st.resv = st.resv[:len(st.resv)-1]
 	}
 	st.decisions = st.decisions[:len(st.decisions)-1]
 	// Restore the assumed module for the node.
-	if mi, err := st.fastestFeasible(st.g.Node(d.Node).Op); err == nil {
+	if mi, err := fastestFeasible(st.lib, st.cons, st.g.Node(d.Node).Op); err == nil {
 		st.setModule(d.Node, mi)
 	}
 }

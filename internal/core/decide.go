@@ -322,48 +322,53 @@ func (st *state) amortizedAreaWith(mi, potential int) float64 {
 	return m.Area / float64(share)
 }
 
-// interval is one busy span [s, e) of an instance.
-type interval struct{ s, e int }
-
-// freeSlot returns the earliest start t within w at which none of the busy
-// intervals overlap an execution of d cycles and the committed power
-// profile leaves room for the module's power, or ok=false.
-func (st *state) freeSlot(busy []interval, w sched.Window, d int, power float64) (int, bool) {
+// freeSlot is the decision loop's placement probe: the start fit finds
+// for v in window w under a candidate module of delay d and the given
+// power, walking w from the palap end under a PlaceLate perturbation
+// (which shifts sharing opportunities toward later cycles). Every call
+// counts one profile probe.
+func (st *state) freeSlot(v cdfg.NodeID, busy []cdfg.NodeID, w sched.Window, d int, power float64) (int, bool) {
 	st.stats.ProfileProbes++
-	horizon := st.cons.Deadline
-	var prof []float64
-	if st.cons.PowerMax > 0 {
-		prof = st.profile
+	return st.fit(v, busy, w.Early, w.Late, d, power, st.cfg.Perturb.PlaceLate)
+}
+
+// fit is the paper's placement rule, the one earliest-fit search of the
+// engine: the first start t in [lo, hi] (the last one when late) at which
+// an execution of d cycles ends by the deadline, overlaps no busy
+// operation other than x — busy intervals are read from start and delays
+// — and, under a cap, keeps every covered cycle c within it:
+// profile[c] + base(c) + p <= P<. Blocked starts are skipped in jumps
+// (past a colliding operation, past an over-cap cycle) rather than one
+// cycle at a time; every skipped start is blocked by the same cause.
+func (st *state) fit(x cdfg.NodeID, busy []cdfg.NodeID, lo, hi, d int, p float64, late bool) (int, bool) {
+	hi = min(hi, st.cons.Deadline-d)
+	t := lo
+	if late {
+		t = hi
 	}
-	// The paper packs operations as early as possible; a PlaceLate
-	// perturbation walks the window from the palap end instead, which
-	// shifts sharing opportunities toward later cycles.
-	from, to, step := w.Early, w.Late, 1
-	if st.cfg.Perturb.PlaceLate {
-		from, to, step = w.Late, w.Early, -1
-	}
-	for t := from; (step > 0 && t <= to) || (step < 0 && t >= to); t += step {
-		if t+d > horizon {
-			continue
-		}
-		ok := true
-		for _, b := range busy {
-			if t < b.e && b.s < t+d {
-				ok = false
-				break
+search:
+	for lo <= t && t <= hi {
+		for _, o := range busy {
+			if s, e := st.start[o], st.start[o]+st.delays[o]; o != x && s < t+d && t < e {
+				t = e
+				if late {
+					t = s - d
+				}
+				continue search
 			}
 		}
-		if ok && prof != nil {
+		if st.cons.PowerMax > 0 {
 			for c := t; c < t+d; c++ {
-				if prof[c]+st.baseAt(c)+power > st.cons.PowerMax+1e-9 {
-					ok = false
-					break
+				if st.profile[c]+st.baseAt(c)+p > st.cons.PowerMax+1e-9 {
+					t = c + 1
+					if late {
+						t = c - d
+					}
+					continue search
 				}
 			}
 		}
-		if ok {
-			return t, true
-		}
+		return t, true
 	}
 	return 0, false
 }
@@ -483,14 +488,14 @@ func (st *state) bestDecision() (Decision, bool) {
 				if st.v1 != nil && !st.v1.ShareOK(v, mi, st.fus[f].ops) {
 					continue
 				}
-				if t, ok := st.freeSlot(st.resv[f], w, m.Delay, m.Power); ok {
+				if t, ok := st.freeSlot(v, st.fus[f].ops, w, m.Delay, m.Power); ok {
 					consider(Decision{
 						Node: v, Module: m.Name, FU: f, NewFU: false,
 						Start: t, Cost: st.muxEstimate(v, f),
 					}, w.Width())
 				}
 			}
-			if t, ok := st.freeSlot(nil, w, m.Delay, m.Power); ok {
+			if t, ok := st.freeSlot(v, nil, w, m.Delay, m.Power); ok {
 				a := st.amortizedAreaWith(mi, st.potential[mi])
 				if newMi < 0 || a < newAmort {
 					newMi, newStart, newWidth, newAmort = mi, t, w.Width(), a

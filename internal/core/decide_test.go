@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"pchls/internal/bench"
@@ -26,7 +27,7 @@ func newTestState(t *testing.T, g *cdfg.Graph, cons Constraints) *state {
 		st.fuOf[i] = -1
 	}
 	for _, n := range g.Nodes() {
-		mi, err := st.fastestFeasible(n.Op)
+		mi, err := fastestFeasible(lib, cons, n.Op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,24 +109,26 @@ func TestMuxEstimate(t *testing.T) {
 func TestFreeSlot(t *testing.T) {
 	g := bench.HAL()
 	st := newTestState(t, g, Constraints{Deadline: 10, PowerMax: 100})
-	// One busy interval [2,4): a 2-cycle op with window [0,6] fits at 0.
-	busy := []interval{{2, 4}}
-	if tt, ok := st.freeSlot(busy, sched.Window{Early: 0, Late: 6}, 2, 8.1); !ok || tt != 0 {
+	// One busy op over [2,4): a 2-cycle op with window [0,6] fits at 0.
+	muls := g.NodesOf(cdfg.Mul)
+	v, other := muls[0], muls[1]
+	st.start[other], st.delays[other] = 2, 2
+	busy := []cdfg.NodeID{other}
+	if tt, ok := st.freeSlot(v, busy, sched.Window{Early: 0, Late: 6}, 2, 8.1); !ok || tt != 0 {
 		t.Fatalf("freeSlot = %d, %v; want 0", tt, ok)
 	}
 	// Window starting at 1: [1,3) overlaps, [2,4) overlaps, 4 is free.
-	if tt, ok := st.freeSlot(busy, sched.Window{Early: 1, Late: 6}, 2, 8.1); !ok || tt != 4 {
+	if tt, ok := st.freeSlot(v, busy, sched.Window{Early: 1, Late: 6}, 2, 8.1); !ok || tt != 4 {
 		t.Fatalf("freeSlot = %d, %v; want 4", tt, ok)
 	}
 	// No room before the deadline: a 2-cycle op at window [9,9] ends at 11.
-	if _, ok := st.freeSlot(nil, sched.Window{Early: 9, Late: 9}, 2, 8.1); ok {
+	if _, ok := st.freeSlot(v, nil, sched.Window{Early: 9, Late: 9}, 2, 8.1); ok {
 		t.Fatal("slot beyond deadline accepted")
 	}
 	// Power-blocked: commit an op drawing 8.1 at cycles 0-1, cap 10.
 	st.cons.PowerMax = 10
-	mul := g.NodesOf(cdfg.Mul)[0]
-	st.commit(Decision{Node: mul, Module: st.lib.Module(st.moduleOf[mul]).Name, FU: 0, NewFU: true, Start: 0})
-	if tt, ok := st.freeSlot(nil, sched.Window{Early: 0, Late: 6}, 1, 8.1); !ok || tt != 2 {
+	st.commit(Decision{Node: v, Module: st.lib.Module(st.moduleOf[v]).Name, FU: 0, NewFU: true, Start: 0})
+	if tt, ok := st.freeSlot(other, nil, sched.Window{Early: 0, Late: 6}, 1, 8.1); !ok || tt != 2 {
 		t.Fatalf("power-blocked freeSlot = %d, %v; want 2", tt, ok)
 	}
 }
@@ -133,7 +136,7 @@ func TestFreeSlot(t *testing.T) {
 func TestFastestFeasibleRespectsPowerCap(t *testing.T) {
 	g := bench.HAL()
 	st := newTestState(t, g, Constraints{Deadline: 20, PowerMax: 5})
-	mi, err := st.fastestFeasible(cdfg.Mul)
+	mi, err := fastestFeasible(st.lib, st.cons, cdfg.Mul)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,95 @@ func TestFastestFeasibleRespectsPowerCap(t *testing.T) {
 		t.Fatalf("under P<=5 the serial mult is the only feasible one, got %q", st.lib.Module(mi).Name)
 	}
 	st.cons.PowerMax = 1
-	if _, err := st.fastestFeasible(cdfg.Mul); err == nil {
+	if _, err := fastestFeasible(st.lib, st.cons, cdfg.Mul); err == nil {
 		t.Fatal("P<=1 accepted for multiplication")
 	}
+}
+
+// FuzzFit holds the engine's one earliest-fit search to the paper's rule
+// written out naively: walk the window one cycle at a time (from the late
+// end when late) and take the first start whose execution ends by the
+// deadline, overlaps no busy operation other than the one being placed
+// and keeps every covered cycle's profile + base + power under the cap.
+// fit's jumps over blocked starts must never change the answer.
+func FuzzFit(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(0), uint8(11), uint8(2), uint8(4), true)
+	f.Add(int64(2), uint8(30), uint8(3), uint8(20), uint8(3), uint8(6), true)
+	f.Add(int64(3), uint8(8), uint8(2), uint8(2), uint8(1), uint8(0), false)
+	f.Add(int64(4), uint8(40), uint8(0), uint8(45), uint8(5), uint8(8), true)
+	f.Fuzz(func(t *testing.T, seed int64, deadline, lo, hi, delay, nbusy uint8, capped bool) {
+		T, d := 1+int(deadline%48), 1+int(delay%6)
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nbusy%10)
+		st := &state{
+			cons:    Constraints{Deadline: T},
+			start:   make([]int, n),
+			delays:  make([]int, n),
+			profile: make([]float64, T),
+		}
+		busy := make([]cdfg.NodeID, 0, n)
+		for o := 0; o < n; o++ {
+			st.start[o], st.delays[o] = rng.Intn(T), 1+rng.Intn(5)
+			if rng.Intn(4) > 0 {
+				busy = append(busy, cdfg.NodeID(o))
+			}
+		}
+		// Multiples of 0.1 make exact ties with the cap likely.
+		for c := range st.profile {
+			st.profile[c] = 0.1 * float64(rng.Intn(8))
+		}
+		st.cfg.baseProfile = make([]float64, rng.Intn(T+4))
+		for c := range st.cfg.baseProfile {
+			st.cfg.baseProfile[c] = 0.1 * float64(rng.Intn(5))
+		}
+		p := 0.1 * float64(1+rng.Intn(6))
+		if capped {
+			st.cons.PowerMax = 0.1 * float64(1+rng.Intn(14))
+		}
+		x := cdfg.NodeID(rng.Intn(n))
+		naive := func(late bool) (int, bool) {
+			fits := func(t int) bool {
+				if t+d > T {
+					return false
+				}
+				for _, o := range busy {
+					if o != x && st.start[o] < t+d && t < st.start[o]+st.delays[o] {
+						return false
+					}
+				}
+				for c := t; capped && c < t+d; c++ {
+					base := 0.0
+					if c < len(st.cfg.baseProfile) {
+						base = st.cfg.baseProfile[c]
+					}
+					if st.profile[c]+base+p > st.cons.PowerMax+1e-9 {
+						return false
+					}
+				}
+				return true
+			}
+			if late {
+				for t := int(hi); t >= int(lo); t-- {
+					if fits(t) {
+						return t, true
+					}
+				}
+				return 0, false
+			}
+			for t := int(lo); t <= int(hi); t++ {
+				if fits(t) {
+					return t, true
+				}
+			}
+			return 0, false
+		}
+		for _, late := range []bool{false, true} {
+			wt, wok := naive(late)
+			gt, gok := st.fit(x, busy, int(lo), int(hi), d, p, late)
+			if gt != wt || gok != wok {
+				t.Fatalf("late=%v T=%d window [%d,%d] d=%d p=%g cap=%g: fit = %d,%v; naive scan = %d,%v",
+					late, T, lo, hi, d, p, st.cons.PowerMax, gt, gok, wt, wok)
+			}
+		}
+	})
 }

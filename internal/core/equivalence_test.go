@@ -244,8 +244,8 @@ func TestGoldenEquivalenceParallelGrid(t *testing.T) {
 }
 
 // TestGoldenEquivalenceCliqueMode pins the static clique-partitioning
-// baseline, whose merge pass runs over the maintained reservation lists
-// (audited against a from-scratch rebuild on the cold side).
+// baseline, whose packing places on the engine's profile (audited against
+// a from-scratch rebuild on the cold side).
 func TestGoldenEquivalenceCliqueMode(t *testing.T) {
 	lib := library.Table1()
 	for _, name := range goldenBenchmarks {

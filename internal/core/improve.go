@@ -121,9 +121,9 @@ func (st *state) areaDescent() {
 }
 
 // mergePass tries to merge functional-unit instances of the same module
-// whose reservations do not overlap, keeping a merge whenever it reduces
-// the exact datapath area (functional units, registers and interconnect).
-// It runs after all operations are committed.
+// whose operations do not overlap in time, keeping a merge whenever it
+// reduces the exact datapath area (functional units, registers and
+// interconnect). It runs after all operations are committed.
 func (st *state) mergePass() {
 	area := func() (float64, bool) {
 		d, err := st.finish()
@@ -160,11 +160,12 @@ func (st *state) mergePass() {
 	}
 }
 
-// overlaps reports whether any reservation of instance i overlaps one of j.
+// overlaps reports whether any operation of instance i overlaps one of j
+// in time.
 func (st *state) overlaps(i, j int) bool {
-	for _, a := range st.resv[i] {
-		for _, b := range st.resv[j] {
-			if a.s < b.e && b.s < a.e {
+	for _, a := range st.fus[i].ops {
+		for _, b := range st.fus[j].ops {
+			if st.start[a] < st.start[b]+st.delays[b] && st.start[b] < st.start[a]+st.delays[a] {
 				return true
 			}
 		}
@@ -175,7 +176,6 @@ func (st *state) overlaps(i, j int) bool {
 type fuSnapshot struct {
 	fus  []instance
 	fuOf []int
-	resv [][]interval
 }
 
 func (st *state) snapshotFUs() fuSnapshot {
@@ -186,26 +186,19 @@ func (st *state) snapshotFUs() fuSnapshot {
 	for i, f := range st.fus {
 		s.fus[i] = instance{module: f.module, ops: append([]cdfg.NodeID(nil), f.ops...)}
 	}
-	s.resv = make([][]interval, len(st.resv))
-	for i, r := range st.resv {
-		s.resv[i] = append([]interval(nil), r...)
-	}
 	return s
 }
 
 func (st *state) restoreFUs(s fuSnapshot) {
 	st.fus = s.fus
 	st.fuOf = s.fuOf
-	st.resv = s.resv
 }
 
 // mergeFUs moves all ops of instance j onto instance i and deletes j,
-// renumbering fuOf (and the reservation lists alongside).
+// renumbering fuOf.
 func (st *state) mergeFUs(i, j int) {
 	st.fus[i].ops = append(st.fus[i].ops, st.fus[j].ops...)
 	st.fus = append(st.fus[:j], st.fus[j+1:]...)
-	st.resv[i] = append(st.resv[i], st.resv[j]...)
-	st.resv = append(st.resv[:j], st.resv[j+1:]...)
 	for n := range st.fuOf {
 		switch {
 		case st.fuOf[n] == j:

@@ -8,8 +8,12 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"pchls/internal/cdfg"
 	"pchls/internal/gen"
 	"pchls/internal/sched"
 	"pchls/internal/verify"
@@ -185,5 +189,99 @@ func TestMinCutAreaGapUnconstrained(t *testing.T) {
 	}
 	if gap := part / mono; gap > 1.15 {
 		t.Fatalf("aggregate min-cut area gap %.4f exceeds 1.15", gap)
+	}
+}
+
+// TestShiftMergeRollbackExact pins the shift merge's rollback: a
+// tryShiftMerge that keeps no merge must leave the state exactly as it
+// found it — starts, modules, delays, powers, bindings, instances and
+// every profile cycle's bits. Each forced-partition connected instance's
+// design, and its monolithic design (which never met a shift merge), is
+// loaded into a fresh state the way the stitch loads its regions, and
+// driven through the pass's own pair loop with every rejected call
+// checked.
+func TestShiftMergeRollbackExact(t *testing.T) {
+	type snapshot struct {
+		start, moduleOf, delays, fuOf []int
+		powers                        []float64
+		fus                           []instance
+		profile                       []uint64
+	}
+	take := func(st *state) snapshot {
+		s := snapshot{
+			start:    slices.Clone(st.start),
+			moduleOf: slices.Clone(st.moduleOf),
+			delays:   slices.Clone(st.delays),
+			fuOf:     slices.Clone(st.fuOf),
+			powers:   slices.Clone(st.powers),
+		}
+		for _, f := range st.fus {
+			s.fus = append(s.fus, instance{module: f.module, ops: slices.Clone(f.ops)})
+		}
+		for _, p := range st.profile {
+			s.profile = append(s.profile, math.Float64bits(p))
+		}
+		return s
+	}
+	load := func(d *Design) *state {
+		st, err := newState(d.Graph, d.Library, d.Cons, Config{partition: partitionOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi, fu := range d.FUs {
+			st.fus = append(st.fus, instance{module: st.nameToMi[fu.Module.Name], ops: slices.Clone(fu.Ops)})
+			for _, v := range fu.Ops {
+				st.fuOf[v] = fi
+			}
+		}
+		for v := range st.start {
+			st.committed[v] = true
+			st.start[v] = d.Schedule.Start[v]
+			st.setModule(cdfg.NodeID(v), st.nameToMi[d.Schedule.Module[v]])
+		}
+		st.rebuildCommitted()
+		return st
+	}
+	var rejected, accepted int
+	for seed := int64(0); seed < 4; seed++ {
+		inst, cons := connectedInstance(t, gen.PresetLayered, 120, seed, 0.4)
+		for _, part := range []partitionPolicy{partitionForce, partitionOff} {
+			d, err := Synthesize(inst.Graph, inst.Library, cons, Config{partition: part})
+			if err != nil {
+				continue
+			}
+			st := load(d)
+			d0, err := st.finish()
+			if err != nil {
+				t.Fatalf("seed %d: loaded design fails finish: %v", seed, err)
+			}
+			cur := d0.Area()
+			for changed := true; changed; {
+				changed = false
+				for i := 0; i < len(st.fus); i++ {
+					for j := i + 1; j < len(st.fus); j++ {
+						if st.fus[i].module == st.fus[j].module && !st.overlaps(i, j) {
+							continue
+						}
+						before := take(st)
+						a, ok := st.tryShiftMerge(i, j, cur)
+						if ok {
+							cur, changed = a, true
+							accepted++
+							j--
+							continue
+						}
+						rejected++
+						if after := take(st); !reflect.DeepEqual(before, after) {
+							t.Fatalf("seed %d: rejected tryShiftMerge(%d, %d) changed the state", seed, i, j)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("checked %d rejected tryShiftMerge calls (%d accepted)", rejected, accepted)
+	if rejected == 0 {
+		t.Fatal("no rejected tryShiftMerge call was checked")
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
@@ -272,20 +273,11 @@ func addGhostInput(sub *cdfg.Graph) {
 func fastestDelays(g *cdfg.Graph, lib *library.Library, cons Constraints) ([]int, error) {
 	delays := make([]int, g.N())
 	for _, node := range g.Nodes() {
-		best := -1
-		for _, mi := range lib.Candidates(node.Op) {
-			m := lib.Module(mi)
-			if cons.PowerMax > 0 && m.Power > cons.PowerMax+1e-9 {
-				continue
-			}
-			if best < 0 || m.Delay < lib.Module(best).Delay {
-				best = mi
-			}
+		mi, err := fastestFeasible(lib, cons, node.Op)
+		if err != nil {
+			return nil, err
 		}
-		if best < 0 {
-			return nil, fmt.Errorf("core: no module for %s fits P< = %.3g: %w", node.Op, cons.PowerMax, ErrInfeasible)
-		}
-		delays[node.ID] = lib.Module(best).Delay
+		delays[node.ID] = lib.Module(mi).Delay
 	}
 	return delays, nil
 }
@@ -436,224 +428,228 @@ func (st *state) shiftMergePass() bool {
 	return any
 }
 
-// canHost reports whether module mi implements the operation class of
-// every listed node.
-func (st *state) canHost(mi int, ops []cdfg.NodeID) bool {
-	for _, x := range ops {
-		ok := false
-		for _, c := range st.lib.Candidates(st.g.Node(x).Op) {
-			if c == mi {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // tryShiftMerge re-times operations so instances i and j can share one
 // timeline, then merges j into i when the exact area strictly improves.
 // Same-module pairs attempt three progressively more aggressive
-// re-timings: move j's operations around i's fixed reservations, move i's
-// around j's, and finally re-pack the union from an empty timeline.
+// re-timings: move j's operations around i's fixed ones, move i's around
+// j's, and finally re-pack the union from an empty timeline.
 // Different-module pairs additionally re-bind one side's operations onto
 // the other's module (both directions tried) before re-timing. The first
 // attempt whose merged design passes the full finish validation and
-// shrinks the exact area wins; every rejected attempt is rolled back
-// completely. Returns the new area and whether a merge was kept.
+// shrinks the exact area wins.
+//
+// Attempts change the engine's own start, moduleOf and profile in place,
+// and every value they overwrite goes to the undo log; a rejected attempt
+// is rolled back by restoring the saved values, so the next one starts
+// from the entry state bit for bit. The profile is rebuilt from scratch
+// after an accepted attempt and, once the remaining attempts are done,
+// after a packed attempt that finish rejected: a rebuild sums in instance
+// order, so deferring it keeps every attempt of the call on the bits it
+// entered with. Returns the new area and whether a merge was kept.
 func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
-	iOps := append([]cdfg.NodeID(nil), st.fus[i].ops...)
-	jOps := append([]cdfg.NodeID(nil), st.fus[j].ops...)
-	union := append(append([]cdfg.NodeID(nil), iOps...), jOps...)
-	iResv := append([]interval(nil), st.resv[i]...)
-	jResv := append([]interval(nil), st.resv[j]...)
 	mi, mj := st.fus[i].module, st.fus[j].module
 	type attempt struct {
-		rebind []cdfg.NodeID // ops re-bound to the target module first
-		target int           // merged instance's module
-		moving []cdfg.NodeID
-		fixed  []interval
-		ripple bool // ripplePack instead of packShift
+		rebind int // instance whose ops are re-bound to target first, or -1
+		target int // merged instance's module
+		fixed  int // instance packShift keeps in place, or -1 for neither
+		ripple bool
 	}
-	var attempts []attempt
+	hosts := func(mi, f int) bool {
+		m := st.lib.Module(mi)
+		for _, x := range st.fus[f].ops {
+			if !m.Implements(st.g.Node(x).Op) {
+				return false
+			}
+		}
+		return true
+	}
+	var buf [6]attempt
+	attempts := buf[:0]
 	if mi == mj {
-		attempts = []attempt{
-			{nil, mi, jOps, iResv, false},
-			{nil, mi, iOps, jResv, false},
-			{nil, mi, union, nil, false},
-			{nil, mi, union, nil, true},
-		}
+		attempts = append(attempts,
+			attempt{-1, mi, i, false},
+			attempt{-1, mi, j, false},
+			attempt{-1, mi, -1, false},
+			attempt{-1, mi, -1, true})
 	} else {
-		if st.canHost(mi, jOps) {
+		if hosts(mi, j) {
 			attempts = append(attempts,
-				attempt{jOps, mi, jOps, iResv, false},
-				attempt{jOps, mi, union, nil, false},
-				attempt{jOps, mi, union, nil, true})
+				attempt{j, mi, i, false},
+				attempt{j, mi, -1, false},
+				attempt{j, mi, -1, true})
 		}
-		if st.canHost(mj, iOps) {
+		if hosts(mj, i) {
 			attempts = append(attempts,
-				attempt{iOps, mj, iOps, jResv, false},
-				attempt{iOps, mj, union, nil, false},
-				attempt{iOps, mj, union, nil, true})
+				attempt{i, mj, j, false},
+				attempt{i, mj, -1, false},
+				attempt{i, mj, -1, true})
 		}
 	}
-	// Committed per-cycle power at entry, copied once per call from the
-	// maintained profile. Each attempt below works on its own copy, patched
-	// for the ops it re-binds (a module change the profile has not seen),
-	// so the re-timings never pay the full-profile rebuild that dominated
-	// the stitch at n=1000.
-	var baseProf []float64
-	if st.cons.PowerMax > 0 {
-		baseProf = append([]float64(nil), st.profile...)
-	}
+	rebuild := false
 	for _, at := range attempts {
-		var prof []float64
-		if baseProf != nil {
-			prof = append([]float64(nil), baseProf...)
-		}
-		oldMods := make([]int, len(at.rebind))
-		for k, x := range at.rebind {
-			oldMods[k] = st.moduleOf[x]
-			if prof != nil {
-				for c := st.start[x]; c < st.start[x]+st.delays[x] && c < len(prof); c++ {
-					prof[c] -= st.powers[x]
-				}
-			}
-			st.setModule(x, at.target)
-			if prof != nil {
-				for c := st.start[x]; c < st.start[x]+st.delays[x] && c < len(prof); c++ {
-					prof[c] += st.powers[x]
-				}
+		if at.rebind >= 0 {
+			for _, x := range st.fus[at.rebind].ops {
+				st.logDraw(x, true)
+				st.logModule(x, at.target)
+				st.logDraw(x, false)
 			}
 		}
-		unbind := func() {
-			for k, x := range at.rebind {
-				st.setModule(x, oldMods[k])
-			}
-		}
-		var revert func()
 		var ok bool
 		if at.ripple {
-			revert, ok = st.ripplePack(i, j, prof)
+			ok = st.ripplePack(i, j)
 		} else {
-			revert, ok = st.packShift(at.moving, at.fixed, prof)
+			ok = st.packShift(i, j, at.fixed)
 		}
-		if !ok {
-			unbind()
-			continue
+		if ok {
+			saved := st.snapshotFUs()
+			st.fus[i].module = at.target
+			st.mergeFUs(i, j)
+			if d, err := st.finish(); err == nil && d.Area() < cur-1e-9 {
+				st.undo = st.undo[:0]
+				st.rebuildCommitted()
+				return d.Area(), true
+			}
+			st.restoreFUs(saved)
+			rebuild = true
 		}
-		saved := st.snapshotFUs()
-		st.fus[i].module = at.target
-		st.mergeFUs(i, j)
-		st.rebuildCommitted()
-		if d2, err := st.finish(); err == nil && d2.Area() < cur-1e-9 {
-			return d2.Area(), true
-		}
-		st.restoreFUs(saved)
-		revert()
-		unbind()
+		st.rollback()
+	}
+	if rebuild {
 		st.rebuildCommitted()
 	}
 	return cur, false
 }
 
-// packShift re-times the moving operations to the earliest
-// collision-free, power-feasible starts inside their precedence-local
-// windows, treating fixed as immovable reservations of the target
-// instance. Operations are processed in committed start order — committed
-// schedules satisfy precedence, so the order is precedence-consistent
-// even across two instances — and moves apply eagerly so later operations
-// see updated predecessor finishes. prof is the caller's private copy of
-// the committed per-cycle power (nil without a cap); it is consumed — the
-// bookkeeping mutates it freely. On success the moves are left applied
-// and the returned closure undoes them; on failure everything is already
-// rolled back.
-func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float64) (func(), bool) {
-	T := st.cons.Deadline
-	ops := append([]cdfg.NodeID(nil), moving...)
-	sort.Slice(ops, func(a, b int) bool {
-		if st.start[ops[a]] != st.start[ops[b]] {
-			return st.start[ops[a]] < st.start[ops[b]]
+// undoRec is one saved value of the shift merge's undo log: the start or
+// the module of node at, or the profile value of cycle at.
+type undoRec struct {
+	kind undoKind
+	at   int
+	old  int
+	oldP float64
+}
+
+type undoKind uint8
+
+const (
+	undoStart undoKind = iota
+	undoModule
+	undoProfile
+)
+
+// logStart moves x to start t under the undo log.
+func (st *state) logStart(x cdfg.NodeID, t int) {
+	st.undo = append(st.undo, undoRec{kind: undoStart, at: int(x), old: st.start[x]})
+	st.start[x] = t
+}
+
+// logModule re-binds x to module mi under the undo log.
+func (st *state) logModule(x cdfg.NodeID, mi int) {
+	st.undo = append(st.undo, undoRec{kind: undoModule, at: int(x), old: st.moduleOf[x]})
+	st.setModule(x, mi)
+}
+
+// logDraw adds x's power over its execution to the profile, or withdraws
+// it when remove is set, under the undo log.
+func (st *state) logDraw(x cdfg.NodeID, remove bool) {
+	p := st.powers[x]
+	if remove {
+		p = -p
+	}
+	for c := st.start[x]; c < st.start[x]+st.delays[x] && c < len(st.profile); c++ {
+		st.undo = append(st.undo, undoRec{kind: undoProfile, at: c, oldP: st.profile[c]})
+		st.profile[c] += p
+	}
+}
+
+// rollback restores every value the undo log saved, newest first, and
+// empties the log.
+func (st *state) rollback() {
+	for k := len(st.undo) - 1; k >= 0; k-- {
+		switch r := st.undo[k]; r.kind {
+		case undoStart:
+			st.start[r.at] = r.old
+		case undoModule:
+			st.setModule(cdfg.NodeID(r.at), r.old)
+		case undoProfile:
+			st.profile[r.at] = r.oldP
 		}
-		return ops[a] < ops[b]
+	}
+	st.undo = st.undo[:0]
+}
+
+// retime moves x, under the undo log, to the earliest start from lo at
+// which its execution ends by end, collides with no busy operation and
+// fits the profile once its own draw is withdrawn. On failure the caller
+// rolls the attempt back.
+func (st *state) retime(x cdfg.NodeID, busy []cdfg.NodeID, lo, end int) bool {
+	st.logDraw(x, true)
+	d := st.delays[x]
+	t, ok := st.fit(x, busy, lo, end-d, d, st.powers[x], false)
+	if !ok {
+		return false
+	}
+	st.logStart(x, t)
+	st.logDraw(x, false)
+	return true
+}
+
+// readyAt returns the cycle by which all of x's predecessors finish.
+func (st *state) readyAt(x cdfg.NodeID) int {
+	lo := 0
+	for _, pr := range st.g.Preds(x) {
+		lo = max(lo, st.start[pr]+st.delays[pr])
+	}
+	return lo
+}
+
+// shiftOps fills the shift merge's scratch with the operations of
+// instance fixed (none when -1), followed by the moving ones — those of
+// the other of i and j, or of both — in committed start order. Committed
+// schedules satisfy precedence, so that order is precedence-consistent
+// even across two instances. It returns the list and the fixed count.
+func (st *state) shiftOps(i, j, fixed int) ([]cdfg.NodeID, int) {
+	ops := st.shiftBuf[:0]
+	if fixed >= 0 {
+		ops = append(ops, st.fus[fixed].ops...)
+	}
+	nf := len(ops)
+	for _, f := range [2]int{i, j} {
+		if f != fixed {
+			ops = append(ops, st.fus[f].ops...)
+		}
+	}
+	slices.SortFunc(ops[nf:], func(a, b cdfg.NodeID) int {
+		return cmp.Or(cmp.Compare(st.start[a], st.start[b]), cmp.Compare(a, b))
 	})
-	inMoving := make(map[cdfg.NodeID]bool, len(ops))
-	for _, x := range ops {
-		inMoving[x] = true
-	}
-	busy := append([]interval(nil), fixed...)
-	type move struct {
-		id  cdfg.NodeID
-		old int
-	}
-	undo := make([]move, 0, len(ops))
-	revert := func() {
-		for k := len(undo) - 1; k >= 0; k-- {
-			st.start[undo[k].id] = undo[k].old
-		}
-	}
-	for _, x := range ops {
-		d, p := st.delays[x], st.powers[x]
-		lo := 0
-		for _, pr := range st.g.Preds(x) {
-			if e := st.start[pr] + st.delays[pr]; e > lo {
-				lo = e
-			}
-		}
-		hi := T
+	st.shiftBuf = ops
+	return ops, nf
+}
+
+// packShift re-times the operations of i and j other than the fixed
+// instance's to the earliest collision-free, power-feasible starts inside
+// their precedence-local windows, around the fixed instance's operations.
+// Operations move in committed start order and eagerly, so later ones see
+// updated predecessor finishes. Moves go under the undo log; on failure
+// the caller rolls them back.
+func (st *state) packShift(i, j, fixed int) bool {
+	busy, nf := st.shiftOps(i, j, fixed)
+	for k, x := range busy[nf:] {
+		end := st.cons.Deadline
 		for _, sc := range st.g.Succs(x) {
 			// Successors that move too are re-placed after x (the start
 			// order respects precedence), with a lower bound that already
 			// covers this edge — they do not pin x's window.
-			if inMoving[sc] {
+			if f := st.fuOf[sc]; (f == i || f == j) && f != fixed {
 				continue
 			}
-			if st.start[sc] < hi {
-				hi = st.start[sc]
-			}
+			end = min(end, st.start[sc])
 		}
-		if prof != nil {
-			for c := st.start[x]; c < st.start[x]+d && c < len(prof); c++ {
-				prof[c] -= p
-			}
-		}
-		t, found := lo, false
-	search:
-		for t+d <= hi {
-			for _, b := range busy {
-				if b.s < t+d && t < b.e {
-					t = b.e
-					continue search
-				}
-			}
-			if prof != nil {
-				for c := t; c < t+d; c++ {
-					if c >= len(prof) || prof[c]+p+st.baseAt(c) > st.cons.PowerMax+1e-9 {
-						t = c + 1
-						continue search
-					}
-				}
-			}
-			found = true
-			break
-		}
-		if !found {
-			revert()
-			return nil, false
-		}
-		undo = append(undo, move{x, st.start[x]})
-		st.start[x] = t
-		busy = append(busy, interval{t, t + d})
-		if prof != nil {
-			for c := t; c < t+d && c < len(prof); c++ {
-				prof[c] += p
-			}
+		if !st.retime(x, busy[:nf+k], st.readyAt(x), end) {
+			return false
 		}
 	}
-	return revert, true
+	return true
 }
 
 // ripplePack is the most aggressive re-timing of the shift merge: the
@@ -668,123 +664,39 @@ func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float6
 // Zero-slack neighborhoods that packShift cannot touch (every region ends
 // up deadline-tight after its own area descent) become mergeable at the
 // price of re-timing bystander operations; the full finish validation
-// still gates acceptance. Same contract as packShift: prof is the
-// caller's private, freely mutated copy of the committed power profile
-// (nil without a cap); on success the moves are applied and the closure
-// undoes them, on failure everything is already rolled back.
-func (st *state) ripplePack(i, j int, prof []float64) (func(), bool) {
-	T := st.cons.Deadline
+// still gates acceptance. Same contract as packShift.
+func (st *state) ripplePack(i, j int) bool {
 	if st.topo == nil {
 		topo, err := st.g.TopoOrder()
 		if err != nil {
-			return nil, false
+			return false
 		}
 		st.topo = topo
 	}
-	moving := append(append([]cdfg.NodeID(nil), st.fus[i].ops...), st.fus[j].ops...)
-	sort.Slice(moving, func(a, b int) bool {
-		if st.start[moving[a]] != st.start[moving[b]] {
-			return st.start[moving[a]] < st.start[moving[b]]
-		}
-		return moving[a] < moving[b]
-	})
-	type move struct {
-		id  cdfg.NodeID
-		old int
-	}
-	var undo []move
-	revert := func() {
-		for k := len(undo) - 1; k >= 0; k-- {
-			st.start[undo[k].id] = undo[k].old
-		}
-	}
-	// place moves x to the earliest busy- and power-free start in
-	// [lo, T-delay], maintaining the profile and the undo log.
-	place := func(x cdfg.NodeID, lo int, busy []interval) bool {
-		d, p := st.delays[x], st.powers[x]
-		if prof != nil {
-			for c := st.start[x]; c < st.start[x]+d && c < len(prof); c++ {
-				prof[c] -= p
-			}
-		}
-		t, found := lo, false
-	search:
-		for t+d <= T {
-			for _, b := range busy {
-				if b.s < t+d && t < b.e {
-					t = b.e
-					continue search
-				}
-			}
-			if prof != nil {
-				for c := t; c < t+d; c++ {
-					if c >= len(prof) || prof[c]+p+st.baseAt(c) > st.cons.PowerMax+1e-9 {
-						t = c + 1
-						continue search
-					}
-				}
-			}
-			found = true
-			break
-		}
-		if !found {
-			return false
-		}
-		undo = append(undo, move{x, st.start[x]})
-		st.start[x] = t
-		if prof != nil {
-			for c := t; c < t+d && c < len(prof); c++ {
-				prof[c] += p
-			}
-		}
-		return true
-	}
+	T := st.cons.Deadline
+	moving, _ := st.shiftOps(i, j, -1)
 	// Phase 1: re-pack the union, earliest-fit after live predecessor
 	// finishes, successors unconstrained (the sweep repairs them).
-	busy := make([]interval, 0, len(moving))
-	for _, x := range moving {
-		lo := 0
-		for _, pr := range st.g.Preds(x) {
-			if e := st.start[pr] + st.delays[pr]; e > lo {
-				lo = e
-			}
+	for k, x := range moving {
+		if !st.retime(x, moving[:k], st.readyAt(x), T) {
+			return false
 		}
-		if !place(x, lo, busy) {
-			revert()
-			return nil, false
-		}
-		busy = append(busy, interval{st.start[x], st.start[x] + st.delays[x]})
 	}
 	// Phase 2: right-shift repair sweep. Only precedence violations move;
 	// every move lands on a free slot of the node's own instance (i and j
 	// count as one), so instance exclusivity is preserved throughout.
 	for _, v := range st.topo {
-		lo := 0
-		for _, pr := range st.g.Preds(v) {
-			if e := st.start[pr] + st.delays[pr]; e > lo {
-				lo = e
-			}
-		}
+		lo := st.readyAt(v)
 		if st.start[v] >= lo {
 			continue
 		}
-		var group []cdfg.NodeID
-		if f := st.fuOf[v]; f == i || f == j {
-			group = moving
-		} else {
+		group := moving
+		if f := st.fuOf[v]; f != i && f != j {
 			group = st.fus[f].ops
 		}
-		resv := make([]interval, 0, len(group))
-		for _, o := range group {
-			if o == v {
-				continue
-			}
-			resv = append(resv, interval{st.start[o], st.start[o] + st.delays[o]})
-		}
-		if !place(v, lo, resv) {
-			revert()
-			return nil, false
+		if !st.retime(v, group, lo, T) {
+			return false
 		}
 	}
-	return revert, true
+	return true
 }

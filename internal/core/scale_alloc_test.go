@@ -19,11 +19,11 @@ var scalingPins = []struct {
 	area                                  float64
 	allocs                                int
 }{
-	{"layered-n100", 0, 0, 0, 0, 7085, 2392.4500000000003, 22551},
-	{"layered-n300", 0, 0, 0, 197, 302, 4879.72, 2516},
-	{"blocks-n300", 2, 0, 0, 426, 530, 4426.360000000001, 31500},
-	{"layered-n1000-connected", 7, 0, 981, 1415, 2466, 18302.22000000001, 1506363},
-	{"mixed-n1000-connected", 6, 0, 1066, 1389, 2273, 17018.63, 1695335},
+	{"layered-n100", 0, 0, 0, 0, 7085, 2392.4500000000003, 22055},
+	{"layered-n300", 0, 0, 0, 197, 302, 4879.72, 2308},
+	{"blocks-n300", 2, 0, 0, 426, 530, 4426.360000000001, 8224},
+	{"layered-n1000-connected", 7, 0, 981, 1415, 2466, 18302.22000000001, 372664},
+	{"mixed-n1000-connected", 6, 0, 1066, 1389, 2273, 17018.63, 601832},
 }
 
 // TestScalingCountersAndAllocs checks every CI tier's scale-mode run

@@ -38,7 +38,7 @@ bench-scaling:
 # meaningless under -race, or too slow there, so they get their own
 # race-free lane.
 test-alloc:
-	$(GO) test -run Allocs -v . ./internal/sched ./internal/core ./internal/compat ./internal/explore ./internal/server
+	$(GO) test -run Allocs -v . ./internal/sched ./internal/core ./internal/explore ./internal/server
 
 # Full experiment artifacts: Figure 2 CSVs + HTML, Figure 1 report,
 # time-power surface.
@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunnerMap -fuzztime=30s ./internal/runner/
 	$(GO) test -fuzz='FuzzWindows$$' -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz='FuzzFit$$' -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='FuzzColdWindows$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzSynthesizeVerify -fuzztime=30s .
 

@@ -6,7 +6,6 @@ import (
 
 	"pchls/internal/cdfg"
 	"pchls/internal/clique"
-	"pchls/internal/compat"
 	"pchls/internal/library"
 	"pchls/internal/sched"
 )
@@ -69,7 +68,7 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 			ab := reach.Get(i, j)
 			ba := reach.Get(j, i)
 			// Same-delay check suffices: both use the same module.
-			if compat.CanShare(windows[i], windows[j], d, ab, ba) {
+			if canShare(windows[i], windows[j], d, ab, ba) {
 				cg.SetCompatible(i, j)
 			}
 		}
@@ -111,6 +110,31 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 	st.rebuildCommitted()
 	st.mergePass()
 	return st.finish()
+}
+
+// canShare is the edge test of the static V1 graph: whether two
+// operations on one module of the given delay can share an instance,
+// given their start-time windows and their dependency relation. They can
+// iff some pair of in-window starts executes them on disjoint cycle
+// intervals in dependency-consistent order:
+//
+//   - if a must precede b (a path a -> b exists), sharing requires
+//     b.Late >= a.Early + delay (b can start after a ends); the data
+//     dependency itself already forces disjoint execution;
+//   - if they are independent, sharing requires one of them to be able to
+//     finish before the other starts in some window choice.
+//
+// aBeforeB / bBeforeA describe reachability (both false for independent
+// operations; both true is impossible in a DAG).
+func canShare(a, b sched.Window, delay int, aBeforeB, bBeforeA bool) bool {
+	switch {
+	case aBeforeB:
+		return b.Late >= a.Early+delay
+	case bBeforeA:
+		return a.Late >= b.Early+delay
+	default:
+		return a.Early+delay <= b.Late || b.Early+delay <= a.Late
+	}
 }
 
 // repairPack packs the partition into concrete start times, repairing

@@ -256,3 +256,46 @@ func TestRepairPackConvergesFromOneBlock(t *testing.T) {
 		}
 	}
 }
+
+func TestCanShareDependent(t *testing.T) {
+	// a -> b, delay 2. b can start at a.Early+2 iff its Late allows.
+	a := sched.Window{Early: 0, Late: 4}
+	b := sched.Window{Early: 2, Late: 6}
+	if !canShare(a, b, 2, true, false) {
+		t.Fatal("dependent pair with room rejected")
+	}
+	// b locked before a can possibly finish.
+	b = sched.Window{Early: 1, Late: 1}
+	if canShare(a, b, 2, true, false) {
+		t.Fatal("dependent pair without room accepted")
+	}
+	// Same pair presented in swapped argument order (b first, a second,
+	// with a preceding b): still not shareable.
+	if canShare(b, a, 2, false, true) {
+		t.Fatal("swapped dependent pair without room accepted")
+	}
+	// Reversed dependency with room: first op {2,6}, preceded by {0,4}.
+	if !canShare(sched.Window{Early: 2, Late: 6}, a, 2, false, true) {
+		t.Fatal("reversed dependency with room rejected")
+	}
+}
+
+func TestCanShareIndependent(t *testing.T) {
+	// Disjoint windows always shareable.
+	a := sched.Window{Early: 0, Late: 0}
+	b := sched.Window{Early: 5, Late: 5}
+	if !canShare(a, b, 2, false, false) {
+		t.Fatal("disjoint independent pair rejected")
+	}
+	// Forced overlap: both locked to the same cycle.
+	a = sched.Window{Early: 3, Late: 3}
+	b = sched.Window{Early: 3, Late: 3}
+	if canShare(a, b, 2, false, false) {
+		t.Fatal("forced-overlap pair accepted")
+	}
+	// One can slide after the other.
+	b = sched.Window{Early: 3, Late: 5}
+	if !canShare(a, b, 2, false, false) {
+		t.Fatal("slidable pair rejected")
+	}
+}

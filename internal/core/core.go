@@ -7,8 +7,9 @@
 // Nielsen & Madsen (DATE 2003): the design space is bounded by the
 // power-feasible mobility windows of the pasap/palap schedulers
 // (internal/sched); candidate (operation, module) vertices and their
-// sharing compatibility form the time-extended compatibility graph V1
-// (internal/compat); synthesis repeatedly evaluates the current graph and
+// sharing compatibility form the time-extended compatibility graph V1,
+// whose edges the decision loop tests on demand with the earliest-fit
+// slot search; synthesis repeatedly evaluates the current graph and
 // greedily commits the cheapest decision — bind an operation onto an
 // already-allocated functional unit, or allocate a new one — re-deriving
 // the windows after every commitment. When a commitment strands a
@@ -26,7 +27,6 @@ import (
 
 	"pchls/internal/bind"
 	"pchls/internal/cdfg"
-	"pchls/internal/compat"
 	"pchls/internal/library"
 	"pchls/internal/runner"
 	"pchls/internal/sched"
@@ -37,7 +37,8 @@ import (
 type Constraints struct {
 	// Deadline is the latency constraint T in cycles (> 0).
 	Deadline int
-	// PowerMax is the per-cycle power constraint P<; <= 0 disables it.
+	// PowerMax is the per-cycle power constraint P<; <= 0 disables it. It
+	// must be finite.
 	PowerMax float64
 }
 
@@ -134,14 +135,6 @@ type Config struct {
 	// verified improvements over an incumbent it already holds.
 	AreaBound float64
 
-	// noCompat disables the incremental-compatibility sharing prefilter on
-	// the SDC path. Test-only (in-package): proves the prefilter is
-	// output-neutral.
-	noCompat bool
-	// auditCompat cross-checks the incrementally patched compatibility
-	// edge set against a from-scratch rebuild after every sync. Test-only
-	// (in-package): the randomized differential suite sets it.
-	auditCompat bool
 	// coldWindows drops the window cache before every derivation, so each
 	// iteration runs the full per-candidate pasap/palap pairs, and
 	// cross-checks the committed power profile against a from-scratch
@@ -264,10 +257,6 @@ type state struct {
 	sdc  bool
 	topo []cdfg.NodeID
 	sdcB sched.SDCBounds
-	// v1 is the incrementally maintained compatibility graph, alive across
-	// commits on the SDC path; nil otherwise (the exhaustive path's windows
-	// already encode power, so the prefilter would be redundant work there).
-	v1 *compat.Incremental
 
 	// Hot-path lookup tables and scratch, built once by initTables. The
 	// synthesize loop runs the schedulers hundreds of times per design;
@@ -380,6 +369,9 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 	if cons.Deadline <= 0 {
 		return nil, fmt.Errorf("core: deadline %d must be positive", cons.Deadline)
 	}
+	if math.IsNaN(cons.PowerMax) || math.IsInf(cons.PowerMax, 0) {
+		return nil, fmt.Errorf("core: power cap %g must be finite", cons.PowerMax)
+	}
 	if missing := lib.Covers(g); missing != nil {
 		return nil, fmt.Errorf("core: operations %v: %w", missing, ErrUncovered)
 	}
@@ -411,13 +403,6 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 			return nil, err
 		}
 		st.topo = topo
-		if !cfg.noCompat {
-			v1, err := compat.NewIncremental(g, lib)
-			if err != nil {
-				return nil, err
-			}
-			st.v1 = v1
-		}
 	}
 	st.eng = newEngine(st)
 	return st, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -114,6 +115,28 @@ func TestSynthesizeInfeasibleDeadline(t *testing.T) {
 func TestSynthesizeBadDeadline(t *testing.T) {
 	if _, err := Synthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 0}, Config{}); err == nil {
 		t.Fatal("accepted deadline 0")
+	}
+	// A non-finite cap is rejected too: no cycle compares above NaN, so it
+	// would otherwise pass every power check.
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Synthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 10, PowerMax: p}, Config{}); err == nil {
+			t.Fatalf("accepted power cap %g", p)
+		}
+		if _, err := ExactSynthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 10, PowerMax: p}, 0); err == nil {
+			t.Fatalf("exact synthesis accepted power cap %g", p)
+		}
+	}
+	// Zero and negative caps mean unconstrained.
+	free, err := Synthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 10}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := Synthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 10, PowerMax: -1}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if neg.Area() != free.Area() {
+		t.Fatalf("negative cap area %v, unconstrained %v", neg.Area(), free.Area())
 	}
 }
 

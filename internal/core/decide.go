@@ -155,7 +155,7 @@ func (st *state) sdcWindows() {
 	// its whole execution — so window ends sitting under saturated ambient
 	// cycles can be pulled in before any placement probe runs. freeSlot
 	// re-checks every interior cycle, so this only removes starts that were
-	// doomed anyway (plus their cache/compat bookkeeping).
+	// doomed anyway (and the slot probes they would cost).
 	tighten := st.cons.PowerMax > 0 && len(st.cfg.baseProfile) > 0
 	for i, c := range st.committed {
 		if c {
@@ -375,14 +375,13 @@ search:
 
 // bestDecision evaluates the current compatibility structure and returns
 // the cheapest admissible decision: bind an uncommitted operation onto an
-// existing instance, or allocate a new instance for it. Ties break toward
+// existing instance, or allocate a new instance for it. Whether v can
+// share instance f — an edge of the paper's V1 graph — is decided on
+// demand by freeSlot over v's window and f's operations. Ties break toward
 // the most schedule-constrained operation (smallest window), then the
 // smallest node ID, then the smallest module area — all deterministic.
 func (st *state) bestDecision() (Decision, bool) {
 	st.candidateWindows()
-	if st.v1 != nil {
-		st.syncCompat()
-	}
 	best := Decision{FU: -1}
 	bestWidth, bestWeight := 0, 0.0
 	found := false
@@ -477,15 +476,6 @@ func (st *state) bestDecision() (Decision, bool) {
 			// Share an existing instance of the same module.
 			for f := range st.fus {
 				if st.fus[f].module != mi {
-					continue
-				}
-				// V1 prefilter: an edge missing between (v, mi) and any
-				// operation on f proves no in-window start can coexist with
-				// f's reservations (CanShare false implies freeSlot false —
-				// the windows already encode precedence against committed
-				// starts), so the slot walk is skipped without changing the
-				// decision set.
-				if st.v1 != nil && !st.v1.ShareOK(v, mi, st.fus[f].ops) {
 					continue
 				}
 				if t, ok := st.freeSlot(v, st.fus[f].ops, w, m.Delay, m.Power); ok {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -263,4 +265,88 @@ func TestGoldenEquivalenceCliqueMode(t *testing.T) {
 		cold, coldErr := SynthesizeCliquePartition(g, lib, cons, Config{coldWindows: true})
 		requireSameDesign(t, label, inc, cold, incErr, coldErr)
 	}
+}
+
+// coldDiffInstance derives one random instance of the cached-engine
+// differential: 6–45 nodes in 1–3 blocks, a deadline slack of 1.0–1.8 over
+// the fastest-module critical path and a cap of 1.0–2.5 × the power floor,
+// each read from a [0, 1) fraction. Fractions near 1 are the loose end.
+func coldDiffInstance(seed int64, nodes, blocks int, slack, factor float64) gen.Instance {
+	s, p := 1+0.8*slack, 1+1.5*factor
+	return gen.NewInstance(seed, gen.InstanceConfig{
+		Graph:    gen.GraphConfig{Nodes: 6 + nodes%40, Blocks: 1 + blocks%3},
+		SlackMin: s, SlackMax: s, PowerFactorMin: p, PowerFactorMax: p,
+	})
+}
+
+// coldDiffConfigs are the search variants the differential runs: the
+// default, seeded weight jitter with shuffled ties, late placement, no
+// area descent and no repair.
+func coldDiffConfigs(seed int64) []Config {
+	return []Config{
+		{},
+		{Perturb: Perturb{Seed: seed, Jitter: 0.2, ShuffleTies: true}},
+		{Perturb: Perturb{PlaceLate: true}},
+		{SkipAreaDescent: true},
+		{DisableRepair: true},
+	}
+}
+
+// requireColdEquivalent synthesizes inst under cfg with the window cache
+// and with its coldWindows reference and requires identical outcomes. It
+// reports whether the run was feasible.
+func requireColdEquivalent(t *testing.T, label string, inst gen.Instance, cfg Config) bool {
+	t.Helper()
+	cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
+	d, err := Synthesize(inst.Graph, inst.Library, cons, cfg)
+	cold := cfg
+	cold.coldWindows = true
+	c, cErr := Synthesize(inst.Graph, inst.Library, cons, cold)
+	requireSameDesign(t, label, d, c, err, cErr)
+	return err == nil
+}
+
+// TestColdWindowsRandomDifferential gates the window cache on random
+// graphs, where the TestGoldenEquivalence* suites run only the fixed
+// benchmarks: every instance, under every search variant, must give the
+// design (or the error) of its coldWindows reference. The square roots
+// bias the draws toward the loose end, where most points are feasible
+// and whole commit sequences get compared.
+func TestColdWindowsRandomDifferential(t *testing.T) {
+	seeds := 300
+	if testing.Short() {
+		seeds = 60
+	}
+	runs, feasible := 0, 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		inst := coldDiffInstance(seed, int(seed), int(seed/40), math.Sqrt(rng.Float64()), math.Sqrt(rng.Float64()))
+		for ci, cfg := range coldDiffConfigs(seed) {
+			label := fmt.Sprintf("seed %d config %d n=%d T=%d P<=%g", seed, ci, inst.Graph.N(), inst.Deadline, inst.PowerMax)
+			runs++
+			if requireColdEquivalent(t, label, inst, cfg) {
+				feasible++
+			}
+		}
+	}
+	t.Logf("%d runs, %d feasible", runs, feasible)
+	if feasible < runs/4 {
+		t.Fatalf("only %d/%d runs feasible; the sweep compares too few commit sequences", feasible, runs)
+	}
+}
+
+// FuzzColdWindows explores the parameters of
+// TestColdWindowsRandomDifferential: any instance under any search
+// variant must synthesize identically with and without the window cache.
+func FuzzColdWindows(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(0), uint8(200), uint8(200), uint8(0))
+	f.Add(int64(2), uint8(39), uint8(2), uint8(40), uint8(60), uint8(1))
+	f.Add(int64(3), uint8(25), uint8(1), uint8(255), uint8(0), uint8(2))
+	f.Add(int64(4), uint8(0), uint8(1), uint8(0), uint8(255), uint8(3))
+	f.Add(int64(5), uint8(33), uint8(2), uint8(128), uint8(128), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, blocks, slack, factor, variant uint8) {
+		inst := coldDiffInstance(seed, int(nodes), int(blocks), float64(slack)/256, float64(factor)/256)
+		cfgs := coldDiffConfigs(seed)
+		requireColdEquivalent(t, fmt.Sprintf("variant %d", variant), inst, cfgs[int(variant)%len(cfgs)])
+	})
 }

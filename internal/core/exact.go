@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
@@ -41,6 +42,9 @@ func ExactSynthesize(g *cdfg.Graph, lib *library.Library, cons Constraints, maxE
 	}
 	if cons.Deadline <= 0 {
 		return nil, fmt.Errorf("core: exact: deadline %d must be positive", cons.Deadline)
+	}
+	if math.IsNaN(cons.PowerMax) || math.IsInf(cons.PowerMax, 0) {
+		return nil, fmt.Errorf("core: exact: power cap %g must be finite", cons.PowerMax)
 	}
 	if missing := lib.Covers(g); missing != nil {
 		return nil, fmt.Errorf("core: exact: operations %v: %w", missing, ErrUncovered)

@@ -2,9 +2,9 @@ package core
 
 // Scaling benchmark lane: synthesis wall-time on seeded random graphs of
 // 100, 300 and 1000 computation nodes, comparing the scaling engine
-// (auto-selected SDC windows, incremental compatibility maintenance,
-// hierarchical decomposition — the default Config) against the
-// pre-refactor path (exhaustive per-candidate windows, no decomposition).
+// (auto-selected SDC windows and hierarchical decomposition — the default
+// Config) against the pre-refactor path (exhaustive per-candidate windows,
+// no decomposition).
 // Each tier with both modes measured fails when the legacy-over-scale
 // wall-time ratio drops below its floor. TestScalingCountersAndAllocs pins
 // the scale mode's work, area and allocations on the CI tiers; the large
@@ -143,7 +143,6 @@ func BenchmarkScaling(b *testing.B) {
 						}
 					})
 				b.ReportMetric(float64(st.SDCDerivations), "sdc-derivations")
-				b.ReportMetric(float64(st.CompatPatches), "compat-patches")
 				b.ReportMetric(float64(st.Regions), "regions")
 				perOp[mode.tag] = b.Elapsed() / time.Duration(b.N)
 			})

@@ -1,7 +1,7 @@
 package core
 
-// Tests for the thousand-node scaling path: SDC window derivation, the
-// incremental compatibility prefilter, and hierarchical decomposition.
+// Tests for the thousand-node scaling path: SDC window derivation and
+// hierarchical decomposition.
 // The common theme is equivalence — the fast paths must either match the
 // exhaustive paths byte for byte (where the theory says they coincide)
 // or produce independently verified designs (where they legitimately
@@ -9,8 +9,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"pchls/internal/gen"
@@ -44,21 +42,6 @@ func TestSDCMatchesExhaustiveUnconstrained(t *testing.T) {
 	}
 }
 
-// TestSDCPrefilterOutputNeutral checks the compatibility prefilter
-// theorem on power-constrained instances: CanShare-false implies
-// freeSlot-false, so running the SDC path with the prefilter disabled
-// must not change a single byte of the result.
-func TestSDCPrefilterOutputNeutral(t *testing.T) {
-	for seed := int64(0); seed < 150; seed++ {
-		inst := scaleInstance(seed)
-		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
-		label := fmt.Sprintf("seed %d n=%d T=%d P<=%g", seed, inst.Graph.N(), cons.Deadline, cons.PowerMax)
-		with, withErr := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsSDC, partition: partitionOff})
-		without, withoutErr := Synthesize(inst.Graph, inst.Library, cons, Config{windows: windowsSDC, partition: partitionOff, noCompat: true})
-		requireSameDesign(t, label, with, without, withErr, withoutErr)
-	}
-}
-
 // TestSDCSynthesisVerifies pushes power-constrained instances through
 // the forced-SDC path and re-checks every produced design with the
 // engine-independent verifier: the SDC windows are supersets of the
@@ -84,40 +67,6 @@ func TestSDCSynthesisVerifies(t *testing.T) {
 	}
 	if produced < 50 {
 		t.Fatalf("only %d/200 instances produced designs; sweep too weak to mean anything", produced)
-	}
-}
-
-// compatDifferentialDesigns sizes the randomized incremental-V1
-// differential: 1000 designs by default (the acceptance floor),
-// overridable through PCHLS_COMPAT_DESIGNS for soak runs.
-func compatDifferentialDesigns(t *testing.T) int {
-	if s := os.Getenv("PCHLS_COMPAT_DESIGNS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			t.Fatalf("PCHLS_COMPAT_DESIGNS=%q: want a positive integer", s)
-		}
-		return n
-	}
-	return 1000
-}
-
-// TestCompatIncrementalDifferential synthesizes >= 1k seeded random
-// designs with the audit hook enabled: after every per-iteration compat
-// sync, the incrementally patched edge set is compared bit for bit
-// against a from-scratch recomputation, and any mismatch panics inside
-// the engine. Passing means the dirty-set maintenance rule is exact
-// across every commit/uncommit/repair pattern the sweep produced.
-func TestCompatIncrementalDifferential(t *testing.T) {
-	n := compatDifferentialDesigns(t)
-	for seed := int64(0); seed < int64(n); seed++ {
-		inst := gen.NewInstance(seed, gen.InstanceConfig{
-			Graph: gen.GraphConfig{Nodes: 6 + int(seed%10)},
-		})
-		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
-		cfg := Config{windows: windowsSDC, partition: partitionOff, auditCompat: true}
-		if _, err := Synthesize(inst.Graph, inst.Library, cons, cfg); err != nil {
-			continue // infeasible instances still audited every iteration they ran
-		}
 	}
 }
 

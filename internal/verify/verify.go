@@ -21,6 +21,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
@@ -31,7 +32,8 @@ import (
 // self-test) can assert the precise failure class with errors.Is.
 var (
 	// ErrShape indicates the input is structurally malformed (mismatched
-	// slice lengths, out-of-range instance indices, unknown module names)
+	// slice lengths, out-of-range instance indices, unknown module names,
+	// a non-positive deadline or a non-finite power cap)
 	// before any invariant can be evaluated.
 	ErrShape = errors.New("verify: malformed design input")
 	// ErrPrecedence indicates a data dependency is violated: a consumer
@@ -81,7 +83,8 @@ type Input struct {
 	Library *library.Library
 	// Deadline is the latency constraint T in cycles (> 0).
 	Deadline int
-	// PowerMax is the per-cycle power constraint P< (<= 0: unconstrained).
+	// PowerMax is the per-cycle power constraint P< (<= 0: unconstrained;
+	// a non-finite cap is malformed).
 	PowerMax float64
 	// Start[v] is the first execution cycle of node v.
 	Start []int
@@ -146,6 +149,9 @@ func checkShape(in Input) error {
 	n := in.Graph.N()
 	if in.Deadline <= 0 {
 		errs = append(errs, fmt.Errorf("%w: deadline %d is not positive", ErrShape, in.Deadline))
+	}
+	if math.IsNaN(in.PowerMax) || math.IsInf(in.PowerMax, 0) {
+		errs = append(errs, fmt.Errorf("%w: power cap %g is not finite", ErrShape, in.PowerMax))
 	}
 	for name, l := range map[string]int{
 		"Start":  len(in.Start),

@@ -2,8 +2,10 @@ package verify_test
 
 import (
 	"errors"
+	"fmt"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -139,6 +141,15 @@ func TestCheckShapeErrors(t *testing.T) {
 			t.Errorf("got %v, want ErrShape", err)
 		}
 	})
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprintf("power cap %g", p), func(t *testing.T) {
+			in := base.Clone()
+			in.PowerMax = p
+			if err := verify.Check(in); !errors.Is(err, verify.ErrShape) {
+				t.Errorf("got %v, want ErrShape", err)
+			}
+		})
+	}
 }
 
 // TestCheckReportsAllViolations confirms violations of independent

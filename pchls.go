@@ -147,12 +147,13 @@ type (
 	Design = core.Design
 	// Decision is one committed synthesis step.
 	Decision = core.Decision
-	// Stats counts the work a synthesis run performed: full scheduler
-	// executions, incremental (pinned) runs, window-cache effectiveness and
-	// invalidations, power-profile probes, the SDC derivations of uncapped
-	// and large runs, and the compatibility and decomposition counters of
-	// large graphs. Available on Design.Stats and aggregated over sweeps
-	// via Curve.TotalStats/Surface.TotalStats.
+	// Stats counts the work a synthesis run performed: scheduler runs,
+	// window-cache hits, misses and invalidations, slot probes against the
+	// power profile, the SDC derivations of uncapped and large runs, and
+	// the decomposition counters of large graphs (regions, repairs, cut
+	// edges, cross-region shares, bound tightenings). IncrementalRuns,
+	// Fallbacks and CompatPatches always read 0. Available on Design.Stats
+	// and aggregated over sweeps via Curve.TotalStats/Surface.TotalStats.
 	Stats = core.Stats
 	// CostModel holds register/multiplexer area coefficients.
 	CostModel = bind.CostModel

@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseJSON -fuzztime=30s ./internal/library/
 	$(GO) test -fuzz=FuzzRunnerMap -fuzztime=30s ./internal/runner/
 	$(GO) test -fuzz='FuzzWindows$$' -fuzztime=30s ./internal/sched/
+	$(GO) test -fuzz='FuzzReplay$$' -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz='FuzzFit$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzColdWindows$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server/

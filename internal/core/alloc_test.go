@@ -10,69 +10,107 @@ import (
 	"testing"
 
 	"pchls/internal/bench"
+	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 	"pchls/internal/sched"
 )
 
+// warmState returns a state of the named benchmark under lib at the ASAP
+// length + slack and 0.8 × the ASAP peak, advanced into the engine's warm
+// regime: six committed decisions with their post-commit probes, exactly
+// as Synthesize drives the loop.
+func warmState(t *testing.T, name string, lib *library.Library, slack int) *state {
+	t.Helper()
+	g, err := bench.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := Constraints{Deadline: asap.Length() + slack, PowerMax: asap.PeakPower() * 0.8}
+	st, err := newState(g, lib, cons, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.refineInitialModules(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		dec, ok := st.bestDecision()
+		if !ok {
+			t.Fatalf("step %d: no decision", i)
+		}
+		st.commit(dec)
+		probe, err := st.currentPASAP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.noteProbe(dec, probe)
+	}
+	if !st.eng.warm {
+		t.Fatal("engine not warm after 6 commits")
+	}
+	return st
+}
+
 // TestBestDecisionSteadyStateAllocs pins the allocation count of one warm
 // bestDecision iteration on the largest and the smallest paper benchmark:
-// the flat window table, the scheduler arena and the lookup tables must
-// hold — the only allocations left are the base palap run (schedule
-// shells and start arrays; the pasap side is the post-commit probe) plus
-// cache entries for candidates the last commit invalidated.
+// the flat window table, the override cache with its slab, the scheduler
+// arena and the lookup tables must hold, so a repeated iteration
+// allocates nothing — the base palap run, when the last commit did not
+// leave the base pair valid, writes into the engine's buffer.
 func TestBestDecisionSteadyStateAllocs(t *testing.T) {
-	lib := library.Table1()
 	for _, name := range []string{"elliptic", "hal"} {
 		t.Run(name, func(t *testing.T) {
-			g, err := bench.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			asap, err := sched.ASAP(g, sched.UniformFastest(lib))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cons := Constraints{Deadline: asap.Length() + 3, PowerMax: asap.PeakPower() * 0.8}
-			st, err := newState(g, lib, cons, Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.refineInitialModules(); err != nil {
-				t.Fatal(err)
-			}
-			// Advance into the warm regime: a few committed decisions with
-			// their post-commit probes, exactly as Synthesize drives the loop.
-			for i := 0; i < 6; i++ {
-				dec, ok := st.bestDecision()
-				if !ok {
-					t.Fatalf("step %d: no decision", i)
-				}
-				st.commit(dec)
-				probe, err := st.currentPASAP()
-				if err != nil {
-					t.Fatal(err)
-				}
-				st.noteProbe(dec, probe)
-			}
-			if !st.eng.warm {
-				t.Fatal("engine not warm after 6 commits")
-			}
+			st := warmState(t, name, library.Table1(), 3)
 			got := testing.AllocsPerRun(20, func() {
 				if _, ok := st.bestDecision(); !ok {
 					t.Fatal("no decision")
 				}
 			})
-			// A repeated warm iteration is served from the flat window
-			// table, the override cache and the scheduler arena. On
-			// elliptic the last commit left the base pair valid, so it
-			// allocates nothing; on hal it runs one full PALAP, which
-			// allocates 4. The pre-optimization map-of-maps path allocated
-			// several hundred per iteration.
-			const max = 8
+			const max = 0
 			if got > max {
 				t.Fatalf("warm bestDecision allocates %.1f/run, budget %d", got, max)
 			}
 			t.Logf("warm bestDecision: %.1f allocs/run", got)
 		})
+	}
+}
+
+// TestOverridePairSteadyStateAllocs pins a warm override pair: once the
+// slab is sized and the reference order memoized, computeEntry replays
+// the base pair into its slab slot and allocates nothing. It runs on
+// elliptic under the expanded 3-level DVS library of the classic
+// benchmark workload, whose voltage levels change delays.
+func TestOverridePairSteadyStateAllocs(t *testing.T) {
+	dvs, err := gen.Library(1002, gen.LibraryConfig{Levels: 3}).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := warmState(t, "elliptic", dvs, 8)
+	opts := st.schedOpts()
+	if !st.eng.refOK {
+		t.Fatal("no replay reference")
+	}
+	// A feasible override that changes the node's delay, so the replay
+	// patches the reference order.
+	v, mi := cdfg.None, -1
+	for i, c := range st.committed {
+		for _, m := range st.cand[i] {
+			if v == cdfg.None && !c && st.lib.Module(m).Delay != st.delays[i] &&
+				st.computeEntry(cdfg.NodeID(i), m, opts).earlyStart != nil {
+				v, mi = cdfg.NodeID(i), m
+			}
+		}
+	}
+	if v == cdfg.None {
+		t.Fatal("no feasible override that changes a delay")
+	}
+	got := testing.AllocsPerRun(50, func() { st.computeEntry(v, mi, opts) })
+	if got != 0 {
+		t.Fatalf("warm override pair allocates %.1f/run, budget 0", got)
 	}
 }

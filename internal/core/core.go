@@ -744,34 +744,64 @@ func (st *state) currentPASAP() (*sched.Schedule, error) {
 }
 
 // windowSchedsFor runs the override pasap/palap pair for candidate
-// (v, mi) and returns both schedules — the engine caches their full
-// start arrays to prove entries valid across later commitments.
-// ok=false means the pair is infeasible.
-func (st *state) windowSchedsFor(v cdfg.NodeID, mi int) (early, late *sched.Schedule, ok bool) {
+// (v, mi) under opts, the iteration's base options (schedOpts), and
+// returns both start arrays — the engine caches them to prove entries
+// valid across later commitments. ok=false means the pair is infeasible.
+// The runs write into the candidate's slab slot and, while the base pair
+// is current, replay it (sched.Reference); the coldWindows oracle runs
+// both in full into fresh schedules instead.
+func (st *state) windowSchedsFor(v cdfg.NodeID, mi int, opts sched.Options) (early, late []int, ok bool) {
 	m := st.lib.Module(mi)
 	if st.cons.PowerMax > 0 && m.Power > st.cons.PowerMax+1e-9 {
 		return nil, nil, false
 	}
-	opts := st.schedOpts()
-	// Single-node override: copy the base tables and patch v. The returned
-	// schedules alias these buffers, but every caller consumes the pair
-	// (reading Start and Length) before the next override run refills them.
+	// Single-node override: copy the base tables and patch v.
 	copy(st.ovDelays, st.delays)
 	copy(st.ovPowers, st.powers)
 	st.ovDelays[v] = m.Delay
 	st.ovPowers[v] = m.Power
 	opts.Delays, opts.Powers = st.ovDelays, st.ovPowers
+	if st.cfg.coldWindows {
+		return st.fullPair(opts)
+	}
+	if st.eng.refOK {
+		opts.Ref, opts.RefNode = &st.eng.ref, v
+	}
+	early, late = st.overrideStarts(v, mi)
 	st.stats.SchedulerRuns++
-	early, err := sched.PASAP(st.g, st.baseBind, opts)
-	if err != nil || early.Length() > st.cons.Deadline {
+	if sched.PASAPStarts(st.g, st.baseBind, opts, early) != nil || length(early, st.ovDelays) > st.cons.Deadline {
 		return nil, nil, false
 	}
 	st.stats.SchedulerRuns++
-	late, err = sched.PALAP(st.g, st.baseBind, st.cons.Deadline, opts)
-	if err != nil {
+	if sched.PALAPStarts(st.g, st.baseBind, st.cons.Deadline, opts, late) != nil {
 		return nil, nil, false
 	}
 	return early, late, true
+}
+
+// fullPair is windowSchedsFor's coldWindows oracle: the override pair run
+// in full into fresh schedules.
+func (st *state) fullPair(opts sched.Options) (early, late []int, ok bool) {
+	st.stats.SchedulerRuns++
+	e, err := sched.PASAP(st.g, st.baseBind, opts)
+	if err != nil || e.Length() > st.cons.Deadline {
+		return nil, nil, false
+	}
+	st.stats.SchedulerRuns++
+	l, err := sched.PALAP(st.g, st.baseBind, st.cons.Deadline, opts)
+	if err != nil {
+		return nil, nil, false
+	}
+	return e.Start, l.Start, true
+}
+
+// length returns the makespan of the given starts and delays.
+func length(start, delay []int) int {
+	l := 0
+	for i, s := range start {
+		l = max(l, s+delay[i])
+	}
+	return l
 }
 
 // committedProfile returns the per-cycle power drawn by committed

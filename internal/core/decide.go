@@ -53,6 +53,7 @@ func (st *state) candidateWindows() {
 	}
 	eng := st.eng
 	baseOK := st.baseWindows()
+	opts := st.schedOpts()
 	if !baseOK && eng.warm {
 		// The override entries that survived the last commitment rest on
 		// the base pair, which no longer exists.
@@ -80,7 +81,7 @@ func (st *state) candidateWindows() {
 				continue
 			}
 			st.stats.WindowCacheMisses++
-			ent := st.computeEntry(v, mi)
+			ent := st.computeEntry(v, mi, opts)
 			if baseOK {
 				eng.over[idx] = ent
 				eng.overSet[idx] = true
@@ -97,12 +98,14 @@ func (st *state) candidateWindows() {
 // module) into eng.baseWin and reports whether the base pair succeeded.
 // It reuses them outright when the last commitment provably left the pair
 // unchanged (baseValid); otherwise it runs the full pair, reusing the
-// exact post-commit probe, when present, as the Early schedule.
+// exact post-commit probe, when present, as the Early schedule. A derived
+// pair becomes the override runs' replay reference.
 func (st *state) baseWindows() bool {
 	eng := st.eng
 	if eng.warm && eng.baseValid {
 		return true
 	}
+	eng.refOK = false
 	opts := st.schedOpts()
 	early, err := eng.probe, error(nil)
 	if early == nil {
@@ -113,18 +116,18 @@ func (st *state) baseWindows() bool {
 		return false
 	}
 	st.stats.SchedulerRuns++
-	late, err := sched.PALAP(st.g, st.baseBind, st.cons.Deadline, opts)
-	if err != nil {
+	if sched.PALAPStarts(st.g, st.baseBind, st.cons.Deadline, opts, eng.lateBase) != nil {
 		return false
 	}
 	for i := range eng.baseWin {
-		eng.baseWin[i] = sched.Window{Early: early.Start[i], Late: late.Start[i]}
+		eng.baseWin[i] = sched.Window{Early: early.Start[i], Late: eng.lateBase[i]}
 	}
 	eng.probe = early
 	// Snapshot the module assumptions the cached runs are made under;
 	// entry validity across a later commitment requires the committed
 	// module to match this snapshot.
 	eng.assumed = append(eng.assumed[:0], st.moduleOf...)
+	eng.refOK = !st.cfg.coldWindows && eng.ref.Reset(st.g, st.baseBind, opts, eng.baseWin) == nil
 	return true
 }
 

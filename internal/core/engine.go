@@ -14,7 +14,7 @@ import (
 // neither schedule (power sums are symmetric and added power never opens
 // earlier slots), so the cached window is byte-identical to a recompute.
 // Infeasible results (ok=false) carry no arrays and are dropped on the
-// next commit.
+// next commit. The arrays are the candidate's slot in the engine's slab.
 type winEntry struct {
 	w          sched.Window
 	ok         bool
@@ -56,6 +56,22 @@ type engine struct {
 	// overSet as the parallel presence bit.
 	over    []winEntry
 	overSet []bool
+	// ref is the base pair as the replay reference of the override runs
+	// (sched.Reference): an override run copies the nodes it shares with
+	// the base pair and patches the base selection order. refOK reports
+	// that ref describes the current base pair; the coldWindows oracle
+	// never sets it.
+	ref   sched.Reference
+	refOK bool
+	// slab holds the start arrays of the override runs: candidate j of
+	// node v (st.cand[v][j]) owns the 2n ints from (slotOf[v]+j)*2n, its
+	// early starts then its late starts, so a run writes straight into the
+	// arrays its cache entry keeps. A slot is rewritten only when its
+	// entry is recomputed, after the old entry was dropped. It is
+	// allocated on first use. lateBase is the base palap's start buffer.
+	slab     []int
+	slotOf   []int
+	lateBase []int
 }
 
 // newEngine builds the cold window cache of a fresh state; SDC-regime
@@ -65,11 +81,35 @@ func newEngine(st *state) *engine {
 		return &engine{}
 	}
 	n := st.g.N()
-	return &engine{
-		baseWin: make([]sched.Window, n),
-		over:    make([]winEntry, n*st.nm),
-		overSet: make([]bool, n*st.nm),
+	eng := &engine{
+		baseWin:  make([]sched.Window, n),
+		over:     make([]winEntry, n*st.nm),
+		overSet:  make([]bool, n*st.nm),
+		slotOf:   make([]int, n+1),
+		lateBase: make([]int, n),
 	}
+	for v := range n {
+		eng.slotOf[v+1] = eng.slotOf[v] + len(st.cand[v])
+	}
+	return eng
+}
+
+// overrideStarts returns the slab arrays of candidate (v, mi) for its
+// override runs to write into.
+func (st *state) overrideStarts(v cdfg.NodeID, mi int) (early, late []int) {
+	eng, n := st.eng, st.g.N()
+	if eng.slab == nil {
+		eng.slab = make([]int, eng.slotOf[n]*2*n)
+	}
+	at := eng.slotOf[v]
+	for j, c := range st.cand[v] {
+		if c == mi {
+			at += j
+			break
+		}
+	}
+	slot := eng.slab[at*2*n : (at+1)*2*n]
+	return slot[:n:n], slot[n:]
 }
 
 // invalidateWindows drops the whole window cache (backtracks, abandoned
@@ -77,11 +117,12 @@ func newEngine(st *state) *engine {
 func (e *engine) invalidateWindows() {
 	e.warm = false
 	e.baseValid = false
+	e.refOK = false
 	e.probe = nil
 	for i := range e.overSet {
 		if e.overSet[i] {
 			e.overSet[i] = false
-			e.over[i] = winEntry{} // release the cached start arrays
+			e.over[i] = winEntry{}
 		}
 	}
 }
@@ -101,14 +142,15 @@ func sameStarts(a, b *sched.Schedule) bool {
 }
 
 // computeEntry derives the cacheable override window entry for candidate
-// (v, mi): the window plus the full start arrays of the pair that
-// produced it. Width-zero windows cache as infeasible with their arrays
-// kept — if the runs provably cannot change, neither can the verdict.
-func (st *state) computeEntry(v cdfg.NodeID, mi int) winEntry {
-	early, late, ok := st.windowSchedsFor(v, mi)
+// (v, mi) under the iteration's base options: the window plus the full
+// start arrays of the pair that produced it. Width-zero windows cache as
+// infeasible with their arrays kept — if the runs provably cannot change,
+// neither can the verdict.
+func (st *state) computeEntry(v cdfg.NodeID, mi int, opts sched.Options) winEntry {
+	early, late, ok := st.windowSchedsFor(v, mi, opts)
 	if !ok {
 		return winEntry{}
 	}
-	w := sched.Window{Early: early.Start[v], Late: late.Start[v]}
-	return winEntry{w: w, ok: w.Width() >= 1, earlyStart: early.Start, lateStart: late.Start}
+	w := sched.Window{Early: early[v], Late: late[v]}
+	return winEntry{w: w, ok: w.Width() >= 1, earlyStart: early, lateStart: late}
 }

@@ -7,6 +7,8 @@
 package sched
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"pchls/internal/bench"
@@ -63,10 +65,39 @@ func TestPASAPSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPASAPFailingSteadyStateAllocs pins a failed PASAP run: the shell
+// and Start slice it allocates before placing anything, plus the error
+// value, which is formatted only when read. Failed override runs are
+// common in synthesis and their errors are dropped unread.
+func TestPASAPFailingSteadyStateAllocs(t *testing.T) {
+	g := bench.Elliptic()
+	opts, bind := hotOptions(g, 20)
+	// Fix the last node of the selection order at cycle 0: every path
+	// into it is left without room, so the run fails placing a
+	// predecessor.
+	order, err := criticalFirstOrder(g, bind, &opts, opts.Arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.FixedStarts[order[len(order)-1]] = 0
+	if _, err := PASAP(g, bind, opts); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("pasap = %v, want ErrHorizon", err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		if _, err := PASAP(g, bind, opts); err == nil {
+			t.Fatal("pasap succeeded")
+		}
+	})
+	const max = 3 // Schedule struct + Start slice + the error
+	if got > max {
+		t.Fatalf("failing PASAP allocates %.1f/run, budget %d", got, max)
+	}
+}
+
 // TestPALAPSteadyStateAllocs pins the steady-state allocation count of a
-// full PALAP run: the forward and reversed Schedule shells with their
-// Start slices (the reversed graph and all conversion buffers live in the
-// arena).
+// full PALAP run: the returned Schedule shell and its Start slice (the
+// reversed graph, the reversed run's starts and all conversion buffers
+// live in the arena).
 func TestPALAPSteadyStateAllocs(t *testing.T) {
 	g := bench.Elliptic()
 	opts, bind := hotOptions(g, 20)
@@ -78,7 +109,7 @@ func TestPALAPSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const max = 4 // two Schedule shells + two Start slices
+	const max = 2 // Schedule struct + Start slice
 	if got > max {
 		t.Fatalf("PALAP steady state allocates %.1f/run, budget %d", got, max)
 	}
@@ -97,9 +128,46 @@ func TestWindowsSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const max = 7 // pasap (2) + palap (4) + the []Window result
+	const max = 5 // pasap (2) + palap (2) + the []Window result
 	if got > max {
 		t.Fatalf("Windows steady state allocates %.1f/run, budget %d", got, max)
+	}
+}
+
+// TestReplayedPairAllocs pins a steady-state override pair that replays
+// a reference (PASAPStarts and PALAPStarts into the caller's buffers) at
+// zero allocations: the patched order, the re-ranked nodes and the
+// reversed run's starts all live in the arena.
+func TestReplayedPairAllocs(t *testing.T) {
+	g := bench.Elliptic()
+	opts, bind := hotOptions(g, 20)
+	ws, err := Windows(g, bind, 40, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref Reference
+	if err := ref.Reset(g, bind, opts, ws); err != nil {
+		t.Fatal(err)
+	}
+	// Override a multiplier with the serial module: a longer delay and a
+	// lower power, so the order is patched.
+	v := g.NodesOf(cdfg.Mul)[0]
+	opts.Delays = append([]int(nil), opts.Delays...)
+	opts.Powers = append([]float64(nil), opts.Powers...)
+	opts.Delays[v], opts.Powers[v] = 4, 2.7
+	opts.Ref, opts.RefNode = &ref, v
+	early, late := make([]int, g.N()), make([]int, g.N())
+	pair := func() {
+		if err := PASAPStarts(g, bind, opts, early); err != nil {
+			t.Fatal(err)
+		}
+		if err := PALAPStarts(g, bind, 40, opts, late); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair()
+	if got := testing.AllocsPerRun(50, pair); got != 0 {
+		t.Fatalf("replayed override pair allocates %.1f/run, budget 0", got)
 	}
 }
 
@@ -149,6 +217,61 @@ func BenchmarkCriticalFirstOrder(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := criticalFirstOrder(c.g, bind, &opts, opts.Arena); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOverridePair times the override pairs of one synthesis
+// iteration on elliptic under Table 1 at 0.8 × the ASAP peak and the ASAP
+// length + 3, a quarter of the nodes fixed: every free node under every
+// module of its operation, replayed against the base pair ("replay") and
+// run in full ("full").
+func BenchmarkOverridePair(b *testing.B) {
+	g := bench.Elliptic()
+	lib := library.Table1()
+	bind := UniformFastest(lib)
+	asap, err := ASAP(g, bind)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deadline := asap.Length() + 3
+	opts, _ := hotOptions(g, 0.8*asap.PeakPower())
+	for i := 0; i < g.N(); i += 4 {
+		opts.FixedStarts[i] = asap.Start[i]
+	}
+	ws, err := Windows(g, bind, deadline, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ref Reference
+	if err := ref.Reset(g, bind, opts, ws); err != nil {
+		b.Fatal(err)
+	}
+	base := opts
+	opts.Delays = slices.Clone(base.Delays)
+	opts.Powers = slices.Clone(base.Powers)
+	early, late := make([]int, g.N()), make([]int, g.N())
+	for _, mode := range []string{"replay", "full"} {
+		opts.Ref = nil
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, n := range g.Nodes() {
+					if opts.FixedStarts[n.ID] >= 0 {
+						continue
+					}
+					for _, mi := range lib.Candidates(n.Op) {
+						m := lib.Module(mi)
+						opts.Delays[n.ID], opts.Powers[n.ID] = m.Delay, m.Power
+						if mode == "replay" {
+							opts.Ref, opts.RefNode = &ref, n.ID
+						}
+						_ = PASAPStarts(g, bind, opts, early)
+						_ = PALAPStarts(g, bind, deadline, opts, late)
+						opts.Delays[n.ID], opts.Powers[n.ID] = base.Delays[n.ID], base.Powers[n.ID]
+					}
 				}
 			}
 		})

@@ -9,7 +9,8 @@ import "pchls/internal/cdfg"
 // the base/fixed conversion slices. An Arena, passed via Options.Arena,
 // caches the graph-invariant artifacts (topological orders, the reversed
 // graph) and recycles the per-run buffers, making the steady-state
-// scheduler hot path allocation-free apart from the returned Schedule.
+// scheduler hot path allocation-free apart from the returned Schedule
+// (PASAPStarts/PALAPStarts write into the caller's buffer instead).
 // With module delays of at least 1, the critical-first selection order of
 // every run is one counting sort of the nodes by their delay-weighted path
 // to a sink, O(V+E+P) with P the critical-path length, over the arena's
@@ -32,14 +33,37 @@ type Arena struct {
 	bucket []int
 	order  []cdfg.NodeID
 
-	// pasapWithin scratch.
+	// pasapWithin's power profile. Between runs it is zero everywhere
+	// but in [0, dirty) and in spans, the cycles the last run wrote, so
+	// the next run clears those instead of its whole horizon: a palap
+	// horizon is the deadline, which can be far longer than the cycles
+	// a run touches.
 	profile []float64
+	dirty   int
+	spans   []span
 
 	// PALAP scratch (distinct from the buffers the nested pasap run on the
 	// reversed graph uses).
 	rbase  []float64
 	rfixed []int
+	rrel   []int
+	rdue   []int
+	rstart []int
+
+	// Replay scratch (Reference): the re-ranked nodes, their new
+	// priorities, and membership flags that are all false between runs.
+	moved   []cdfg.NodeID
+	newPrio []int
+	isMoved []bool
 }
+
+// span is a half-open cycle interval [lo, hi).
+type span struct{ lo, hi int }
+
+// spanGap is how far past the dirty prefix (or the last span) a write may
+// start and still extend it: clearing a few untouched zero cycles is
+// cheaper than tracking one more span.
+const spanGap = 64
 
 // NewArena returns an arena bound to g. All buffers are grown lazily.
 func NewArena(g *cdfg.Graph) *Arena { return &Arena{g: g} }
@@ -87,6 +111,45 @@ func (a *Arena) reverseOf(g *cdfg.Graph) *cdfg.Graph {
 	return g.Reverse()
 }
 
+// profileFor returns pasapWithin's profile for a run: horizon cycles,
+// zero but for base copied into its start. Without an arena it is fresh.
+func (a *Arena) profileFor(horizon int, base []float64) []float64 {
+	if a == nil {
+		p := make([]float64, horizon)
+		copy(p, base)
+		return p
+	}
+	if cap(a.profile) < horizon {
+		// Automatic pasap horizons vary with the delays of each run, so
+		// grow geometrically rather than once per new maximum.
+		a.profile = make([]float64, max(horizon, 2*cap(a.profile)))
+	} else {
+		full := a.profile[:cap(a.profile)]
+		clear(full[:a.dirty])
+		for _, s := range a.spans {
+			clear(full[s.lo:s.hi])
+		}
+	}
+	a.spans = a.spans[:0]
+	p := a.profile[:horizon]
+	a.dirty = copy(p, base)
+	return p
+}
+
+// wroteFar records that the current run wrote profile cycles [lo, hi)
+// past the dirty prefix (pasapWithin extends the prefix itself): it
+// extends the last span or starts a new one.
+func (a *Arena) wroteFar(lo, hi int) {
+	if a == nil {
+		return
+	}
+	if n := len(a.spans); n > 0 && a.spans[n-1].lo <= lo && lo <= a.spans[n-1].hi+spanGap {
+		a.spans[n-1].hi = max(a.spans[n-1].hi, hi)
+		return
+	}
+	a.spans = append(a.spans, span{lo, hi})
+}
+
 // The grow helpers resize a recycled buffer to n elements without
 // clearing: every caller fully overwrites or clears the returned slice.
 
@@ -109,6 +172,14 @@ func growFloats(buf *[]float64, n int) []float64 {
 func growIDs(buf *[]cdfg.NodeID, n int) []cdfg.NodeID {
 	if cap(*buf) < n {
 		*buf = make([]cdfg.NodeID, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+func growBools(buf *[]bool, n int) []bool {
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

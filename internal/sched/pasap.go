@@ -70,6 +70,15 @@ type Options struct {
 	// slack-hungry refinement inside one part cannot push a cut edge's
 	// producer past what downstream parts need to meet the deadline.
 	Due []int
+	// Ref, when non-nil, is a reference pair (see Reference) that this
+	// run overrides at node RefNode: the caller guarantees that the run's
+	// options are the ones the reference pair was derived under, except
+	// for RefNode's Delays and Powers entries, and the run then replays
+	// what it shares with the pair instead of recomputing it, with the
+	// same result. Nothing checks the tables (that would cost a pass over
+	// them per run); a run that fixes RefNode or has no arena ignores Ref.
+	Ref     *Reference
+	RefNode cdfg.NodeID
 }
 
 // baseAt returns the ambient power at cycle c.
@@ -107,6 +116,28 @@ func (o *Options) check(g *cdfg.Graph) error {
 		}
 	}
 	return nil
+}
+
+// checkStart is check for the runs that write into a caller's start
+// buffer, which must have one entry per node too.
+func (o *Options) checkStart(g *cdfg.Graph, start []int) error {
+	if err := o.check(g); err != nil {
+		return err
+	}
+	if len(start) != g.N() {
+		return fmt.Errorf("sched: start buffer has %d entries for %d nodes", len(start), g.N())
+	}
+	return nil
+}
+
+// tables returns a run's per-node delay and power tables: Delays and
+// Powers when both are set, else the binding's.
+func (o *Options) tables(g *cdfg.Graph, bind Binding) ([]int, []float64) {
+	if o.Delays != nil && o.Powers != nil {
+		return o.Delays, o.Powers
+	}
+	s := newSchedule(g, bind)
+	return s.Delay, s.Power
 }
 
 // releaseAt returns node id's earliest allowed start (0 when free).
@@ -156,39 +187,62 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // placement is negative, or a per-node option table does not have one
 // entry per node.
 func PASAP(g *cdfg.Graph, bind Binding, opts Options) (*Schedule, error) {
-	return pasapWithin(g, bind, opts, 0)
-}
-
-// pasapWithin is the shared core of PASAP and PALAP. horizon caps the
-// last cycle (exclusive) the scheduler may use; PALAP passes its
-// deadline. Zero means automatic: len(Base) + sumDelay*maxDelay + 1,
-// where sumDelay is the total delay of all nodes and maxDelay the
-// largest one (at least 1). The serial bound sumDelay is not enough:
-// greedy stretching in a fragmented power profile can overshoot it, since
-// one busy cycle can block up to maxDelay candidate windows of a long
-// operation. The automatic horizon also reaches
-// sumDelay*maxDelay past the end of every fixed or released node, so
-// their transitive successors fit after them.
-func pasapWithin(g *cdfg.Graph, bind Binding, opts Options, horizon int) (*Schedule, error) {
 	if err := opts.check(g); err != nil {
 		return nil, err
 	}
-	a := opts.arenaFor(g)
-	var order []cdfg.NodeID
-	var err error
-	switch opts.Select {
-	case SmallestID:
-		order, err = a.topoFor(g)
-	default:
-		order, err = criticalFirstOrder(g, bind, &opts, a)
-	}
-	if err != nil {
+	s := newScheduleOpts(g, bind, &opts)
+	if err := pasapWithin(g, bind, &opts, 0, s.Delay, s.Power, s.Start, replay{}); err != nil {
 		return nil, err
 	}
-	s := newScheduleOpts(g, bind, &opts)
+	return s, nil
+}
+
+// PASAPStarts is PASAP writing the start times into start, which must
+// have one entry per node, instead of into a fresh Schedule; after an
+// error its contents are undefined. With an arena and both the Delays and
+// Powers tables set, a steady-state run allocates nothing but the error
+// of a failed run. With Options.Ref set, the run replays what it shares
+// with the reference pair (see Reference).
+func PASAPStarts(g *cdfg.Graph, bind Binding, opts Options, start []int) error {
+	if err := opts.checkStart(g, start); err != nil {
+		return err
+	}
+	delay, power := opts.tables(g, bind)
+	return pasapWithin(g, bind, &opts, 0, delay, power, start, opts.replayOf(g, delay, false, 0))
+}
+
+// pasapWithin is the shared core of PASAP and PALAP: it places every node
+// of g under opts, with the given per-node delay and power tables, and
+// writes the starts into start. horizon caps the last cycle (exclusive)
+// the scheduler may use; PALAP passes its deadline. Zero means automatic:
+// len(Base) + sumDelay*maxDelay + 1, where sumDelay is the total delay of
+// all nodes and maxDelay the largest one (at least 1). The serial bound
+// sumDelay is not enough: greedy stretching in a fragmented power profile
+// can overshoot it, since one busy cycle can block up to maxDelay
+// candidate windows of a long operation. The automatic horizon also
+// reaches sumDelay*maxDelay past the end of every fixed or released node,
+// so their transitive successors fit after them. With a replay (rp.side
+// set), the leading nodes of the selection order that the run shares with
+// the reference are placed at their reference starts without a search.
+func pasapWithin(g *cdfg.Graph, bind Binding, opts *Options, horizon int, delay []int, power []float64, start []int, rp replay) error {
+	a := opts.arenaFor(g)
+	var order []cdfg.NodeID
+	from := 0 // order[:from] may be copied from the reference
+	var err error
+	switch {
+	case rp.side != nil && rp.side.g == g && a != nil:
+		order, from = rp.order(g, a, opts.Select, delay)
+	case opts.Select == SmallestID:
+		order, err = a.topoFor(g)
+	default:
+		order, err = criticalFirstOrder(g, bind, opts, a)
+	}
+	if err != nil {
+		return err
+	}
 	if horizon <= 0 {
 		sumDelay, maxD := 0, 1
-		for _, d := range s.Delay {
+		for _, d := range delay {
 			sumDelay += d
 			if d > maxD {
 				maxD = d
@@ -198,7 +252,7 @@ func pasapWithin(g *cdfg.Graph, bind Binding, opts Options, horizon int) (*Sched
 		// Fixed and released nodes may sit arbitrarily late; leave room for
 		// their transitive successors beyond them.
 		extend := func(id, start int) {
-			if end := start + s.Delay[id] + sumDelay*maxD; end > horizon {
+			if end := start + delay[id] + sumDelay*maxD; end > horizon {
 				horizon = end
 			}
 		}
@@ -213,99 +267,113 @@ func pasapWithin(g *cdfg.Graph, bind Binding, opts Options, horizon int) (*Sched
 			}
 		}
 	}
-	var profile []float64
-	if a != nil {
-		profile = growFloats(&a.profile, horizon)
-	} else {
-		profile = make([]float64, horizon)
-	}
-	clear(profile[copy(profile, opts.Base):])
+	profile := a.profileFor(horizon, opts.Base)
 
-	place := func(id cdfg.NodeID, start int) error {
-		end := start + s.Delay[id]
-		if start < 0 {
-			return fmt.Errorf("sched: pasap: node %q placed at negative cycle %d", g.Node(id).Name, start)
+	place := func(id cdfg.NodeID, s int) error {
+		end := s + delay[id]
+		if s < 0 {
+			return fmt.Errorf("sched: pasap: node %q placed at negative cycle %d", g.Node(id).Name, s)
 		}
 		if end > horizon {
-			return fmt.Errorf("sched: pasap: node %q placed at [%d,%d) outside horizon %d: %w",
-				g.Node(id).Name, start, end, horizon, ErrHorizon)
+			return &horizonError{node: g.Node(id).Name, start: s, end: end, horizon: horizon}
 		}
-		s.Start[id] = start
-		for c := start; c < end; c++ {
-			profile[c] += s.Power[id]
+		start[id] = s
+		for c := s; c < end; c++ {
+			profile[c] += power[id]
+		}
+		if a != nil && s <= a.dirty+spanGap {
+			a.dirty = max(a.dirty, end)
+		} else {
+			a.wroteFar(s, end)
 		}
 		return nil
 	}
 
 	// Place fixed nodes first so their power is visible to everything else,
 	// in ascending node order (deterministic).
-	for i, start := range opts.FixedStarts {
-		if start < 0 {
+	for i, s := range opts.FixedStarts {
+		if s < 0 {
 			continue
 		}
-		if err := place(cdfg.NodeID(i), start); err != nil {
-			return nil, err
+		if err := place(cdfg.NodeID(i), s); err != nil {
+			return err
 		}
 	}
 
-	fits := func(id cdfg.NodeID, start int) bool {
+	// blocked returns the first cycle of an execution of id from s that
+	// would break the cap or the horizon, or -1 when the execution fits.
+	// Every start after s up to that cycle covers it too, so the search
+	// resumes just past it.
+	blocked := func(id cdfg.NodeID, s int) int {
 		if opts.PowerMax <= 0 {
-			return true
+			return -1
 		}
-		for c := start; c < start+s.Delay[id]; c++ {
-			if c >= horizon || profile[c]+s.Power[id] > opts.PowerMax+1e-9 {
-				return false
+		for c := s; c < s+delay[id]; c++ {
+			if c >= horizon || profile[c]+power[id] > opts.PowerMax+1e-9 {
+				return c
 			}
 		}
-		return true
+		return -1
 	}
 
-	for _, id := range order {
+	for i, id := range order {
 		if _, isFixed := opts.fixedAt(id); isFixed {
 			continue
 		}
-		if opts.PowerMax > 0 && s.Power[id] > opts.PowerMax+1e-9 {
-			return nil, fmt.Errorf("sched: pasap: node %q draws %.3g per cycle, constraint %.3g: %w",
-				g.Node(id).Name, s.Power[id], opts.PowerMax, ErrPowerInfeasible)
+		if i < from {
+			// A shared node: it sees what it saw in the reference run, so
+			// it lands on its reference start, unless this run's horizon
+			// ends before that start does (the run then goes on in full).
+			if s := rp.start(id, delay); s >= 0 && s+delay[id] <= horizon {
+				place(id, s) // cannot fail: s >= 0 and it ends by the horizon
+				continue
+			}
+			from = i
+		}
+		if opts.PowerMax > 0 && power[id] > opts.PowerMax+1e-9 {
+			return &powerError{node: g.Node(id).Name, power: power[id], powerMax: opts.PowerMax}
 		}
 		// Earliest precedence-feasible start, no earlier than the node's
 		// release (a boundary-transfer pin from an upstream part).
 		t := opts.releaseAt(id)
 		for _, p := range g.Preds(id) {
-			if e := s.Start[p] + s.Delay[p]; e > t {
+			if e := start[p] + delay[p]; e > t {
 				t = e
 			}
 		}
 		// Latest start admitted by fixed successors (they cannot move), the
 		// node's due (a boundary-transfer bound from downstream parts), and
 		// the horizon.
-		latest := horizon - s.Delay[id]
+		latest := horizon - delay[id]
 		if due := opts.dueAt(id); due > 0 {
-			if lim := due - s.Delay[id]; lim < latest {
+			if lim := due - delay[id]; lim < latest {
 				latest = lim
 			}
 		}
 		for _, v := range g.Succs(id) {
 			if fs, isFixed := opts.fixedAt(v); isFixed {
-				if lim := fs - s.Delay[id]; lim < latest {
+				if lim := fs - delay[id]; lim < latest {
 					latest = lim
 				}
 			}
 		}
 		// Stretch: increase the execution offset until power fits.
-		start := t
-		for start <= latest && !fits(id, start) {
-			start++
+		s := t
+		for s <= latest {
+			c := blocked(id, s)
+			if c < 0 {
+				break
+			}
+			s = c + 1
 		}
-		if start > latest {
-			return nil, fmt.Errorf("sched: pasap: node %q cannot be placed in [%d,%d] under P< = %.3g: %w",
-				g.Node(id).Name, t, latest, opts.PowerMax, ErrHorizon)
+		if s > latest {
+			return &placeError{node: g.Node(id).Name, t: t, latest: latest, powerMax: opts.PowerMax}
 		}
-		if err := place(id, start); err != nil {
-			return nil, err
+		if err := place(id, s); err != nil {
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // ASAP computes the classical unconstrained as-soon-as-possible schedule.
@@ -326,9 +394,16 @@ func ASAP(g *cdfg.Graph, bind Binding) (*Schedule, error) {
 // cyclic graphs. With an arena, all scratch (including the returned order,
 // valid until the next scheduler run) is recycled.
 func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([]cdfg.NodeID, error) {
+	order, _, err := criticalFirstOrderPrio(g, bind, opts, a)
+	return order, err
+}
+
+// criticalFirstOrderPrio is criticalFirstOrder also returning the
+// priorities it sorted by (in the arena's buffer when there is one).
+func criticalFirstOrderPrio(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([]cdfg.NodeID, []int, error) {
 	topo, err := a.topoFor(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := g.N()
 	var prio []int
@@ -376,7 +451,7 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 		order[next[p]] = cdfg.NodeID(i)
 		next[p]++
 	}
-	return order, nil
+	return order, prio, nil
 }
 
 // PALAP computes the power-constrained as-late-as-possible schedule under a
@@ -396,12 +471,36 @@ func PALAP(g *cdfg.Graph, bind Binding, deadline int, opts Options) (*Schedule, 
 	if err := opts.check(g); err != nil {
 		return nil, err
 	}
+	s := newScheduleOpts(g, bind, &opts)
+	if err := palapWithin(g, bind, deadline, &opts, s.Delay, s.Power, s.Start, replay{}); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// PALAPStarts is PALAP writing the start times into start, as PASAPStarts
+// does for PASAP; the reversed run's scratch lives in the arena.
+func PALAPStarts(g *cdfg.Graph, bind Binding, deadline int, opts Options, start []int) error {
+	if deadline <= 0 {
+		return fmt.Errorf("sched: palap: deadline %d must be positive", deadline)
+	}
+	if err := opts.checkStart(g, start); err != nil {
+		return err
+	}
+	delay, power := opts.tables(g, bind)
+	return palapWithin(g, bind, deadline, &opts, delay, power, start, opts.replayOf(g, delay, true, deadline))
+}
+
+// palapWithin is the core of PALAP: one pasap run on the reversed graph,
+// its options and its replay converted into the reversed time frame.
+func palapWithin(g *cdfg.Graph, bind Binding, deadline int, opts *Options, delay []int, power []float64, start []int, rp replay) error {
 	a := opts.arenaFor(g)
 	r := a.reverseOf(g)
+	n := g.N()
 	// Reverse the ambient profile into the reversed time frame.
 	ropts := Options{
 		PowerMax: opts.PowerMax, Select: opts.Select,
-		Delays: opts.Delays, Powers: opts.Powers, Arena: opts.Arena,
+		Delays: delay, Powers: power, Arena: opts.Arena,
 	}
 	if len(opts.Base) > 0 {
 		var rbase []float64
@@ -415,31 +514,32 @@ func PALAP(g *cdfg.Graph, bind Binding, deadline int, opts Options) (*Schedule, 
 		}
 		ropts.Base = rbase
 	}
-	delays := opts.Delays
-	if delays == nil && (opts.FixedStarts != nil || opts.Release != nil || opts.Due != nil) {
-		delays = newSchedule(g, bind).Delay
-	}
 	// Release/due swap roles under time reversal: a forward release R
 	// (start >= R) becomes a reversed due deadline-R (reversed completion
 	// deadline-start <= deadline-R), and a forward due D (completion <= D)
 	// becomes a reversed release deadline-D.
 	if opts.Release != nil || opts.Due != nil {
-		n := g.N()
+		rrelBuf, rdueBuf := new([]int), new([]int)
+		if a != nil {
+			rrelBuf, rdueBuf = &a.rrel, &a.rdue
+		}
 		var rrel, rdue []int
 		for id := 0; id < n; id++ {
 			if due := opts.dueAt(cdfg.NodeID(id)); due > 0 && due < deadline {
 				if rrel == nil {
-					rrel = make([]int, n)
+					rrel = growInts(rrelBuf, n)
+					clear(rrel)
 				}
 				rrel[id] = deadline - due
 			}
 			if rel := opts.releaseAt(cdfg.NodeID(id)); rel > 0 {
-				if rel+delays[id] > deadline {
-					return nil, fmt.Errorf("sched: palap: node %q released at cycle %d cannot finish by the deadline %d: %w",
+				if rel+delay[id] > deadline {
+					return fmt.Errorf("sched: palap: node %q released at cycle %d cannot finish by the deadline %d: %w",
 						g.Node(cdfg.NodeID(id)).Name, rel, deadline, ErrDeadline)
 				}
 				if rdue == nil {
-					rdue = make([]int, n)
+					rdue = growInts(rdueBuf, n)
+					clear(rdue)
 				}
 				rdue[id] = deadline - rel
 			}
@@ -449,38 +549,105 @@ func PALAP(g *cdfg.Graph, bind Binding, deadline int, opts Options) (*Schedule, 
 	if opts.FixedStarts != nil {
 		var rfixed []int
 		if a != nil {
-			rfixed = growInts(&a.rfixed, len(opts.FixedStarts))
+			rfixed = growInts(&a.rfixed, n)
 		} else {
-			rfixed = make([]int, len(opts.FixedStarts))
+			rfixed = make([]int, n)
 		}
-		for id, start := range opts.FixedStarts {
-			if start < 0 {
+		for id, s := range opts.FixedStarts {
+			if s < 0 {
 				rfixed[id] = -1
 			} else {
-				rfixed[id] = deadline - start - delays[id]
+				rfixed[id] = deadline - s - delay[id]
 			}
 		}
 		ropts.FixedStarts = rfixed
 	}
-	rs, err := pasapWithin(r, bind, ropts, deadline)
-	if err != nil {
+	var rstart []int
+	if a != nil {
+		rstart = growInts(&a.rstart, n)
+	} else {
+		rstart = make([]int, n)
+	}
+	if err := pasapWithin(r, bind, &ropts, deadline, delay, power, rstart, rp); err != nil {
 		// A horizon overflow in the reversed frame means the deadline
 		// cannot be met; single-operation power infeasibility passes
 		// through unchanged.
-		if errors.Is(err, ErrHorizon) {
-			return nil, fmt.Errorf("sched: palap: %w: %w", ErrDeadline, err)
-		}
-		return nil, fmt.Errorf("sched: palap: %w", err)
+		return &palapError{err: err, deadline: errors.Is(err, ErrHorizon)}
 	}
-	s := newScheduleOpts(g, bind, &opts)
-	for i := range s.Start {
-		s.Start[i] = deadline - rs.Start[i] - rs.Delay[i]
-		if s.Start[i] < 0 {
-			return nil, fmt.Errorf("sched: palap: node %q needs to start at cycle %d: %w",
-				g.Node(cdfg.NodeID(i)).Name, s.Start[i], ErrDeadline)
+	for i := range start {
+		start[i] = deadline - rstart[i] - delay[i]
+		if start[i] < 0 {
+			return fmt.Errorf("sched: palap: node %q needs to start at cycle %d: %w",
+				g.Node(cdfg.NodeID(i)).Name, start[i], ErrDeadline)
 		}
 	}
-	return s, nil
+	return nil
+}
+
+// The failures of a scheduler run are typed values formatted only when
+// Error is called: the synthesizer runs thousands of override pairs that
+// fail and drops their errors unread. Each prints exactly what the
+// fmt.Errorf it replaces printed, and wraps the same sentinels.
+
+// placeError: pasap found no start for a node in [t, latest].
+type placeError struct {
+	node      string
+	t, latest int
+	powerMax  float64
+}
+
+func (e *placeError) Error() string {
+	return fmt.Sprintf("sched: pasap: node %q cannot be placed in [%d,%d] under P< = %.3g: %v",
+		e.node, e.t, e.latest, e.powerMax, ErrHorizon)
+}
+
+func (e *placeError) Unwrap() error { return ErrHorizon }
+
+// horizonError: a placement ends past the run's horizon.
+type horizonError struct {
+	node                string
+	start, end, horizon int
+}
+
+func (e *horizonError) Error() string {
+	return fmt.Sprintf("sched: pasap: node %q placed at [%d,%d) outside horizon %d: %v",
+		e.node, e.start, e.end, e.horizon, ErrHorizon)
+}
+
+func (e *horizonError) Unwrap() error { return ErrHorizon }
+
+// powerError: a single node draws more than the cap.
+type powerError struct {
+	node            string
+	power, powerMax float64
+}
+
+func (e *powerError) Error() string {
+	return fmt.Sprintf("sched: pasap: node %q draws %.3g per cycle, constraint %.3g: %v",
+		e.node, e.power, e.powerMax, ErrPowerInfeasible)
+}
+
+func (e *powerError) Unwrap() error { return ErrPowerInfeasible }
+
+// palapError: palap's reversed pasap run failed; with deadline set, it ran
+// out of horizon, which means the deadline cannot be met.
+type palapError struct {
+	err      error
+	deadline bool
+}
+
+func (e *palapError) Error() string {
+	if e.deadline {
+		return "sched: palap: " + ErrDeadline.Error() + ": " + e.err.Error()
+	}
+	return "sched: palap: " + e.err.Error()
+}
+
+func (e *palapError) Unwrap() []error {
+	if e.deadline {
+		return []error{ErrDeadline, e.err}
+	}
+	return []error{e.err}
 }
 
 // ALAP computes the classical unconstrained as-late-as-possible schedule

@@ -13,6 +13,7 @@ package clique
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -182,61 +183,40 @@ func Greedy(g *Graph, gain GainFunc) Partition {
 }
 
 // TsengSiewiorek partitions g with the classical common-neighbour
-// heuristic: repeatedly merge the compatible pair of super-vertices with
-// the largest number of common compatible neighbours (ties: smallest
-// indices). It tends to preserve future merge opportunities and usually
-// produces few cliques.
+// heuristic of Tseng and Siewiorek: repeatedly merge the compatible pair
+// of super-vertices with the most common neighbours in the super-vertex
+// graph, ties to the pair whose merge deletes the fewest edges, then to
+// the smallest indices. The merged super-vertex keeps its edges to the
+// common neighbours only. It tends to preserve future merge opportunities
+// and usually produces few cliques.
 func TsengSiewiorek(g *Graph) Partition {
-	// Super-vertex compatibility: two supers are compatible iff all
-	// cross-pairs are compatible; their neighbourhood is the AND of member
-	// neighbourhoods.
-	supers := make([][]int, g.N())
+	n := g.N()
+	// adj is the super-vertex graph, row-major like g.adj: two supers are
+	// adjacent iff every cross pair is compatible. A merged-away super's
+	// row and column are cleared.
+	adj := slices.Clone(g.adj)
+	supers := make([][]int, n)
 	for v := range supers {
 		supers[v] = []int{v}
 	}
-	neigh := make([][]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		row := make([]bool, g.N())
-		for u := 0; u < g.N(); u++ {
-			row[u] = g.adj[v*g.n+u]
-		}
-		neigh[v] = row
-	}
-	alive := make([]bool, g.N())
-	for v := range alive {
-		alive[v] = true
-	}
-	superCompat := func(i, j int) bool {
-		for _, u := range supers[i] {
-			for _, v := range supers[j] {
-				if !g.Compatible(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	common := func(i, j int) int {
-		c := 0
-		for v := 0; v < g.N(); v++ {
-			if neigh[i][v] && neigh[j][v] {
-				c++
-			}
-		}
-		return c
-	}
 	for {
-		bi, bj, best := -1, -1, -1
-		for i := 0; i < g.N(); i++ {
-			if !alive[i] {
-				continue
-			}
-			for j := i + 1; j < g.N(); j++ {
-				if !alive[j] || !superCompat(i, j) {
+		bi, bj, best, bestDel := -1, -1, -1, 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if !adj[i*n+j] {
 					continue
 				}
-				if c := common(i, j); c > best {
-					bi, bj, best = i, j, c
+				common, del := 0, 0
+				for w := 0; w < n; w++ {
+					a, b := adj[i*n+w], adj[j*n+w]
+					if a && b {
+						common++
+					} else if a != b && w != i && w != j {
+						del++
+					}
+				}
+				if common > best || common == best && del < bestDel {
+					bi, bj, best, bestDel = i, j, common, del
 				}
 			}
 		}
@@ -244,15 +224,17 @@ func TsengSiewiorek(g *Graph) Partition {
 			break
 		}
 		supers[bi] = append(supers[bi], supers[bj]...)
-		alive[bj] = false
-		for v := 0; v < g.N(); v++ {
-			neigh[bi][v] = neigh[bi][v] && neigh[bj][v]
+		supers[bj] = nil
+		for w := 0; w < n; w++ {
+			keep := adj[bi*n+w] && adj[bj*n+w]
+			adj[bi*n+w], adj[w*n+bi] = keep, keep
+			adj[bj*n+w], adj[w*n+bj] = false, false
 		}
 	}
 	var p Partition
-	for i, ok := range alive {
-		if ok {
-			p = append(p, supers[i])
+	for _, s := range supers {
+		if s != nil {
+			p = append(p, s)
 		}
 	}
 	return p.normalize()

@@ -244,22 +244,46 @@ func TestQuickHeuristicsValidAndExactNoWorse(t *testing.T) {
 	}
 }
 
+// TestQuickTsengSiewiorekNearOptimalOnSmall holds the common-neighbour
+// heuristic to the exact partitioner on 8-vertex random graphs (edge
+// probability 0.5) drawn from fixed seeds, so the test is deterministic.
+// The table pins the counts on graphs where counting common neighbours
+// per original vertex, instead of per super-vertex, once gave two or
+// three cliques over the optimum. The sweep asserts a valid partition and
+// never fewer cliques than exact; staying within one clique of exact is a
+// measured fact of these seeds, not a bound the heuristic guarantees.
 func TestQuickTsengSiewiorekNearOptimalOnSmall(t *testing.T) {
-	// On tiny graphs the common-neighbour heuristic is usually optimal;
-	// we assert it is never more than 1 clique worse (a known property on
-	// graphs this small, acting as a regression tripwire for the
-	// implementation).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomCompat(rng, 8, 0.5)
-		ts := TsengSiewiorek(g)
+	graph := func(seed int64) *Graph { return randomCompat(rand.New(rand.NewSource(seed)), 8, 0.5) }
+	for _, c := range []struct {
+		seed      int64
+		ts, exact int
+	}{
+		{-485281403257472478, 4, 3},
+		{81, 4, 3},
+		{1027, 3, 3},
+		{2691, 4, 4},
+	} {
+		g := graph(c.seed)
 		exact, err := ExactMinCliques(g)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		return len(ts) <= len(exact)+1
+		if ts := TsengSiewiorek(g); len(ts) != c.ts || len(exact) != c.exact {
+			t.Errorf("seed %d: %d cliques, exact %d; pinned %d and %d", c.seed, len(ts), len(exact), c.ts, c.exact)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	for seed := int64(0); seed < 2000; seed++ {
+		g := graph(seed)
+		ts := TsengSiewiorek(g)
+		if err := ts.Validate(g); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		exact, err := ExactMinCliques(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ts) < len(exact) || len(ts) > len(exact)+1 {
+			t.Fatalf("seed %d: %d cliques, exact %d", seed, len(ts), len(exact))
+		}
 	}
 }

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"pchls/internal/bench"
@@ -58,7 +59,7 @@ func warmState(t *testing.T, name string, lib *library.Library, slack int) *stat
 
 // TestBestDecisionSteadyStateAllocs pins the allocation count of one warm
 // bestDecision iteration on the largest and the smallest paper benchmark:
-// the flat window table, the override cache with its slab, the scheduler
+// the per-candidate override cache with its slab, the scheduler
 // arena and the lookup tables must hold, so a repeated iteration
 // allocates nothing — the base palap run, when the last commit did not
 // leave the base pair valid, writes into the engine's buffer.
@@ -97,20 +98,76 @@ func TestOverridePairSteadyStateAllocs(t *testing.T) {
 	}
 	// A feasible override that changes the node's delay, so the replay
 	// patches the reference order.
-	v, mi := cdfg.None, -1
+	v, j := cdfg.None, -1
 	for i, c := range st.committed {
-		for _, m := range st.cand[i] {
+		for k, m := range st.cand[i] {
 			if v == cdfg.None && !c && st.lib.Module(m).Delay != st.delays[i] &&
-				st.computeEntry(cdfg.NodeID(i), m, opts).earlyStart != nil {
-				v, mi = cdfg.NodeID(i), m
+				st.computeEntry(cdfg.NodeID(i), k, opts).earlyStart != nil {
+				v, j = cdfg.NodeID(i), k
 			}
 		}
 	}
 	if v == cdfg.None {
 		t.Fatal("no feasible override that changes a delay")
 	}
-	got := testing.AllocsPerRun(50, func() { st.computeEntry(v, mi, opts) })
+	got := testing.AllocsPerRun(50, func() { st.computeEntry(v, j, opts) })
 	if got != 0 {
 		t.Fatalf("warm override pair allocates %.1f/run, budget 0", got)
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for allocated bytes: the average
+// heap bytes one call of f allocates, after one warm-up call, with
+// GOMAXPROCS at 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFirstDecisionAllocs pins the bytes a synthesis allocates before
+// its first commitment — newState, refineInitialModules and the first
+// bestDecision — on cosine under the expanded 3-level DVS library of the
+// classic benchmark workload, at its ASAP length + 3 and 0.8 × the ASAP
+// peak. That is the per-state table size: the lookup tables, the window
+// cache with one entry per (node, candidate module) and the start slab
+// the first iteration's override runs fill. The budget is 1.2 × the
+// measured value.
+func TestFirstDecisionAllocs(t *testing.T) {
+	g, err := bench.ByName("cosine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := gen.Library(1001, gen.LibraryConfig{Levels: 3}).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := Constraints{Deadline: asap.Length() + 3, PowerMax: 0.8 * asap.PeakPower()}
+	got := bytesPerRun(5, func() {
+		st, err := newState(g, lib, cons, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.refineInitialModules(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.bestDecision(); !ok {
+			t.Fatal("no decision")
+		}
+	})
+	const measured = 765701
+	if max := float64(measured * 6 / 5); got > max {
+		t.Fatalf("first decision allocates %.0f B/run, budget %.0f", got, max)
+	}
+	t.Logf("first decision: %.0f B/run", got)
 }

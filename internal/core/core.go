@@ -248,8 +248,10 @@ type state struct {
 	undo     []undoRec
 	shiftBuf []cdfg.NodeID
 	// eng is the exhaustive derivation's window cache (empty on the SDC
-	// path, which never reads it).
+	// path, which never reads it); opts is its iteration's scheduler
+	// options, set by prepareWindows and shared by every override run.
 	eng   *engine
+	opts  sched.Options
 	stats Stats
 
 	// sdc selects the SDC window derivation (useSDC); topo and sdcB are
@@ -261,7 +263,6 @@ type state struct {
 	// Hot-path lookup tables and scratch, built once by initTables. The
 	// synthesize loop runs the schedulers hundreds of times per design;
 	// these make the steady state allocation-free and lookup-free.
-	nm           int            // library module count
 	cand         [][]int        // cand[v]: candidate module indices of v's op
 	smallestArea []float64      // smallestArea[v]: cheapest-module area of v's op
 	nameToMi     map[string]int // module name -> index
@@ -272,8 +273,6 @@ type state struct {
 	fixedStarts  []int          // schedOpts buffer: committed starts, -1 = free
 	arena        *sched.Arena   // scheduler scratch bound to g
 	baseBind     sched.Binding  // binding under the current assumptions
-	wins         []sched.Window // flat (node, module) candidate windows
-	winSet       []bool         //   parallel presence bits
 	potential    []int          // per-module uncommitted-implementer counts
 	cm           bind.CostModel
 
@@ -297,11 +296,11 @@ type state struct {
 // may be anything.
 func (st *state) initTables() {
 	n := st.g.N()
-	st.nm = st.lib.Len()
+	nm := st.lib.Len()
 	st.cand = make([][]int, n)
 	st.smallestArea = make([]float64, n)
-	st.nameToMi = make(map[string]int, st.nm)
-	for mi := 0; mi < st.nm; mi++ {
+	st.nameToMi = make(map[string]int, nm)
+	for mi := 0; mi < nm; mi++ {
 		st.nameToMi[st.lib.Module(mi).Name] = mi
 	}
 	for _, node := range st.g.Nodes() {
@@ -324,9 +323,7 @@ func (st *state) initTables() {
 	st.baseBind = func(nd cdfg.Node) *library.Module {
 		return st.lib.Module(st.moduleOf[nd.ID])
 	}
-	st.wins = make([]sched.Window, n*st.nm)
-	st.winSet = make([]bool, n*st.nm)
-	st.potential = make([]int, st.nm)
+	st.potential = make([]int, nm)
 	st.cm = st.cfg.cost()
 	if p := st.cfg.Perturb; p.enabled() {
 		// One fixed draw order (jitter factors, then the tie permutation)
@@ -455,8 +452,9 @@ func usePartition(g *cdfg.Graph, cfg Config) bool {
 // expandLevels lowers a multi-level library into its single-level
 // expansion before synthesis (library.Expand): each voltage operating
 // point becomes an ordinary module candidate, so the decision loop picks
-// an operating point exactly the way it picks a module, and the flat
-// (node x nm) scratch tables gain the level dimension through nm itself.
+// an operating point exactly the way it picks a module, and the
+// per-candidate tables gain the level dimension through the candidate
+// lists themselves.
 // Single-level libraries pass through untouched (pointer-identical), so
 // every pre-voltage input keeps byte-identical designs.
 func expandLevels(lib *library.Library) (*library.Library, error) {
@@ -743,15 +741,16 @@ func (st *state) currentPASAP() (*sched.Schedule, error) {
 	return s, nil
 }
 
-// windowSchedsFor runs the override pasap/palap pair for candidate
-// (v, mi) under opts, the iteration's base options (schedOpts), and
-// returns both start arrays — the engine caches them to prove entries
-// valid across later commitments. ok=false means the pair is infeasible.
+// windowSchedsFor runs the override pasap/palap pair for candidate j of
+// node v (module st.cand[v][j]) under opts, the iteration's base options
+// (schedOpts), and returns both start arrays — the engine caches them to
+// prove entries valid across later commitments. ok=false means the pair
+// is infeasible.
 // The runs write into the candidate's slab slot and, while the base pair
 // is current, replay it (sched.Reference); the coldWindows oracle runs
 // both in full into fresh schedules instead.
-func (st *state) windowSchedsFor(v cdfg.NodeID, mi int, opts sched.Options) (early, late []int, ok bool) {
-	m := st.lib.Module(mi)
+func (st *state) windowSchedsFor(v cdfg.NodeID, j int, opts sched.Options) (early, late []int, ok bool) {
+	m := st.lib.Module(st.cand[v][j])
 	if st.cons.PowerMax > 0 && m.Power > st.cons.PowerMax+1e-9 {
 		return nil, nil, false
 	}
@@ -767,7 +766,7 @@ func (st *state) windowSchedsFor(v cdfg.NodeID, mi int, opts sched.Options) (ear
 	if st.eng.refOK {
 		opts.Ref, opts.RefNode = &st.eng.ref, v
 	}
-	early, late = st.overrideStarts(v, mi)
+	early, late = st.overrideStarts(v, j)
 	st.stats.SchedulerRuns++
 	if sched.PASAPStarts(st.g, st.baseBind, opts, early) != nil || length(early, st.ovDelays) > st.cons.Deadline {
 		return nil, nil, false
@@ -912,19 +911,17 @@ func (st *state) noteProbe(d Decision, probe *sched.Schedule) {
 	if eng.warm {
 		u, s := int(d.Node), d.Start
 		moduleMatch := eng.assumed != nil && st.moduleOf[u] == eng.assumed[u]
-		for idx := range eng.overSet {
-			if !eng.overSet[idx] {
+		for k := range eng.over {
+			ent := &eng.over[k]
+			if !ent.cached {
 				continue
 			}
-			if idx/st.nm != u {
-				ent := &eng.over[idx]
-				if moduleMatch && ent.earlyStart != nil &&
-					ent.earlyStart[u] == s && ent.lateStart[u] == s {
-					continue
-				}
+			own := eng.slotOf[u] <= k && k < eng.slotOf[u+1]
+			if !own && moduleMatch && ent.earlyStart != nil &&
+				ent.earlyStart[u] == s && ent.lateStart[u] == s {
+				continue
 			}
-			eng.overSet[idx] = false
-			eng.over[idx] = winEntry{}
+			*ent = winEntry{}
 			st.stats.WindowInvalidations++
 		}
 		eng.baseValid = moduleMatch && eng.baseWin[u].Late == s && sameStarts(eng.probe, probe)

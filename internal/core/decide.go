@@ -5,108 +5,88 @@ import (
 	"pchls/internal/sched"
 )
 
-// The candidate windows of one iteration live in the state's flat
-// (node, module) table: wins[v*nm+mi] with a parallel winSet presence bit.
-// A flat table replaces the former map-of-maps, which allocated a fresh
-// two-level map every iteration and dominated the synthesize profile.
-
-func (st *state) setWin(v cdfg.NodeID, mi int, w sched.Window) {
-	idx := int(v)*st.nm + mi
-	st.wins[idx] = w
-	st.winSet[idx] = true
-}
-
-func (st *state) getWin(v cdfg.NodeID, mi int) (sched.Window, bool) {
-	idx := int(v)*st.nm + mi
-	return st.wins[idx], st.winSet[idx]
-}
-
-// candidateWindows computes, once per iteration, the feasible window of
-// every (uncommitted op, module) candidate into the state's flat window
-// table: point windows once locked, the SDC bounds above sdcGraphNodes,
-// and otherwise the exhaustive pasap/palap windows. The assumed-module
-// windows all come from one pasap/palap pair (baseWindows); each other
-// candidate needs an override pair, served from the engine's cache when
-// an entry survived the commitments since it was derived. Entries are
-// stored only when the base pair succeeded, since the cache's validity
-// rests on it.
-func (st *state) candidateWindows() {
+// prepareWindows is the once-per-iteration step of the window derivation;
+// the decision loop then reads each candidate's window where it is
+// derived (window). Locked states need nothing more. The SDC regime runs
+// its one longest-path pass. The exhaustive regime derives the base pair
+// (baseWindows) and the iteration's scheduler options, which every
+// override run shares; when the base pair fails, the override entries
+// that rest on it are dropped and no new entry is cached this iteration.
+func (st *state) prepareWindows() {
 	if st.cfg.coldWindows {
 		st.auditCommitted()
 		st.eng.invalidateWindows()
 	}
-	for i := range st.winSet {
-		st.winSet[i] = false
-	}
 	if st.locked {
-		for i, c := range st.committed {
-			if !c {
-				v := cdfg.NodeID(i)
-				st.setWin(v, st.moduleOf[v], sched.Window{Early: st.start[v], Late: st.start[v]})
-			}
-		}
 		return
 	}
 	if st.sdc {
-		st.sdcWindows()
+		st.stats.SDCDerivations++
+		st.fillFixedStarts()
+		sched.DeriveSDCBounds(st.g, st.topo, st.cons.Deadline, st.delays, st.fixedStarts,
+			st.cfg.release, st.cfg.due, &st.sdcB)
 		return
 	}
 	eng := st.eng
-	baseOK := st.baseWindows()
-	opts := st.schedOpts()
+	st.opts = st.schedOpts()
+	baseOK := st.baseWindows(st.opts)
 	if !baseOK && eng.warm {
 		// The override entries that survived the last commitment rest on
 		// the base pair, which no longer exists.
 		eng.invalidateWindows()
 		st.stats.FullInvalidations++
 	}
-	for i, c := range st.committed {
-		if c {
-			continue
-		}
-		v := cdfg.NodeID(i)
-		for _, mi := range st.cand[v] {
-			if mi == st.moduleOf[v] && baseOK {
-				if w := eng.baseWin[v]; w.Width() >= 1 {
-					st.setWin(v, mi, w)
-				}
-				continue
-			}
-			idx := int(v)*st.nm + mi
-			if eng.overSet[idx] {
-				st.stats.WindowCacheHits++
-				if ent := eng.over[idx]; ent.ok {
-					st.setWin(v, mi, ent.w)
-				}
-				continue
-			}
-			st.stats.WindowCacheMisses++
-			ent := st.computeEntry(v, mi, opts)
-			if baseOK {
-				eng.over[idx] = ent
-				eng.overSet[idx] = true
-			}
-			if ent.ok {
-				st.setWin(v, mi, ent.w)
-			}
-		}
-	}
 	eng.warm = baseOK
 }
 
+// window returns the feasible window of candidate j of uncommitted node v
+// (module st.cand[v][j]) in the iteration prepareWindows set up, and
+// whether it has one: the locked start as a point window (the assumed
+// module only); the SDC bounds; the base window under the assumed module;
+// or else the override pair's entry, served from the engine's cache when
+// an entry survived the commitments since it was derived. Entries are
+// cached only while the base pair stands (eng.warm), since their validity
+// rests on it.
+func (st *state) window(v cdfg.NodeID, j int) (sched.Window, bool) {
+	mi := st.cand[v][j]
+	if st.locked {
+		return sched.Window{Early: st.start[v], Late: st.start[v]}, mi == st.moduleOf[v]
+	}
+	if st.sdc {
+		return st.sdcWindow(v, mi)
+	}
+	eng := st.eng
+	if mi == st.moduleOf[v] && eng.warm {
+		w := eng.baseWin[v]
+		return w, w.Width() >= 1
+	}
+	ent := &eng.over[eng.slotOf[v]+j]
+	if ent.cached {
+		st.stats.WindowCacheHits++
+		return ent.w, ent.ok
+	}
+	st.stats.WindowCacheMisses++
+	e := st.computeEntry(v, j, st.opts)
+	if eng.warm {
+		e.cached = true
+		*ent = e
+	}
+	return e.w, e.ok
+}
+
 // baseWindows derives the base windows (every node under its assumed
-// module) into eng.baseWin and reports whether the base pair succeeded.
-// It reuses them outright when the last commitment provably left the pair
-// unchanged (baseValid); otherwise it runs the full pair, reusing the
-// exact post-commit probe, when present, as the Early schedule. A derived
-// pair becomes the override runs' replay reference.
-func (st *state) baseWindows() bool {
+// module) into eng.baseWin under opts, the iteration's scheduler options,
+// and reports whether the base pair succeeded. It reuses them outright
+// when the last commitment provably left the pair unchanged (baseValid);
+// otherwise it runs the full pair, reusing the exact post-commit probe,
+// when present, as the Early schedule. A derived pair becomes the
+// override runs' replay reference.
+func (st *state) baseWindows(opts sched.Options) bool {
 	eng := st.eng
 	if eng.warm && eng.baseValid {
 		return true
 	}
 	eng.refOK = false
-	opts := st.schedOpts()
 	early, err := eng.probe, error(nil)
 	if early == nil {
 		st.stats.SchedulerRuns++
@@ -131,13 +111,13 @@ func (st *state) baseWindows() bool {
 	return true
 }
 
-// sdcWindows derives every candidate window from the SDC
-// difference-constraint bounds: one O(V+E) longest-path pass per
-// iteration, then an O(1) lookup per (node, module) candidate — Early[v]
-// never depends on v's own delay and LateEnd[v] doesn't either while v is
-// uncommitted, so a module override is just a different subtraction. This
-// replaces the O(n·m) override pasap/palap pairs of the exhaustive path,
-// which is what makes thousand-node synthesis tractable.
+// sdcWindow derives candidate (v, mi)'s window from the SDC
+// difference-constraint bounds of the iteration: Early[v] never depends
+// on v's own delay and LateEnd[v] doesn't either while v is uncommitted,
+// so a module override is just a different subtraction — an O(1) lookup
+// after one O(V+E) longest-path pass per iteration. This replaces the
+// O(n·m) override pasap/palap pairs of the exhaustive path, which is what
+// makes thousand-node synthesis tractable.
 //
 // The bounds ignore the power cap, so these windows are supersets of the
 // power-feasible exhaustive ones. Soundness is unaffected: every placement
@@ -147,42 +127,27 @@ func (st *state) baseWindows() bool {
 // relaxation only widens which decisions get considered. Modules whose
 // own power exceeds the cap are rejected here exactly as windowSchedsFor
 // rejects them.
-func (st *state) sdcWindows() {
-	st.stats.SDCDerivations++
-	st.fillFixedStarts()
-	sched.DeriveSDCBounds(st.g, st.topo, st.cons.Deadline, st.delays, st.fixedStarts,
-		st.cfg.release, st.cfg.due, &st.sdcB)
-	// Power-aware bound propagation: when an ambient baseProfile carries the
-	// power already committed by other parts of a decomposed synthesis, any
-	// feasible start must leave headroom for the candidate's own draw across
-	// its whole execution — so window ends sitting under saturated ambient
-	// cycles can be pulled in before any placement probe runs. freeSlot
-	// re-checks every interior cycle, so this only removes starts that were
-	// doomed anyway (and the slot probes they would cost).
-	tighten := st.cons.PowerMax > 0 && len(st.cfg.baseProfile) > 0
-	for i, c := range st.committed {
-		if c {
-			continue
-		}
-		v := cdfg.NodeID(i)
-		early := st.sdcB.Early[v]
-		for _, mi := range st.cand[v] {
-			m := st.lib.Module(mi)
-			if st.cons.PowerMax > 0 && m.Power > st.cons.PowerMax+1e-9 {
-				continue
-			}
-			w := sched.Window{Early: early, Late: st.sdcB.LateEnd[v] - m.Delay}
-			if tighten {
-				var changed bool
-				if w, changed = st.tightenWindow(mi, m.Delay, w); changed {
-					st.stats.BoundTightenings++
-				}
-			}
-			if w.Width() >= 1 {
-				st.setWin(v, mi, w)
-			}
+//
+// Power-aware bound propagation: when an ambient baseProfile carries the
+// power already committed by other parts of a decomposed synthesis, any
+// feasible start must leave headroom for the candidate's own draw across
+// its whole execution — so window ends sitting under saturated ambient
+// cycles can be pulled in before any placement probe runs. freeSlot
+// re-checks every interior cycle, so this only removes starts that were
+// doomed anyway (and the slot probes they would cost).
+func (st *state) sdcWindow(v cdfg.NodeID, mi int) (sched.Window, bool) {
+	m := st.lib.Module(mi)
+	if st.cons.PowerMax > 0 && m.Power > st.cons.PowerMax+1e-9 {
+		return sched.Window{}, false
+	}
+	w := sched.Window{Early: st.sdcB.Early[v], Late: st.sdcB.LateEnd[v] - m.Delay}
+	if st.cons.PowerMax > 0 && len(st.cfg.baseProfile) > 0 {
+		var changed bool
+		if w, changed = st.tightenWindow(mi, m.Delay, w); changed {
+			st.stats.BoundTightenings++
 		}
 	}
+	return w, w.Width() >= 1
 }
 
 // tightenWindow shrinks an SDC candidate window to the nearest start cycles
@@ -291,24 +256,27 @@ func (st *state) muxEstimate(v cdfg.NodeID, f int) float64 {
 	return float64(inputs) * st.cm.MuxInputArea
 }
 
-// amortizedArea estimates the effective cost of allocating a new instance
-// of module mi: its area divided by the number of operations it could
-// plausibly end up serving — the uncommitted operations of matching type,
-// capped by the number of executions that fit in the deadline.
-func (st *state) amortizedArea(mi int) float64 {
-	m := st.lib.Module(mi)
-	potential := 0
+// countPotential counts, per module, the uncommitted operations it could
+// implement into st.potential, for the amortized-area estimate: one sweep
+// instead of one graph scan per (op, module) candidate. mi implements
+// node i's op exactly when mi is among the op's candidate modules.
+func (st *state) countPotential() {
+	clear(st.potential)
 	for i, c := range st.committed {
-		if !c && m.Implements(st.g.Node(cdfg.NodeID(i)).Op) {
-			potential++
+		if c {
+			continue
+		}
+		for _, mi := range st.cand[i] {
+			st.potential[mi]++
 		}
 	}
-	return st.amortizedAreaWith(mi, potential)
 }
 
-// amortizedAreaWith is amortizedArea with the potential-implementer count
-// precomputed — bestDecision counts all modules in one sweep instead of
-// re-scanning the graph per candidate.
+// amortizedAreaWith estimates the effective cost of allocating a new
+// instance of module mi: its area divided by the number of operations it
+// could plausibly end up serving — potential, the uncommitted operations
+// of matching type (countPotential), capped by the number of executions
+// that fit in the deadline.
 func (st *state) amortizedAreaWith(mi, potential int) float64 {
 	m := st.lib.Module(mi)
 	slots := st.cons.Deadline / m.Delay
@@ -384,26 +352,11 @@ search:
 // the most schedule-constrained operation (smallest window), then the
 // smallest node ID, then the smallest module area — all deterministic.
 func (st *state) bestDecision() (Decision, bool) {
-	st.candidateWindows()
+	st.prepareWindows()
+	st.countPotential()
 	best := Decision{FU: -1}
 	bestWidth, bestWeight := 0, 0.0
 	found := false
-
-	// Per-module count of uncommitted operations it could implement, for
-	// the amortized-area estimate; one sweep instead of one graph scan per
-	// (op, module) candidate. mi implements node i's op exactly when mi is
-	// among the op's candidate modules.
-	for mi := range st.potential {
-		st.potential[mi] = 0
-	}
-	for i, c := range st.committed {
-		if c {
-			continue
-		}
-		for _, mi := range st.cand[i] {
-			st.potential[mi]++
-		}
-	}
 
 	// weight ranks operations by how expensive their resource class is
 	// (the cheapest module that could implement them): multiplications
@@ -470,8 +423,8 @@ func (st *state) bestDecision() (Decision, bool) {
 		// so sharing an existing instance always wins when feasible.
 		newMi, newStart, newWidth := -1, 0, 0
 		var newAmort float64
-		for _, mi := range st.cand[v] {
-			w, ok := st.getWin(v, mi)
+		for j, mi := range st.cand[v] {
+			w, ok := st.window(v, j)
 			if !ok {
 				continue
 			}

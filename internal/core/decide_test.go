@@ -37,6 +37,9 @@ func newTestState(t *testing.T, g *cdfg.Graph, cons Constraints) *state {
 	return st
 }
 
+// TestAmortizedArea drives the amortized-area estimate the way
+// bestDecision does: countPotential's per-module counts fed to
+// amortizedAreaWith.
 func TestAmortizedArea(t *testing.T) {
 	g := bench.HAL() // 6 muls, 2 adds, 2 subs, 1 cmp
 	st := newTestState(t, g, Constraints{Deadline: 10})
@@ -54,16 +57,24 @@ func TestAmortizedArea(t *testing.T) {
 			aluIdx = mi
 		}
 	}
+	amortized := func(mi, potential int) float64 {
+		t.Helper()
+		st.countPotential()
+		if st.potential[mi] != potential {
+			t.Errorf("%s potential = %d, want %d", st.lib.Module(mi).Name, st.potential[mi], potential)
+		}
+		return st.amortizedAreaWith(mi, st.potential[mi])
+	}
 	// Parallel mult: potential 6 muls, slots 10/2 = 5 -> 339/5.
-	if got := st.amortizedArea(parIdx); got != 339.0/5 {
+	if got := amortized(parIdx, 6); got != 339.0/5 {
 		t.Errorf("parallel mult amortized = %g, want %g", got, 339.0/5)
 	}
 	// Serial mult: slots 10/4 = 2 -> 103/2.
-	if got := st.amortizedArea(serIdx); got != 103.0/2 {
+	if got := amortized(serIdx, 6); got != 103.0/2 {
 		t.Errorf("serial mult amortized = %g, want %g", got, 103.0/2)
 	}
 	// ALU: potential 2+2+1 = 5 ops, slots 10 -> 97/5.
-	if got := st.amortizedArea(aluIdx); got != 97.0/5 {
+	if got := amortized(aluIdx, 5); got != 97.0/5 {
 		t.Errorf("ALU amortized = %g, want %g", got, 97.0/5)
 	}
 	// Committing operations shrinks the potential.
@@ -71,7 +82,7 @@ func TestAmortizedArea(t *testing.T) {
 	for _, id := range muls[:4] {
 		st.committed[id] = true
 	}
-	if got := st.amortizedArea(parIdx); got != 339.0/2 {
+	if got := amortized(parIdx, 2); got != 339.0/2 {
 		t.Errorf("parallel mult amortized after commits = %g, want %g", got, 339.0/2)
 	}
 }

@@ -6,18 +6,19 @@ import (
 )
 
 // winEntry caches the result of one override window derivation for a
-// (node, module) candidate. earlyStart/lateStart keep the full start
-// arrays of the pasap/palap pair that produced the window: an entry
-// stays provably valid across a commitment of node u at cycle s exactly
-// when both runs already placed u at s under the committed module —
-// fixing a node where the greedy schedulers put it anyway changes
-// neither schedule (power sums are symmetric and added power never opens
-// earlier slots), so the cached window is byte-identical to a recompute.
-// Infeasible results (ok=false) carry no arrays and are dropped on the
-// next commit. The arrays are the candidate's slot in the engine's slab.
+// (node, module) candidate; cached marks a slot that holds one.
+// earlyStart/lateStart keep the full start arrays of the pasap/palap pair
+// that produced the window: an entry stays provably valid across a
+// commitment of node u at cycle s exactly when both runs already placed u
+// at s under the committed module — fixing a node where the greedy
+// schedulers put it anyway changes neither schedule (power sums are
+// symmetric and added power never opens earlier slots), so the cached
+// window is byte-identical to a recompute. Infeasible results (ok=false)
+// carry no arrays and are dropped on the next commit. The arrays are the
+// candidate's slot in the engine's slab.
 type winEntry struct {
 	w          sched.Window
-	ok         bool
+	ok, cached bool
 	earlyStart []int
 	lateStart  []int
 }
@@ -51,11 +52,10 @@ type engine struct {
 	// baseWin is the last derived window of every node under the assumed
 	// modules.
 	baseWin []sched.Window
-	// over caches the override windows in a flat (node, module) table:
-	// over[v*nm+mi] for a non-assumed candidate module mi of node v, with
-	// overSet as the parallel presence bit.
-	over    []winEntry
-	overSet []bool
+	// over caches the override windows by candidate slot: candidate j of
+	// node v (st.cand[v][j]) owns over[slotOf[v]+j], so node v's entries
+	// are the range slotOf[v]..slotOf[v+1].
+	over []winEntry
 	// ref is the base pair as the replay reference of the override runs
 	// (sched.Reference): an override run copies the nodes it shares with
 	// the base pair and patches the base selection order. refOK reports
@@ -63,10 +63,10 @@ type engine struct {
 	// never sets it.
 	ref   sched.Reference
 	refOK bool
-	// slab holds the start arrays of the override runs: candidate j of
-	// node v (st.cand[v][j]) owns the 2n ints from (slotOf[v]+j)*2n, its
-	// early starts then its late starts, so a run writes straight into the
-	// arrays its cache entry keeps. A slot is rewritten only when its
+	// slab holds the start arrays of the override runs: the candidate in
+	// slot k owns the 2n ints from k*2n, its early starts then its late
+	// starts, so a run writes straight into the arrays its cache entry
+	// keeps. A slot is rewritten only when its
 	// entry is recomputed, after the old entry was dropped. It is
 	// allocated on first use. lateBase is the base palap's start buffer.
 	slab     []int
@@ -83,31 +83,24 @@ func newEngine(st *state) *engine {
 	n := st.g.N()
 	eng := &engine{
 		baseWin:  make([]sched.Window, n),
-		over:     make([]winEntry, n*st.nm),
-		overSet:  make([]bool, n*st.nm),
 		slotOf:   make([]int, n+1),
 		lateBase: make([]int, n),
 	}
 	for v := range n {
 		eng.slotOf[v+1] = eng.slotOf[v] + len(st.cand[v])
 	}
+	eng.over = make([]winEntry, eng.slotOf[n])
 	return eng
 }
 
-// overrideStarts returns the slab arrays of candidate (v, mi) for its
+// overrideStarts returns the slab arrays of candidate j of node v for its
 // override runs to write into.
-func (st *state) overrideStarts(v cdfg.NodeID, mi int) (early, late []int) {
+func (st *state) overrideStarts(v cdfg.NodeID, j int) (early, late []int) {
 	eng, n := st.eng, st.g.N()
 	if eng.slab == nil {
-		eng.slab = make([]int, eng.slotOf[n]*2*n)
+		eng.slab = make([]int, len(eng.over)*2*n)
 	}
-	at := eng.slotOf[v]
-	for j, c := range st.cand[v] {
-		if c == mi {
-			at += j
-			break
-		}
-	}
+	at := eng.slotOf[v] + j
 	slot := eng.slab[at*2*n : (at+1)*2*n]
 	return slot[:n:n], slot[n:]
 }
@@ -119,12 +112,7 @@ func (e *engine) invalidateWindows() {
 	e.baseValid = false
 	e.refOK = false
 	e.probe = nil
-	for i := range e.overSet {
-		if e.overSet[i] {
-			e.overSet[i] = false
-			e.over[i] = winEntry{}
-		}
-	}
+	clear(e.over)
 }
 
 // sameStarts reports whether two schedules place every node at the same
@@ -142,12 +130,12 @@ func sameStarts(a, b *sched.Schedule) bool {
 }
 
 // computeEntry derives the cacheable override window entry for candidate
-// (v, mi) under the iteration's base options: the window plus the full
-// start arrays of the pair that produced it. Width-zero windows cache as
-// infeasible with their arrays kept — if the runs provably cannot change,
-// neither can the verdict.
-func (st *state) computeEntry(v cdfg.NodeID, mi int, opts sched.Options) winEntry {
-	early, late, ok := st.windowSchedsFor(v, mi, opts)
+// j of node v under the iteration's base options: the window plus the
+// full start arrays of the pair that produced it. Width-zero windows cache
+// as infeasible with their arrays kept — if the runs provably cannot
+// change, neither can the verdict.
+func (st *state) computeEntry(v cdfg.NodeID, j int, opts sched.Options) winEntry {
+	early, late, ok := st.windowSchedsFor(v, j, opts)
 	if !ok {
 		return winEntry{}
 	}

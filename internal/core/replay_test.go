@@ -14,26 +14,29 @@ import (
 	"pchls/internal/sched"
 )
 
-// requireEntriesMatchFullRuns recomputes, in st's current iteration,
-// the override entry of every (uncommitted node, candidate module) with
-// computeEntry — the replayed runs into the slab, whenever the base pair
-// is current — and requires the verdict, the window and both start arrays
-// of a cold full pair: PASAP and PALAP run in full, over the oracle's own
-// arena, under the same options and override. It returns the number of
-// entries compared.
+// requireEntriesMatchFullRuns prepares st's current iteration and holds
+// every (uncommitted node, candidate module) to a cold full pair: PASAP
+// and PALAP run in full, over the oracle's own arena, under the same
+// options and override. The window the decision loop reads (st.window:
+// the base window, a cached entry or a fresh one) must equal the pair's
+// window, and the entry computeEntry recomputes — the replayed runs into
+// the slab, whenever the base pair is current — must equal its verdict,
+// window and both start arrays. It returns the number of entries
+// compared.
 func requireEntriesMatchFullRuns(t *testing.T, label string, st *state, oracle *sched.Arena) int {
 	t.Helper()
-	opts := st.schedOpts()
+	st.prepareWindows()
 	n := 0
 	for i, c := range st.committed {
 		if c {
 			continue
 		}
 		v := cdfg.NodeID(i)
-		for _, mi := range st.cand[v] {
-			got := st.computeEntry(v, mi, opts)
+		for j, mi := range st.cand[v] {
+			read, readOK := st.window(v, j)
+			got := st.computeEntry(v, j, st.opts)
 			m := st.lib.Module(mi)
-			o := opts
+			o := st.opts
 			o.Arena = oracle
 			o.Delays, o.Powers = slices.Clone(st.delays), slices.Clone(st.powers)
 			o.Delays[v], o.Powers[v] = m.Delay, m.Power
@@ -51,12 +54,15 @@ func requireEntriesMatchFullRuns(t *testing.T, label string, st *state, oracle *
 			}
 			what := fmt.Sprintf("%s: %d decisions: override %s -> %s", label, len(st.decisions), st.g.Node(v).Name, m.Name)
 			if !feasible {
-				if got.ok || got.earlyStart != nil {
+				if readOK || got.ok || got.earlyStart != nil {
 					t.Fatalf("%s: entry %+v, but the full pair is infeasible", what, got)
 				}
 				continue
 			}
 			w := sched.Window{Early: early.Start[v], Late: late.Start[v]}
+			if readOK != (w.Width() >= 1) || (readOK && read != w) {
+				t.Fatalf("%s: decision loop reads ok=%v window %+v, full pair window %+v", what, readOK, read, w)
+			}
 			if got.ok != (w.Width() >= 1) || (got.ok && got.w != w) {
 				t.Fatalf("%s: entry ok=%v window %+v, full pair window %+v", what, got.ok, got.w, w)
 			}
@@ -87,7 +93,6 @@ func runOverrideDifferential(t *testing.T, label string, g *cdfg.Graph, lib *lib
 	}
 	compared, oracle := 0, sched.NewArena(g)
 	for range g.N() {
-		st.candidateWindows()
 		compared += requireEntriesMatchFullRuns(t, label, st, oracle)
 		dec, ok := st.bestDecision()
 		if !ok {

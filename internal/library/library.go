@@ -379,8 +379,7 @@ func (l *Library) MultiLevel() bool {
 // "<name>@<voltage>V", each carrying its level's delay and power at the
 // base module's area, in level order. The synthesis engine then chooses
 // an operating point exactly the way it chooses a module candidate, and
-// its flat (node x module) scratch tables gain the level dimension for
-// free. Single-level modules are kept verbatim, and a library with no
+// its per-candidate tables gain the level dimension for free. Single-level modules are kept verbatim, and a library with no
 // multi-level module returns the receiver itself — voltage-free inputs
 // are byte-identical through every downstream path by construction.
 func (l *Library) Expand() (*Library, error) {

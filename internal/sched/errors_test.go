@@ -92,6 +92,15 @@ func TestSchedulerErrorText(t *testing.T) {
 			is:   []error{ErrDeadline},
 		},
 		{
+			name: "palap fixed start past the deadline",
+			run: func(a *Arena) error {
+				_, err := PALAP(g, bind, 7, Options{FixedStarts: fixOne(g.N(), id("a1"), 7), Arena: a})
+				return err
+			},
+			want: `sched: palap: node "a1" fixed at cycle 7 cannot finish by the deadline 7: latency constraint violated`,
+			is:   []error{ErrDeadline},
+		},
+		{
 			name: "windows pasap past the deadline",
 			run: func(a *Arena) error {
 				_, err := Windows(g, bind, 4, Options{Arena: a})

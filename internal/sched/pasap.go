@@ -556,8 +556,12 @@ func palapWithin(g *cdfg.Graph, bind Binding, deadline int, opts *Options, delay
 		for id, s := range opts.FixedStarts {
 			if s < 0 {
 				rfixed[id] = -1
-			} else {
-				rfixed[id] = deadline - s - delay[id]
+				continue
+			}
+			// A negative reversed start would read as free.
+			if rfixed[id] = deadline - s - delay[id]; rfixed[id] < 0 {
+				return fmt.Errorf("sched: palap: node %q fixed at cycle %d cannot finish by the deadline %d: %w",
+					g.Node(cdfg.NodeID(id)).Name, s, deadline, ErrDeadline)
 			}
 		}
 		ropts.FixedStarts = rfixed

@@ -66,7 +66,8 @@ func (a Lifetime) Overlaps(b Lifetime) bool {
 // storable value (they transfer off-chip).
 func Lifetimes(g *cdfg.Graph, s *sched.Schedule) []Lifetime {
 	var out []Lifetime
-	for _, n := range g.Nodes() {
+	for i := range g.N() {
+		n := g.Node(cdfg.NodeID(i))
 		if n.Op == cdfg.Output {
 			continue
 		}
@@ -171,7 +172,8 @@ func Build(g *cdfg.Graph, s *sched.Schedule, fus []FU, fuOf []int, cm CostModel)
 	if len(fuOf) != g.N() {
 		return nil, fmt.Errorf("bind: fuOf has %d entries for %d nodes: %w", len(fuOf), g.N(), ErrBinding)
 	}
-	for _, n := range g.Nodes() {
+	for i := range g.N() {
+		n := g.Node(cdfg.NodeID(i))
 		fi := fuOf[n.ID]
 		if fi < 0 || fi >= len(fus) {
 			return nil, fmt.Errorf("bind: node %q bound to FU %d of %d: %w", n.Name, fi, len(fus), ErrBinding)

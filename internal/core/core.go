@@ -19,11 +19,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"pchls/internal/bind"
 	"pchls/internal/cdfg"
@@ -243,10 +245,14 @@ type state struct {
 	// instance's busy intervals are read from its ops' start and delays.
 	profile []float64
 	// undo is the shift merge's undo log: every start, module and profile
-	// value its in-place re-timings overwrite (see tryShiftMerge), and
-	// shiftBuf its reused operation list.
+	// value its in-place re-timings overwrite (see tryShiftMerge). shiftBuf
+	// and packBuf are its reused moving list and ordered insertion list,
+	// and moved the instances whose lines a re-timing re-ordered, which
+	// rollback re-sorts.
 	undo     []undoRec
 	shiftBuf []cdfg.NodeID
+	packBuf  []cdfg.NodeID
+	moved    []int
 	// eng is the exhaustive derivation's window cache (empty on the SDC
 	// path, which never reads it); opts is its iteration's scheduler
 	// options, set by prepareWindows and shared by every override run.
@@ -274,6 +280,7 @@ type state struct {
 	arena        *sched.Arena   // scheduler scratch bound to g
 	baseBind     sched.Binding  // binding under the current assumptions
 	potential    []int          // per-module uncommitted-implementer counts
+	instancesOf  [][]int        // per-module instance indices (bucketInstances)
 	cm           bind.CostModel
 
 	// Power-aware SDC tightening tables (partition paths only): per
@@ -303,7 +310,8 @@ func (st *state) initTables() {
 	for mi := 0; mi < nm; mi++ {
 		st.nameToMi[st.lib.Module(mi).Name] = mi
 	}
-	for _, node := range st.g.Nodes() {
+	for i := range n {
+		node := st.g.Node(cdfg.NodeID(i))
 		st.cand[node.ID] = st.lib.Candidates(node.Op)
 		if m, err := st.lib.Smallest(node.Op); err == nil {
 			st.smallestArea[node.ID] = m.Area
@@ -324,6 +332,7 @@ func (st *state) initTables() {
 		return st.lib.Module(st.moduleOf[nd.ID])
 	}
 	st.potential = make([]int, nm)
+	st.instancesOf = make([][]int, nm)
 	st.cm = st.cfg.cost()
 	if p := st.cfg.Perturb; p.enabled() {
 		// One fixed draw order (jitter factors, then the tie permutation)
@@ -351,9 +360,38 @@ func (st *state) setModule(v cdfg.NodeID, mi int) {
 	st.powers[v] = m.Power
 }
 
+// instance is one allocated functional unit. ops lists its operations in
+// commit order, which bind.Build and Design.FUs read; line holds the same
+// operations in (start, ID) order — the instance's timeline, the busy list
+// fit searches. Executions on one instance never overlap, so a line is
+// disjoint and its ends ascend with its starts.
 type instance struct {
 	module int
 	ops    []cdfg.NodeID
+	line   []cdfg.NodeID
+}
+
+// byStart orders operations by (start, ID), the order of timelines.
+func (st *state) byStart(a, b cdfg.NodeID) int {
+	return cmp.Or(cmp.Compare(st.start[a], st.start[b]), cmp.Compare(a, b))
+}
+
+// insertLine inserts x into a timeline at its (start, ID) position.
+func (st *state) insertLine(line []cdfg.NodeID, x cdfg.NodeID) []cdfg.NodeID {
+	k, _ := slices.BinarySearchFunc(line, x, st.byStart)
+	return slices.Insert(line, k, x)
+}
+
+// mergeLines appends the merge of timelines a and b to dst.
+func (st *state) mergeLines(dst, a, b []cdfg.NodeID) []cdfg.NodeID {
+	for len(a) > 0 && len(b) > 0 {
+		if st.byStart(a[0], b[0]) < 0 {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 // newState validates the inputs and builds the synthesizer's working
@@ -386,7 +424,8 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 	// Assume, per operation, the fastest power-feasible module; this is
 	// the most latency-optimistic assumption, so if it misses the deadline
 	// no uniform refinement can meet it either.
-	for _, n := range g.Nodes() {
+	for i := range g.N() {
+		n := g.Node(cdfg.NodeID(i))
 		mi, err := fastestFeasible(lib, cons, n.Op)
 		if err != nil {
 			return nil, err
@@ -506,9 +545,10 @@ func synthesizeMono(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg C
 				return nil, fmt.Errorf("core: no decision available after repair: %w", ErrInfeasible)
 			}
 		}
+		reuse := st.probeCovers(dec)
 		st.commit(dec)
 		if !st.locked {
-			probe, err := st.currentPASAP()
+			probe, err := st.postCommitProbe(reuse)
 			if err != nil {
 				// The commitment stranded the remaining operations:
 				// backtrack one step and lock (the paper's repair).
@@ -741,6 +781,36 @@ func (st *state) currentPASAP() (*sched.Schedule, error) {
 	return s, nil
 }
 
+// probeCovers reports whether the state's last exact probe (eng.probe,
+// the pasap schedule of the state before d) is already d's post-commit
+// probe, so the commit needs no scheduler run: it placed d's node at
+// d.Start under the module d commits with. Fixing a node where the greedy
+// pass put it changes no placement — the replay-invariance argument of
+// noteProbe. It must be asked before d is committed. The coldWindows
+// oracle never reuses a probe.
+func (st *state) probeCovers(d Decision) bool {
+	p := st.eng.probe
+	return p != nil && !st.cfg.coldWindows && p.Start[d.Node] == d.Start &&
+		st.moduleOf[d.Node] == st.moduleIndexOf(d)
+}
+
+// postCommitProbe returns the validity probe of the commitment just made:
+// the last probe when probeCovers held before it, a full run otherwise.
+func (st *state) postCommitProbe(reuse bool) (*sched.Schedule, error) {
+	if !reuse {
+		return st.currentPASAP()
+	}
+	if probeReused != nil {
+		probeReused(st, st.eng.probe)
+	}
+	return st.eng.probe, nil
+}
+
+// probeReused, when set, is called with the state and the probe at every
+// post-commit probe reuse. Test-only: TestReusedProbeMatchesFullRun checks
+// each reuse against a full run.
+var probeReused func(st *state, probe *sched.Schedule)
+
 // windowSchedsFor runs the override pasap/palap pair for candidate j of
 // node v (module st.cand[v][j]) under opts, the iteration's base options
 // (schedOpts), and returns both start arrays — the engine caches them to
@@ -818,28 +888,38 @@ func (st *state) committedProfile() []float64 {
 	return p
 }
 
-// rebuildCommitted recomputes the profile from the committed state. The
-// clique-partition and stitch paths commit in bulk without going through
-// commit(), and the shift merge re-times in place; they call this before
-// the next probe.
+// rebuildCommitted recomputes the profile and the instance timelines from
+// the committed state. The clique-partition and stitch paths commit in
+// bulk without going through commit(), and the shift merge re-times in
+// place; they call this before the next probe.
 func (st *state) rebuildCommitted() {
 	clear(st.profile)
 	for f := range st.fus {
-		for _, op := range st.fus[f].ops {
+		fu := &st.fus[f]
+		for _, op := range fu.ops {
 			for c := st.start[op]; c < st.start[op]+st.delays[op] && c < len(st.profile); c++ {
 				st.profile[c] += st.powers[op]
 			}
 		}
+		fu.line = append(fu.line[:0], fu.ops...)
+		slices.SortFunc(fu.line, st.byStart)
 	}
 }
 
 // auditCommitted panics unless the maintained profile equals a
-// from-scratch rebuild. Test-only invariant, checked under
-// Config.coldWindows.
+// from-scratch rebuild and every instance timeline equals its ops sorted
+// by (start, ID). Test-only invariant, checked under Config.coldWindows.
 func (st *state) auditCommitted() {
 	for c, want := range st.committedProfile() {
 		if math.Abs(st.profile[c]-want) > 1e-9 {
 			panic(fmt.Sprintf("core: committed profile audit failed: cycle %d draws %g, rebuilt %g", c, st.profile[c], want))
+		}
+	}
+	for f, fu := range st.fus {
+		want := slices.Clone(fu.ops)
+		slices.SortFunc(want, st.byStart)
+		if !slices.Equal(fu.line, want) {
+			panic(fmt.Sprintf("core: timeline audit failed: instance %d line %v, ops in start order %v", f, fu.line, want))
 		}
 	}
 }
@@ -856,7 +936,9 @@ func (st *state) commit(d Decision) {
 		st.fuAreaCommitted += m.Area
 	}
 	st.fuOf[d.Node] = d.FU
-	st.fus[d.FU].ops = append(st.fus[d.FU].ops, d.Node)
+	f := &st.fus[d.FU]
+	f.ops = append(f.ops, d.Node)
+	f.line = st.insertLine(f.line, d.Node)
 	for c := d.Start; c < d.Start+m.Delay && c < len(st.profile); c++ {
 		st.profile[c] += m.Power
 	}
@@ -879,6 +961,8 @@ func (st *state) uncommit(d Decision) {
 	st.fuOf[d.Node] = -1
 	f := &st.fus[d.FU]
 	f.ops = f.ops[:len(f.ops)-1]
+	k, _ := slices.BinarySearchFunc(f.line, d.Node, st.byStart)
+	f.line = slices.Delete(f.line, k, k+1)
 	if d.NewFU {
 		st.fuAreaCommitted -= st.lib.Module(st.fus[d.FU].module).Area
 		st.fus = st.fus[:len(st.fus)-1]

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"pchls/internal/cdfg"
 	"pchls/internal/sched"
 )
@@ -272,6 +274,19 @@ func (st *state) countPotential() {
 	}
 }
 
+// bucketInstances lists the allocated instances of every module, in
+// ascending index order, into st.instancesOf, so a sharing candidate
+// visits only its own module's instances, in the order a scan of all of
+// them would.
+func (st *state) bucketInstances() {
+	for mi := range st.instancesOf {
+		st.instancesOf[mi] = st.instancesOf[mi][:0]
+	}
+	for f, fu := range st.fus {
+		st.instancesOf[fu.module] = append(st.instancesOf[fu.module], f)
+	}
+}
+
 // amortizedAreaWith estimates the effective cost of allocating a new
 // instance of module mi: its area divided by the number of operations it
 // could plausibly end up serving — potential, the uncommitted operations
@@ -311,37 +326,67 @@ func (st *state) freeSlot(v cdfg.NodeID, busy []cdfg.NodeID, w sched.Window, d i
 // profile[c] + base(c) + p <= P<. Blocked starts are skipped in jumps
 // (past a colliding operation, past an over-cap cycle) rather than one
 // cycle at a time; every skipped start is blocked by the same cause.
+//
+// busy must be a timeline: disjoint executions in start order (an
+// instance's line, or a re-timing's ordered insertion list). Ends then
+// ascend with the starts, so a binary search finds the first operation
+// that can collide with t and the walk only ever advances past it.
 func (st *state) fit(x cdfg.NodeID, busy []cdfg.NodeID, lo, hi, d int, p float64, late bool) (int, bool) {
 	hi = min(hi, st.cons.Deadline-d)
-	t := lo
+	end := func(k int) int { return st.start[busy[k]] + st.delays[busy[k]] }
+	t, k := lo, 0
 	if late {
+		// k: the last operation starting before t+d.
 		t = hi
+		k = sort.Search(len(busy), func(k int) bool { return st.start[busy[k]] >= t+d }) - 1
+	} else {
+		// k: the first operation ending after t.
+		k = sort.Search(len(busy), func(k int) bool { return end(k) > t })
 	}
-search:
 	for lo <= t && t <= hi {
-		for _, o := range busy {
-			if s, e := st.start[o], st.start[o]+st.delays[o]; o != x && s < t+d && t < e {
-				t = e
-				if late {
-					t = s - d
-				}
-				continue search
+		if late {
+			for k >= 0 && (busy[k] == x || st.start[busy[k]] >= t+d) {
+				k--
+			}
+			if k >= 0 && end(k) > t {
+				t = st.start[busy[k]] - d
+				k--
+				continue
+			}
+		} else {
+			for k < len(busy) && (busy[k] == x || end(k) <= t) {
+				k++
+			}
+			if k < len(busy) && st.start[busy[k]] < t+d {
+				t = end(k)
+				k++
+				continue
 			}
 		}
-		if st.cons.PowerMax > 0 {
-			for c := t; c < t+d; c++ {
-				if st.profile[c]+st.baseAt(c)+p > st.cons.PowerMax+1e-9 {
-					t = c + 1
-					if late {
-						t = c - d
-					}
-					continue search
-				}
+		if c := st.overCap(t, d, p); c >= 0 {
+			t = c + 1
+			if late {
+				t = c - d
 			}
+			continue
 		}
 		return t, true
 	}
 	return 0, false
+}
+
+// overCap returns the first cycle of an execution of d cycles from t at
+// which power p would break the cap on top of the committed profile and
+// the ambient base, or -1 when it fits (always, uncapped).
+func (st *state) overCap(t, d int, p float64) int {
+	if st.cons.PowerMax > 0 {
+		for c := t; c < t+d; c++ {
+			if st.profile[c]+st.baseAt(c)+p > st.cons.PowerMax+1e-9 {
+				return c
+			}
+		}
+	}
+	return -1
 }
 
 // bestDecision evaluates the current compatibility structure and returns
@@ -354,6 +399,7 @@ search:
 func (st *state) bestDecision() (Decision, bool) {
 	st.prepareWindows()
 	st.countPotential()
+	st.bucketInstances()
 	best := Decision{FU: -1}
 	bestWidth, bestWeight := 0, 0.0
 	found := false
@@ -430,11 +476,8 @@ func (st *state) bestDecision() (Decision, bool) {
 			}
 			m := st.lib.Module(mi)
 			// Share an existing instance of the same module.
-			for f := range st.fus {
-				if st.fus[f].module != mi {
-					continue
-				}
-				if t, ok := st.freeSlot(v, st.fus[f].ops, w, m.Delay, m.Power); ok {
+			for _, f := range st.instancesOf[mi] {
+				if t, ok := st.freeSlot(v, st.fus[f].line, w, m.Delay, m.Power); ok {
 					consider(Decision{
 						Node: v, Module: m.Name, FU: f, NewFU: false,
 						Start: t, Cost: st.muxEstimate(v, f),

@@ -165,7 +165,9 @@ func TestFastestFeasibleRespectsPowerCap(t *testing.T) {
 // end when late) and take the first start whose execution ends by the
 // deadline, overlaps no busy operation other than the one being placed
 // and keeps every covered cycle's profile + base + power under the cap.
-// fit's jumps over blocked starts must never change the answer.
+// fit's jumps over blocked starts must never change the answer. The busy
+// list is a timeline, as every caller passes one: disjoint executions in
+// start order, sometimes holding the operation being placed.
 func FuzzFit(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(0), uint8(11), uint8(2), uint8(4), true)
 	f.Add(int64(2), uint8(30), uint8(3), uint8(20), uint8(3), uint8(6), true)
@@ -177,16 +179,24 @@ func FuzzFit(f *testing.F) {
 		n := 1 + int(nbusy%10)
 		st := &state{
 			cons:    Constraints{Deadline: T},
-			start:   make([]int, n),
-			delays:  make([]int, n),
+			start:   make([]int, n+1),
+			delays:  make([]int, n+1),
 			profile: make([]float64, T),
 		}
 		busy := make([]cdfg.NodeID, 0, n)
-		for o := 0; o < n; o++ {
-			st.start[o], st.delays[o] = rng.Intn(T), 1+rng.Intn(5)
+		for o, at := 0, 0; o < n; o++ {
+			st.start[o], st.delays[o] = at+rng.Intn(2+T/8), 1+rng.Intn(5)
+			at = st.start[o] + st.delays[o]
 			if rng.Intn(4) > 0 {
 				busy = append(busy, cdfg.NodeID(o))
 			}
+		}
+		// x, the operation being placed, is an extra node anywhere or one of
+		// the timeline's.
+		x := cdfg.NodeID(n)
+		st.start[x], st.delays[x] = rng.Intn(T), 1+rng.Intn(5)
+		if len(busy) > 0 && rng.Intn(2) == 0 {
+			x = busy[rng.Intn(len(busy))]
 		}
 		// Multiples of 0.1 make exact ties with the cap likely.
 		for c := range st.profile {
@@ -200,7 +210,6 @@ func FuzzFit(f *testing.F) {
 		if capped {
 			st.cons.PowerMax = 0.1 * float64(1+rng.Intn(14))
 		}
-		x := cdfg.NodeID(rng.Intn(n))
 		naive := func(late bool) (int, bool) {
 			fits := func(t int) bool {
 				if t+d > T {

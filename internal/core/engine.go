@@ -42,8 +42,11 @@ type engine struct {
 	// at its committed start), so the next iteration can reuse baseWin
 	// without any scheduler run.
 	baseValid bool
-	// probe is the exact post-commit pasap schedule — the base Early
-	// schedule of the next iteration.
+	// probe is the exact pasap schedule of the current state: the last
+	// post-commit probe, or the base Early schedule derived since. It is
+	// the base Early schedule of the next iteration, and the next
+	// post-commit probe too when that commit fixes a node where it
+	// already sits (probeCovers). SDC-regime states keep it as well.
 	probe *sched.Schedule
 	// assumed snapshots the per-node module assumptions at cache-warming
 	// time; entry validity across a commit requires the committed module

@@ -1,9 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"pchls/internal/bench"
+	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 	"pchls/internal/sched"
 )
@@ -46,6 +53,85 @@ func TestEngineReducesSchedulerRuns(t *testing.T) {
 		t.Logf("%s: full runs %d -> %d (cached: %d hits, %d misses)",
 			name, cold.Stats.SchedulerRuns, inc.Stats.SchedulerRuns,
 			inc.Stats.WindowCacheHits, inc.Stats.WindowCacheMisses)
+	}
+}
+
+// TestReusedProbeMatchesFullRun is the differential of the post-commit
+// probe reuse (probeCovers): at every commit that skips the probe, a full
+// pasap of the committed state, on its own arena, must place every node
+// where the reused probe does. It covers the classic catalogue (every
+// paper benchmark under Table 1 and the 3-level DVS library at T =
+// cp+{0,3,8} and caps {0.6, 0.8, 0} × the ASAP peak, on the exhaustive
+// derivation), the scaling tiers (the SDC derivation, decomposed where the
+// tier is large) and the 300 random instances of
+// TestColdWindowsRandomDifferential under every search variant.
+func TestReusedProbeMatchesFullRun(t *testing.T) {
+	var mu sync.Mutex
+	label, reused := "", 0
+	probeReused = func(st *state, probe *sched.Schedule) {
+		opts := st.schedOpts()
+		opts.Arena = nil
+		full, err := sched.PASAP(st.g, st.baseBind, opts)
+		mu.Lock()
+		defer mu.Unlock()
+		reused++
+		if err != nil {
+			t.Errorf("%s: reused a probe where the full run fails: %v", label, err)
+		} else if !slices.Equal(full.Start, probe.Start) {
+			t.Errorf("%s: reused probe starts %v, full run %v", label, probe.Start, full.Start)
+		}
+	}
+	t.Cleanup(func() { probeReused = nil })
+	synth := func(l string, g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) {
+		label = l
+		Synthesize(g, lib, cons, cfg)
+	}
+
+	for bi, name := range goldenBenchmarks {
+		g, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dvs, err := gen.Library(int64(1000+bi), gen.LibraryConfig{Levels: 3}).Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, lib := range []*library.Library{library.Table1(), dvs} {
+			asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, off := range []int{0, 3, 8} {
+				for _, f := range []float64{0.6, 0.8, 0} {
+					cons := Constraints{Deadline: asap.Length() + off, PowerMax: f * asap.PeakPower()}
+					synth(fmt.Sprintf("%s lib%d T=%d P<=%g", name, li, cons.Deadline, cons.PowerMax),
+						g, lib, cons, Config{windows: windowsExhaustive})
+				}
+			}
+		}
+	}
+	classic := reused
+	for _, tier := range scalingTiers {
+		// scalingInstance synthesizes the tier's point to verify it.
+		label = tier.name
+		scalingInstance(t, tier)
+	}
+	scaling := reused - classic
+	seeds := 300
+	if testing.Short() {
+		seeds = 60
+	}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		inst := coldDiffInstance(seed, int(seed), int(seed/40), math.Sqrt(rng.Float64()), math.Sqrt(rng.Float64()))
+		cons := Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}
+		for ci, cfg := range coldDiffConfigs(seed) {
+			synth(fmt.Sprintf("seed %d config %d", seed, ci), inst.Graph, inst.Library, cons, cfg)
+		}
+	}
+	t.Logf("reused probes checked: %d classic, %d scaling, %d random", classic, scaling, reused-classic-scaling)
+	if classic == 0 || scaling == 0 || reused-classic-scaling == 0 {
+		t.Fatal("a family of runs reused no probe; the differential checks nothing there")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/sched"
@@ -146,14 +147,14 @@ func (st *state) mergePass() {
 				if st.overlaps(i, j) {
 					continue
 				}
-				saved := st.snapshotFUs()
-				st.mergeFUs(i, j)
+				li, lj := st.fus[i].line, st.fus[j].line
+				m := st.mergeFUs(i, j, st.mergeLines(make([]cdfg.NodeID, 0, len(li)+len(lj)), li, lj))
 				if a, ok := area(); ok && a < cur-1e-9 {
 					cur = a
 					changed = true
 					j-- // instance j was removed; re-examine this index
 				} else {
-					st.restoreFUs(saved)
+					st.unmerge(m)
 				}
 			}
 		}
@@ -161,43 +162,39 @@ func (st *state) mergePass() {
 }
 
 // overlaps reports whether any operation of instance i overlaps one of j
-// in time.
+// in time: one walk along both timelines, stepping past whichever current
+// operation ends before the other starts.
 func (st *state) overlaps(i, j int) bool {
-	for _, a := range st.fus[i].ops {
-		for _, b := range st.fus[j].ops {
-			if st.start[a] < st.start[b]+st.delays[b] && st.start[b] < st.start[a]+st.delays[a] {
-				return true
-			}
+	a, b := st.fus[i].line, st.fus[j].line
+	for len(a) > 0 && len(b) > 0 {
+		x, y := a[0], b[0]
+		switch {
+		case st.start[x]+st.delays[x] <= st.start[y]:
+			a = a[1:]
+		case st.start[y]+st.delays[y] <= st.start[x]:
+			b = b[1:]
+		default:
+			return true
 		}
 	}
 	return false
 }
 
-type fuSnapshot struct {
-	fus  []instance
-	fuOf []int
+// fuMerge is what mergeFUs changed, for unmerge to put back: instance i's
+// module, op count and timeline before the merge, and instance j.
+type fuMerge struct {
+	i, j, module, ops int
+	line              []cdfg.NodeID
+	gone              instance
 }
 
-func (st *state) snapshotFUs() fuSnapshot {
-	s := fuSnapshot{
-		fus:  make([]instance, len(st.fus)),
-		fuOf: append([]int(nil), st.fuOf...),
-	}
-	for i, f := range st.fus {
-		s.fus[i] = instance{module: f.module, ops: append([]cdfg.NodeID(nil), f.ops...)}
-	}
-	return s
-}
-
-func (st *state) restoreFUs(s fuSnapshot) {
-	st.fus = s.fus
-	st.fuOf = s.fuOf
-}
-
-// mergeFUs moves all ops of instance j onto instance i and deletes j,
-// renumbering fuOf.
-func (st *state) mergeFUs(i, j int) {
-	st.fus[i].ops = append(st.fus[i].ops, st.fus[j].ops...)
+// mergeFUs moves all ops of instance j onto instance i (i < j), whose
+// timeline becomes line, and deletes j, renumbering fuOf.
+func (st *state) mergeFUs(i, j int, line []cdfg.NodeID) fuMerge {
+	fi := &st.fus[i]
+	m := fuMerge{i: i, j: j, module: fi.module, ops: len(fi.ops), line: fi.line, gone: st.fus[j]}
+	fi.ops = append(fi.ops, st.fus[j].ops...)
+	fi.line = line
 	st.fus = append(st.fus[:j], st.fus[j+1:]...)
 	for n := range st.fuOf {
 		switch {
@@ -206,5 +203,23 @@ func (st *state) mergeFUs(i, j int) {
 		case st.fuOf[n] > j:
 			st.fuOf[n]--
 		}
+	}
+	return m
+}
+
+// unmerge reverts the merge m, the last change to the instances. The
+// appended ops stay behind i's ops in its backing array, where the next
+// append overwrites them.
+func (st *state) unmerge(m fuMerge) {
+	fi := &st.fus[m.i]
+	fi.module, fi.ops, fi.line = m.module, fi.ops[:m.ops], m.line
+	st.fus = slices.Insert(st.fus, m.j, m.gone)
+	for n := range st.fuOf {
+		if st.fuOf[n] >= m.j {
+			st.fuOf[n]++
+		}
+	}
+	for _, x := range m.gone.ops {
+		st.fuOf[x] = m.j
 	}
 }

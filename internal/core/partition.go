@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -501,15 +500,14 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 			ok = st.packShift(i, j, at.fixed)
 		}
 		if ok {
-			saved := st.snapshotFUs()
+			m := st.mergeFUs(i, j, slices.Clone(st.packBuf))
 			st.fus[i].module = at.target
-			st.mergeFUs(i, j)
 			if d, err := st.finish(); err == nil && d.Area() < cur-1e-9 {
-				st.undo = st.undo[:0]
+				st.undo, st.moved = st.undo[:0], st.moved[:0]
 				st.rebuildCommitted()
 				return d.Area(), true
 			}
-			st.restoreFUs(saved)
+			st.unmerge(m)
 			rebuild = true
 		}
 		st.rollback()
@@ -563,7 +561,8 @@ func (st *state) logDraw(x cdfg.NodeID, remove bool) {
 }
 
 // rollback restores every value the undo log saved, newest first, and
-// empties the log.
+// empties the log; then it re-sorts the timelines a re-timing re-ordered
+// (moved), whose starts are now restored.
 func (st *state) rollback() {
 	for k := len(st.undo) - 1; k >= 0; k-- {
 		switch r := st.undo[k]; r.kind {
@@ -576,12 +575,16 @@ func (st *state) rollback() {
 		}
 	}
 	st.undo = st.undo[:0]
+	for _, f := range st.moved {
+		slices.SortFunc(st.fus[f].line, st.byStart)
+	}
+	st.moved = st.moved[:0]
 }
 
 // retime moves x, under the undo log, to the earliest start from lo at
-// which its execution ends by end, collides with no busy operation and
-// fits the profile once its own draw is withdrawn. On failure the caller
-// rolls the attempt back.
+// which its execution ends by end, collides with no operation of the
+// timeline busy and fits the profile once its own draw is withdrawn. On
+// failure the caller rolls the attempt back.
 func (st *state) retime(x cdfg.NodeID, busy []cdfg.NodeID, lo, end int) bool {
 	st.logDraw(x, true)
 	d := st.delays[x]
@@ -603,27 +606,25 @@ func (st *state) readyAt(x cdfg.NodeID) int {
 	return lo
 }
 
-// shiftOps fills the shift merge's scratch with the operations of
-// instance fixed (none when -1), followed by the moving ones — those of
-// the other of i and j, or of both — in committed start order. Committed
-// schedules satisfy precedence, so that order is precedence-consistent
-// even across two instances. It returns the list and the fixed count.
-func (st *state) shiftOps(i, j, fixed int) ([]cdfg.NodeID, int) {
-	ops := st.shiftBuf[:0]
-	if fixed >= 0 {
-		ops = append(ops, st.fus[fixed].ops...)
+// shiftOps starts a re-timing of instances i and j: it sets the ordered
+// insertion list packBuf to the timeline of instance fixed (empty when
+// -1) and returns the moving operations — the other of i and j, or both
+// merged — in committed start order. Committed schedules satisfy
+// precedence, so that order is precedence-consistent even across two
+// instances. Each moved operation joins packBuf at its new start, so
+// packBuf stays a timeline the next fit can search.
+func (st *state) shiftOps(i, j, fixed int) []cdfg.NodeID {
+	st.packBuf = st.packBuf[:0]
+	switch fixed {
+	case i:
+		st.packBuf = append(st.packBuf, st.fus[i].line...)
+		return st.fus[j].line
+	case j:
+		st.packBuf = append(st.packBuf, st.fus[j].line...)
+		return st.fus[i].line
 	}
-	nf := len(ops)
-	for _, f := range [2]int{i, j} {
-		if f != fixed {
-			ops = append(ops, st.fus[f].ops...)
-		}
-	}
-	slices.SortFunc(ops[nf:], func(a, b cdfg.NodeID) int {
-		return cmp.Or(cmp.Compare(st.start[a], st.start[b]), cmp.Compare(a, b))
-	})
-	st.shiftBuf = ops
-	return ops, nf
+	st.shiftBuf = st.mergeLines(st.shiftBuf[:0], st.fus[i].line, st.fus[j].line)
+	return st.shiftBuf
 }
 
 // packShift re-times the operations of i and j other than the fixed
@@ -631,10 +632,10 @@ func (st *state) shiftOps(i, j, fixed int) ([]cdfg.NodeID, int) {
 // their precedence-local windows, around the fixed instance's operations.
 // Operations move in committed start order and eagerly, so later ones see
 // updated predecessor finishes. Moves go under the undo log; on failure
-// the caller rolls them back.
+// the caller rolls them back. On success packBuf is the timeline of the
+// union.
 func (st *state) packShift(i, j, fixed int) bool {
-	busy, nf := st.shiftOps(i, j, fixed)
-	for k, x := range busy[nf:] {
+	for _, x := range st.shiftOps(i, j, fixed) {
 		end := st.cons.Deadline
 		for _, sc := range st.g.Succs(x) {
 			// Successors that move too are re-placed after x (the start
@@ -645,9 +646,10 @@ func (st *state) packShift(i, j, fixed int) bool {
 			}
 			end = min(end, st.start[sc])
 		}
-		if !st.retime(x, busy[:nf+k], st.readyAt(x), end) {
+		if !st.retime(x, st.packBuf, st.readyAt(x), end) {
 			return false
 		}
+		st.packBuf = st.insertLine(st.packBuf, x)
 	}
 	return true
 }
@@ -674,29 +676,34 @@ func (st *state) ripplePack(i, j int) bool {
 		st.topo = topo
 	}
 	T := st.cons.Deadline
-	moving, _ := st.shiftOps(i, j, -1)
 	// Phase 1: re-pack the union, earliest-fit after live predecessor
 	// finishes, successors unconstrained (the sweep repairs them).
-	for k, x := range moving {
-		if !st.retime(x, moving[:k], st.readyAt(x), T) {
+	for _, x := range st.shiftOps(i, j, -1) {
+		if !st.retime(x, st.packBuf, st.readyAt(x), T) {
 			return false
 		}
+		st.packBuf = st.insertLine(st.packBuf, x)
 	}
 	// Phase 2: right-shift repair sweep. Only precedence violations move;
 	// every move lands on a free slot of the node's own instance (i and j
-	// count as one), so instance exclusivity is preserved throughout.
+	// count as one), so instance exclusivity is preserved throughout. The
+	// moved node changes places in its timeline (a bystander's line is
+	// marked for rollback to re-sort).
 	for _, v := range st.topo {
 		lo := st.readyAt(v)
 		if st.start[v] >= lo {
 			continue
 		}
-		group := moving
+		line := &st.packBuf
 		if f := st.fuOf[v]; f != i && f != j {
-			group = st.fus[f].ops
+			line = &st.fus[f].line
+			st.moved = append(st.moved, f)
 		}
-		if !st.retime(v, group, lo, T) {
+		k, _ := slices.BinarySearchFunc(*line, v, st.byStart)
+		if !st.retime(v, *line, lo, T) {
 			return false
 		}
+		*line = st.insertLine(slices.Delete(*line, k, k+1), v)
 	}
 	return true
 }

@@ -19,11 +19,11 @@ var scalingPins = []struct {
 	area                                  float64
 	allocs                                int
 }{
-	{"layered-n100", 0, 0, 0, 0, 7085, 2392.4500000000003, 22055},
-	{"layered-n300", 0, 0, 0, 197, 302, 4879.72, 2279},
-	{"blocks-n300", 2, 0, 0, 426, 530, 4426.360000000001, 8159},
-	{"layered-n1000-connected", 7, 0, 981, 1415, 2466, 18302.22000000001, 372510},
-	{"mixed-n1000-connected", 6, 0, 1066, 1389, 2273, 17018.63, 601707},
+	{"layered-n100", 0, 0, 0, 0, 6977, 2392.4500000000003, 1467},
+	{"layered-n300", 0, 0, 0, 197, 212, 4879.72, 2189},
+	{"blocks-n300", 2, 0, 0, 426, 321, 4426.360000000001, 7710},
+	{"layered-n1000-connected", 7, 0, 981, 1415, 1701, 18302.22000000001, 341000},
+	{"mixed-n1000-connected", 6, 0, 1066, 1389, 1457, 17018.63, 558737},
 }
 
 // TestScalingCountersAndAllocs checks every CI tier's scale-mode run

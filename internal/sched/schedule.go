@@ -89,7 +89,8 @@ func newSchedule(g *cdfg.Graph, bind Binding) *Schedule {
 		Power:  make([]float64, n),
 		Module: make([]string, n),
 	}
-	for _, node := range g.Nodes() {
+	for i := range n {
+		node := g.Node(cdfg.NodeID(i))
 		m := bind(node)
 		s.Delay[node.ID] = m.Delay
 		s.Power[node.ID] = m.Power
@@ -186,7 +187,8 @@ var (
 // deadline (ignored when deadline <= 0). All violations are joined.
 func (s *Schedule) Validate(powerMax float64, deadline int) error {
 	var errs []error
-	for _, n := range s.G.Nodes() {
+	for i := range s.G.N() {
+		n := s.G.Node(cdfg.NodeID(i))
 		if s.Start[n.ID] < 0 {
 			errs = append(errs, fmt.Errorf("sched: node %q starts at %d: %w", n.Name, s.Start[n.ID], ErrPrecedence))
 		}

@@ -20,13 +20,13 @@ var synthesizePins = []struct {
 	area                            float64
 	allocs                          int
 }{
-	{"hal", 141, 0, 22, 1078, 833},
-	{"cosine", 1434, 0, 144, 2784, 5065},
-	{"elliptic", 799, 0, 230, 1609, 3109},
-	{"fir16", 998, 0, 43, 2628, 3787},
-	{"ar", 527, 0, 115, 1218, 2097},
-	{"diffeq2", 285, 0, 73, 1025, 1302},
-	{"fft8", 1088, 0, 154, 2122, 4021},
+	{"hal", 127, 0, 22, 1078, 423},
+	{"cosine", 1396, 0, 144, 2784, 810},
+	{"elliptic", 764, 0, 230, 1609, 669},
+	{"fir16", 955, 0, 43, 2628, 800},
+	{"ar", 496, 0, 115, 1218, 588},
+	{"diffeq2", 267, 0, 73, 1025, 487},
+	{"fft8", 1064, 0, 154, 2122, 765},
 }
 
 // TestSynthesizePins checks every BenchmarkSynthesize point against its

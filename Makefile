@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzReplay$$' -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz='FuzzFit$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzColdWindows$$' -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='FuzzPrunedDecision$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server/
 	$(GO) test -fuzz=FuzzSynthesizeVerify -fuzztime=30s .
 

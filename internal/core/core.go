@@ -269,19 +269,27 @@ type state struct {
 	// Hot-path lookup tables and scratch, built once by initTables. The
 	// synthesize loop runs the schedulers hundreds of times per design;
 	// these make the steady state allocation-free and lookup-free.
-	cand         [][]int        // cand[v]: candidate module indices of v's op
-	smallestArea []float64      // smallestArea[v]: cheapest-module area of v's op
-	nameToMi     map[string]int // module name -> index
-	delays       []int          // delays[v]: delay under moduleOf[v]
-	powers       []float64      // powers[v]: per-cycle power under moduleOf[v]
-	ovDelays     []int          // single-node override copies of delays/powers
-	ovPowers     []float64      //   (windowSchedsFor)
-	fixedStarts  []int          // schedOpts buffer: committed starts, -1 = free
-	arena        *sched.Arena   // scheduler scratch bound to g
-	baseBind     sched.Binding  // binding under the current assumptions
-	potential    []int          // per-module uncommitted-implementer counts
-	instancesOf  [][]int        // per-module instance indices (bucketInstances)
-	cm           bind.CostModel
+	cand        [][]int        // cand[v]: candidate module indices of v's op
+	nameToMi    map[string]int // module name -> index
+	delays      []int          // delays[v]: delay under moduleOf[v]
+	powers      []float64      // powers[v]: per-cycle power under moduleOf[v]
+	ovDelays    []int          // single-node override copies of delays/powers
+	ovPowers    []float64      //   (windowSchedsFor)
+	fixedStarts []int          // schedOpts buffer: committed starts, -1 = free
+	arena       *sched.Arena   // scheduler scratch bound to g
+	baseBind    sched.Binding  // binding under the current assumptions
+	potential   []int          // per-module uncommitted-implementer counts
+	amortized   []float64      // per-module amortized new-instance area (countPotential)
+	instancesOf [][]int        // per-module instance indices (bucketInstances)
+	cm          bind.CostModel
+
+	// weight[v] is the decision loop's first ranking key: the area of the
+	// cheapest module of v's op, scaled by the seeded jitter factor under
+	// Perturb.Jitter. It is fixed for the life of the state, so order —
+	// the nodes by descending weight, ties by ascending ID — lets
+	// bestDecision stop at the first class lighter than a decision it has.
+	weight []float64
+	order  []cdfg.NodeID
 
 	// Power-aware SDC tightening tables (partition paths only): per
 	// candidate module, the next/previous cycle where the ambient
@@ -291,10 +299,8 @@ type state struct {
 	tightNext map[int][]int
 	tightPrev map[int][]int
 
-	// Perturbation tables (nil when Config.Perturb is zero): jitterW
-	// scales the per-node decision weight, tieRank replaces the node-ID
+	// tieRank (nil unless Perturb.ShuffleTies) replaces the node-ID
 	// tie-break with a seeded permutation rank.
-	jitterW []float64
 	tieRank []int
 }
 
@@ -305,7 +311,7 @@ func (st *state) initTables() {
 	n := st.g.N()
 	nm := st.lib.Len()
 	st.cand = make([][]int, n)
-	st.smallestArea = make([]float64, n)
+	st.weight = make([]float64, n)
 	st.nameToMi = make(map[string]int, nm)
 	for mi := 0; mi < nm; mi++ {
 		st.nameToMi[st.lib.Module(mi).Name] = mi
@@ -314,7 +320,7 @@ func (st *state) initTables() {
 		node := st.g.Node(cdfg.NodeID(i))
 		st.cand[node.ID] = st.lib.Candidates(node.Op)
 		if m, err := st.lib.Smallest(node.Op); err == nil {
-			st.smallestArea[node.ID] = m.Area
+			st.weight[node.ID] = m.Area
 		}
 	}
 	st.delays = make([]int, n)
@@ -332,6 +338,7 @@ func (st *state) initTables() {
 		return st.lib.Module(st.moduleOf[nd.ID])
 	}
 	st.potential = make([]int, nm)
+	st.amortized = make([]float64, nm)
 	st.instancesOf = make([][]int, nm)
 	st.cm = st.cfg.cost()
 	if p := st.cfg.Perturb; p.enabled() {
@@ -339,15 +346,23 @@ func (st *state) initTables() {
 		// keeps every perturbed run a pure function of the seed.
 		rng := rand.New(rand.NewSource(p.Seed))
 		if p.Jitter > 0 {
-			st.jitterW = make([]float64, n)
-			for i := range st.jitterW {
-				st.jitterW[i] = 1 + p.Jitter*(2*rng.Float64()-1)
+			// Seeded priority-order jitter: perturbed passes explore
+			// different commit orders.
+			for i := range st.weight {
+				st.weight[i] *= 1 + p.Jitter*(2*rng.Float64()-1)
 			}
 		}
 		if p.ShuffleTies {
 			st.tieRank = rng.Perm(n)
 		}
 	}
+	st.order = make([]cdfg.NodeID, n)
+	for i := range st.order {
+		st.order[i] = cdfg.NodeID(i)
+	}
+	slices.SortStableFunc(st.order, func(a, b cdfg.NodeID) int {
+		return cmp.Compare(st.weight[b], st.weight[a])
+	})
 }
 
 // setModule updates a node's module assumption and the delay/power tables

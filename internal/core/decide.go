@@ -261,7 +261,8 @@ func (st *state) muxEstimate(v cdfg.NodeID, f int) float64 {
 // countPotential counts, per module, the uncommitted operations it could
 // implement into st.potential, for the amortized-area estimate: one sweep
 // instead of one graph scan per (op, module) candidate. mi implements
-// node i's op exactly when mi is among the op's candidate modules.
+// node i's op exactly when mi is among the op's candidate modules. It then
+// fills st.amortized, the estimate per module, once per decision.
 func (st *state) countPotential() {
 	clear(st.potential)
 	for i, c := range st.committed {
@@ -271,6 +272,9 @@ func (st *state) countPotential() {
 		for _, mi := range st.cand[i] {
 			st.potential[mi]++
 		}
+	}
+	for mi, p := range st.potential {
+		st.amortized[mi] = st.amortizedAreaWith(mi, p)
 	}
 }
 
@@ -393,13 +397,37 @@ func (st *state) overCap(t, d int, p float64) int {
 // the cheapest admissible decision: bind an uncommitted operation onto an
 // existing instance, or allocate a new instance for it. Whether v can
 // share instance f — an edge of the paper's V1 graph — is decided on
-// demand by freeSlot over v's window and f's operations. Ties break toward
-// the most schedule-constrained operation (smallest window), then the
-// smallest node ID, then the smallest module area — all deterministic.
+// demand by freeSlot over v's window and f's operations. Decisions rank
+// by the node's weight (heavier first), then cost; ties break toward the
+// most schedule-constrained operation (smallest window), then the
+// smallest node ID (or tie rank), then the smallest module area — all
+// deterministic. The weight is fixed for the life of the state, so the
+// scan stops at the first node lighter than a decision it has, and the
+// windows of lighter nodes are never derived (scanDecisions).
 func (st *state) bestDecision() (Decision, bool) {
 	st.prepareWindows()
 	st.countPotential()
 	st.bucketInstances()
+	best, found := st.scanDecisions(true)
+	if decided != nil {
+		decided(st, best, found)
+	}
+	return best, found
+}
+
+// decided, when set, is called with the state and the result of every
+// bestDecision, before anything is committed. Test-only: the pruning
+// differential compares each result with scanDecisions(false).
+var decided func(st *state, d Decision, ok bool)
+
+// scanDecisions ranks the decisions of the iteration bestDecision set up.
+// With prune it stops at the first node (in st.order) lighter than the
+// best decision found so far; without, it visits every uncommitted node.
+// Both return the same decision: the first key is the weight, visit order
+// matters only between different nodes, whose ties consider breaks
+// explicitly, and a class with no admissible decision falls through to
+// the next one, so !found still means no node has a decision.
+func (st *state) scanDecisions(prune bool) (Decision, bool) {
 	best := Decision{FU: -1}
 	bestWidth, bestWeight := 0, 0.0
 	found := false
@@ -410,12 +438,7 @@ func (st *state) bestDecision() (Decision, bool) {
 	// resources first keeps their sharing opportunities intact; cheap
 	// transfers adapt around them.
 	consider := func(d Decision, width int) {
-		w := st.smallestArea[d.Node]
-		if st.jitterW != nil {
-			// Seeded priority-order jitter: scale the resource-class weight
-			// so perturbed passes explore different commit orders.
-			w *= st.jitterW[d.Node]
-		}
+		w := st.weight[d.Node]
 		if !found {
 			best, bestWidth, bestWeight, found = d, width, w, true
 			return
@@ -457,10 +480,12 @@ func (st *state) bestDecision() (Decision, bool) {
 		}
 	}
 
-	for i := 0; i < st.g.N(); i++ {
-		v := cdfg.NodeID(i)
+	for _, v := range st.order {
 		if st.committed[v] {
 			continue
+		}
+		if prune && found && st.weight[v] < bestWeight {
+			break
 		}
 		// Best new-instance module for v, chosen by amortized area so that
 		// a slightly larger multi-function unit (the ALU) beats several
@@ -468,7 +493,6 @@ func (st *state) bestDecision() (Decision, bool) {
 		// captures globally. Ranked against other decisions at FULL area,
 		// so sharing an existing instance always wins when feasible.
 		newMi, newStart, newWidth := -1, 0, 0
-		var newAmort float64
 		for j, mi := range st.cand[v] {
 			w, ok := st.window(v, j)
 			if !ok {
@@ -485,9 +509,8 @@ func (st *state) bestDecision() (Decision, bool) {
 				}
 			}
 			if t, ok := st.freeSlot(v, nil, w, m.Delay, m.Power); ok {
-				a := st.amortizedAreaWith(mi, st.potential[mi])
-				if newMi < 0 || a < newAmort {
-					newMi, newStart, newWidth, newAmort = mi, t, w.Width(), a
+				if newMi < 0 || st.amortized[mi] < st.amortized[newMi] {
+					newMi, newStart, newWidth = mi, t, w.Width()
 				}
 			}
 		}

@@ -19,7 +19,7 @@ var scalingPins = []struct {
 	area                                  float64
 	allocs                                int
 }{
-	{"layered-n100", 0, 0, 0, 0, 6977, 2392.4500000000003, 1467},
+	{"layered-n100", 0, 0, 0, 0, 1271, 2392.4500000000003, 1467},
 	{"layered-n300", 0, 0, 0, 197, 212, 4879.72, 2189},
 	{"blocks-n300", 2, 0, 0, 426, 321, 4426.360000000001, 7710},
 	{"layered-n1000-connected", 7, 0, 981, 1415, 1701, 18302.22000000001, 341000},

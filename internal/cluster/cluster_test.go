@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,6 +165,29 @@ func TestMapPointsOrderedAcrossWorkers(t *testing.T) {
 		newFakePointWorker(t, "w1"),
 		newFakePointWorker(t, "w2"),
 	}
+	// Every request is held until all three workers have received one.
+	// A held dispatcher cannot finish its own queue and steal, so a
+	// worker that starts late still finds points left to serve: the
+	// served check below tests sharding, not scheduling luck.
+	all := make(chan struct{})
+	var waiting atomic.Int32
+	waiting.Store(int32(len(ws)))
+	for _, w := range ws {
+		var first sync.Once
+		w.intercept = func(http.ResponseWriter, PointRequest) bool {
+			first.Do(func() {
+				if waiting.Add(-1) == 0 {
+					close(all)
+				}
+			})
+			select {
+			case <-all:
+			case <-time.After(5 * time.Second):
+				t.Errorf("worker %s: not every worker received a request within 5s", w.id)
+			}
+			return false
+		}
+	}
 	pool := NewPool(PoolConfig{PerWorker: 2, PointTimeout: 10 * time.Second})
 	pool.SetMembers(workerURLs(ws))
 
@@ -176,9 +200,6 @@ func TestMapPointsOrderedAcrossWorkers(t *testing.T) {
 	if got := pool.Stats().Points; got != 60 {
 		t.Errorf("Points = %d, want 60", got)
 	}
-	// 60 points over a 3-member ring: every worker's shard is non-empty
-	// with overwhelming probability, and own-queue preference means each
-	// worker evaluates at least one of its own points.
 	for _, w := range ws {
 		if w.served.Load() == 0 {
 			t.Errorf("worker %s served no points; sharding or stealing is broken", w.id)

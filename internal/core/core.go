@@ -148,12 +148,11 @@ type Config struct {
 	// suites and the scaling benchmark pin one path with them.
 	windows   windowPolicy
 	partition partitionPolicy
-	// baseProfile, when non-nil, is an ambient per-cycle power draw added
-	// to the committed profile before every P< check (scheduler stretches,
-	// slot probes). The wave driver threads the power already
-	// committed by other regions through it, so the stitched union
-	// respects the cap by construction. Cycles beyond len(baseProfile)
-	// draw zero ambient power.
+	// baseProfile, when non-nil, is an ambient per-cycle power draw that
+	// the committed profile starts from, so every P< check counts it as
+	// committed power. The wave driver threads the power committed by
+	// other regions through it, so the stitched union respects the cap by
+	// construction. Cycles beyond len(baseProfile) draw zero.
 	baseProfile []float64
 	// release, when non-nil, holds one entry per node: release[i] > 0
 	// forbids node i from starting before that cycle (entries <= 0 are
@@ -240,9 +239,9 @@ type state struct {
 	// instances, maintained by commit/uncommit for the AreaBound cut.
 	fuAreaCommitted float64
 
-	// profile is the per-cycle power drawn by committed operations over
-	// [0, Deadline); commit and uncommit maintain it in O(delay). An
-	// instance's busy intervals are read from its ops' start and delays.
+	// profile is the per-cycle power drawn by the ambient baseProfile and
+	// committed operations over [0, Deadline); commit and uncommit keep it
+	// in O(delay). Busy intervals are read from the ops' starts and delays.
 	profile []float64
 	// undo is the shift merge's undo log: every start, module and profile
 	// value its in-place re-timings overwrite (see tryShiftMerge). shiftBuf
@@ -290,14 +289,6 @@ type state struct {
 	// bestDecision stop at the first class lighter than a decision it has.
 	weight []float64
 	order  []cdfg.NodeID
-
-	// Power-aware SDC tightening tables (partition paths only): per
-	// candidate module, the next/previous cycle where the ambient
-	// baseProfile leaves no headroom for that module's power. baseProfile
-	// is immutable for the life of a state, so the tables are built once,
-	// lazily, on first use (tightenWindow).
-	tightNext map[int][]int
-	tightPrev map[int][]int
 
 	// tieRank (nil unless Perturb.ShuffleTies) replaces the node-ID
 	// tie-break with a seeded permutation rank.
@@ -410,8 +401,9 @@ func (st *state) mergeLines(dst, a, b []cdfg.NodeID) []cdfg.NodeID {
 }
 
 // newState validates the inputs and builds the synthesizer's working
-// state with the initial (fastest power-feasible) module assumptions, an
-// empty committed profile and the window derivation of its size regime.
+// state with the initial (fastest power-feasible) module assumptions, a
+// committed profile of the ambient power alone and the window derivation
+// of its size regime.
 func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid graph: %w", err)
@@ -433,6 +425,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		fuOf:      make([]int, g.N()),
 		profile:   make([]float64, cons.Deadline),
 	}
+	copy(st.profile, cfg.baseProfile)
 	for i := range st.fuOf {
 		st.fuOf[i] = -1
 	}
@@ -772,15 +765,6 @@ func (st *state) fillFixedStarts() {
 	}
 }
 
-// baseAt returns the ambient power Config.baseProfile contributes at
-// cycle c (zero beyond its length, zero when unset).
-func (st *state) baseAt(c int) float64 {
-	if b := st.cfg.baseProfile; c < len(b) {
-		return b[c]
-	}
-	return 0
-}
-
 // currentPASAP computes the pasap schedule of the whole graph under the
 // current state and verifies it meets the deadline; it is the validity
 // probe run after every commitment.
@@ -888,10 +872,12 @@ func length(start, delay []int) int {
 	return l
 }
 
-// committedProfile returns the per-cycle power drawn by committed
-// operations over [0, Deadline), summed from scratch.
+// committedProfile returns the per-cycle power drawn by the ambient
+// baseProfile and committed operations over [0, Deadline), summed from
+// scratch.
 func (st *state) committedProfile() []float64 {
 	p := make([]float64, st.cons.Deadline)
+	copy(p, st.cfg.baseProfile)
 	for i, c := range st.committed {
 		if !c {
 			continue
@@ -909,6 +895,7 @@ func (st *state) committedProfile() []float64 {
 // place; they call this before the next probe.
 func (st *state) rebuildCommitted() {
 	clear(st.profile)
+	copy(st.profile, st.cfg.baseProfile)
 	for f := range st.fus {
 		fu := &st.fus[f]
 		for _, op := range fu.ops {

@@ -128,99 +128,15 @@ func (st *state) baseWindows(opts sched.Options) bool {
 // stranded operations, and the final schedule passes Validate — the
 // relaxation only widens which decisions get considered. Modules whose
 // own power exceeds the cap are rejected here exactly as windowSchedsFor
-// rejects them.
-//
-// Power-aware bound propagation: when an ambient baseProfile carries the
-// power already committed by other parts of a decomposed synthesis, any
-// feasible start must leave headroom for the candidate's own draw across
-// its whole execution — so window ends sitting under saturated ambient
-// cycles can be pulled in before any placement probe runs. freeSlot
-// re-checks every interior cycle, so this only removes starts that were
-// doomed anyway (and the slot probes they would cost).
+// rejects them. Parts of a decomposed synthesis use this rule too: the
+// power of earlier parts is in their committed profile (baseProfile).
 func (st *state) sdcWindow(v cdfg.NodeID, mi int) (sched.Window, bool) {
 	m := st.lib.Module(mi)
 	if st.cons.PowerMax > 0 && m.Power > st.cons.PowerMax+1e-9 {
 		return sched.Window{}, false
 	}
 	w := sched.Window{Early: st.sdcB.Early[v], Late: st.sdcB.LateEnd[v] - m.Delay}
-	if st.cons.PowerMax > 0 && len(st.cfg.baseProfile) > 0 {
-		var changed bool
-		if w, changed = st.tightenWindow(mi, m.Delay, w); changed {
-			st.stats.BoundTightenings++
-		}
-	}
 	return w, w.Width() >= 1
-}
-
-// tightenWindow shrinks an SDC candidate window to the nearest start cycles
-// whose full execution interval fits under the ambient baseProfile draw:
-// starts where base(c) + module power would break the cap for some covered
-// cycle c are skipped from both ends. Interior starts are left to freeSlot.
-// The per-module blocked-cycle tables are built lazily and reused for the
-// life of the state (baseProfile never changes within one run).
-func (st *state) tightenWindow(mi, d int, w sched.Window) (sched.Window, bool) {
-	T := st.cons.Deadline
-	next, prev := st.tightNext[mi], st.tightPrev[mi]
-	if next == nil {
-		power := st.lib.Module(mi).Power
-		// next[c]: smallest cycle >= c with no headroom (T+1 when none);
-		// prev[c]: largest such cycle <= c (-1 when none).
-		next = make([]int, T+2)
-		prev = make([]int, T+1)
-		next[T+1] = T + 1
-		blocked := func(c int) bool {
-			return st.baseAt(c)+power > st.cons.PowerMax+1e-9
-		}
-		for c := T; c >= 0; c-- {
-			if blocked(c) {
-				next[c] = c
-			} else {
-				next[c] = next[c+1]
-			}
-		}
-		last := -1
-		for c := 0; c <= T; c++ {
-			if blocked(c) {
-				last = c
-			}
-			prev[c] = last
-		}
-		if st.tightNext == nil {
-			st.tightNext = make(map[int][]int)
-			st.tightPrev = make(map[int][]int)
-		}
-		st.tightNext[mi], st.tightPrev[mi] = next, prev
-	}
-	e, l := w.Early, w.Late
-	// Jump the early end past blocked runs: a start e is viable only when
-	// the first blocked cycle at or after it lies beyond e+d-1.
-	for e >= 0 && e <= l && e <= T {
-		b := next[e]
-		if b >= e+d {
-			break
-		}
-		e = b + 1
-	}
-	// Mirror for the late end: viable when the last blocked cycle at or
-	// before l+d-1 lies before l.
-	for l >= e && l >= 0 {
-		hi := l + d - 1
-		if hi > T {
-			hi = T
-		}
-		if hi < 0 {
-			break
-		}
-		b := prev[hi]
-		if b < l {
-			break
-		}
-		l = b - d
-	}
-	if e == w.Early && l == w.Late {
-		return w, false
-	}
-	return sched.Window{Early: e, Late: l}, true
 }
 
 // muxEstimate approximates the interconnect cost of binding v onto
@@ -327,7 +243,7 @@ func (st *state) freeSlot(v cdfg.NodeID, busy []cdfg.NodeID, w sched.Window, d i
 // an execution of d cycles ends by the deadline, overlaps no busy
 // operation other than x — busy intervals are read from start and delays
 // — and, under a cap, keeps every covered cycle c within it:
-// profile[c] + base(c) + p <= P<. Blocked starts are skipped in jumps
+// profile[c] + p <= P<. Blocked starts are skipped in jumps
 // (past a colliding operation, past an over-cap cycle) rather than one
 // cycle at a time; every skipped start is blocked by the same cause.
 //
@@ -380,12 +296,12 @@ func (st *state) fit(x cdfg.NodeID, busy []cdfg.NodeID, lo, hi, d int, p float64
 }
 
 // overCap returns the first cycle of an execution of d cycles from t at
-// which power p would break the cap on top of the committed profile and
-// the ambient base, or -1 when it fits (always, uncapped).
+// which power p would break the cap on top of the committed profile, or
+// -1 when it fits (always, uncapped).
 func (st *state) overCap(t, d int, p float64) int {
 	if st.cons.PowerMax > 0 {
 		for c := t; c < t+d; c++ {
-			if st.profile[c]+st.baseAt(c)+p > st.cons.PowerMax+1e-9 {
+			if st.profile[c]+p > st.cons.PowerMax+1e-9 {
 				return c
 			}
 		}

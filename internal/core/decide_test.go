@@ -164,7 +164,7 @@ func TestFastestFeasibleRespectsPowerCap(t *testing.T) {
 // written out naively: walk the window one cycle at a time (from the late
 // end when late) and take the first start whose execution ends by the
 // deadline, overlaps no busy operation other than the one being placed
-// and keeps every covered cycle's profile + base + power under the cap.
+// and keeps every covered cycle's profile + power under the cap.
 // fit's jumps over blocked starts must never change the answer. The busy
 // list is a timeline, as every caller passes one: disjoint executions in
 // start order, sometimes holding the operation being placed.
@@ -198,13 +198,10 @@ func FuzzFit(f *testing.F) {
 		if len(busy) > 0 && rng.Intn(2) == 0 {
 			x = busy[rng.Intn(len(busy))]
 		}
-		// Multiples of 0.1 make exact ties with the cap likely.
+		// Multiples of 0.1 make exact ties with the cap likely; the range
+		// covers committed plus ambient power.
 		for c := range st.profile {
-			st.profile[c] = 0.1 * float64(rng.Intn(8))
-		}
-		st.cfg.baseProfile = make([]float64, rng.Intn(T+4))
-		for c := range st.cfg.baseProfile {
-			st.cfg.baseProfile[c] = 0.1 * float64(rng.Intn(5))
+			st.profile[c] = 0.1 * float64(rng.Intn(12))
 		}
 		p := 0.1 * float64(1+rng.Intn(6))
 		if capped {
@@ -221,11 +218,7 @@ func FuzzFit(f *testing.F) {
 					}
 				}
 				for c := t; capped && c < t+d; c++ {
-					base := 0.0
-					if c < len(st.cfg.baseProfile) {
-						base = st.cfg.baseProfile[c]
-					}
-					if st.profile[c]+base+p > st.cons.PowerMax+1e-9 {
+					if st.profile[c]+p > st.cons.PowerMax+1e-9 {
 						return false
 					}
 				}

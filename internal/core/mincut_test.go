@@ -7,6 +7,7 @@ package core
 // monolithic synthesis.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -125,13 +126,16 @@ func TestMinCutVerifiesUnderPowerSweep(t *testing.T) {
 	}
 }
 
-// TestMinCutRepairAndTightening pins a thousand-node instance whose
-// power coupling exercises both QoR-recovery mechanisms: the acceptance
-// walk re-synthesizes a part whose committed profile jointly breaks the
-// cap (RegionRepairs), and the repair run's ambient profile shrinks SDC
-// candidate windows (BoundTightenings). The instance is seeded, so the
-// trigger is deterministic; the stitched result must still verify.
-func TestMinCutRepairAndTightening(t *testing.T) {
+// TestMinCutRepair pins a thousand-node instance whose power coupling
+// exercises the cut's QoR-recovery path: the acceptance walk
+// re-synthesizes a part whose committed profile jointly breaks the cap
+// (RegionRepairs) against the power of the parts accepted before it, and
+// the stitch shares instances across regions. The instance is seeded, so
+// the trigger is deterministic; the stitched result must still verify.
+// A coldWindows run of the same instance must produce the same design:
+// parts inherit coldWindows, so every part state audits its maintained
+// profile, which starts at a non-zero ambient power, against a rebuild.
+func TestMinCutRepair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("thousand-node synthesis; skipped with -short")
 	}
@@ -150,11 +154,23 @@ func TestMinCutRepairAndTightening(t *testing.T) {
 	if st.RegionRepairs == 0 {
 		t.Fatalf("pinned instance no longer triggers the acceptance-walk repair:\n%v", st)
 	}
-	if st.BoundTightenings == 0 {
-		t.Fatalf("pinned instance no longer triggers power-aware bound tightening:\n%v", st)
-	}
 	if st.SharedCrossRegion == 0 {
 		t.Fatalf("pinned instance no longer triggers cross-region sharing:\n%v", st)
+	}
+	cold, err := Synthesize(inst.Graph, inst.Library, cons, Config{Workers: 8, coldWindows: true})
+	if err != nil {
+		t.Fatalf("coldWindows synthesis failed: %v", err)
+	}
+	want, err := d.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cold.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("coldWindows design differs from the default run's")
 	}
 }
 

@@ -74,9 +74,8 @@ func regionConfig(cfg Config) Config {
 //     bounds under fastest-feasible delays, so area descent inside an
 //     upstream part cannot consume slack that downstream parts need.
 //   - Parts see the per-cycle power committed by earlier waves as an
-//     ambient baseProfile, which both constrains their placements and
-//     tightens their SDC windows (power-aware bound propagation,
-//     Stats.BoundTightenings).
+//     ambient baseProfile, the value their committed profile starts from,
+//     so every P< check of a part counts it as committed power.
 //
 // Weakly-connected components are the zero-cut case: every part lands in
 // wave 0 and nothing gets a release or a due.

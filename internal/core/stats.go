@@ -66,9 +66,9 @@ type Stats struct {
 	// cross-region sharing pass of the stitch merge (operations re-timed
 	// within precedence slack onto an instance from another region).
 	SharedCrossRegion int64
-	// BoundTightenings counts SDC candidate windows shrunk by the
-	// power-aware bound propagation against the ambient baseProfile power
-	// committed by already-synthesized parts.
+	// BoundTightenings is always 0: parts see the power of earlier parts
+	// in their committed profile, and no window rule shrinks their SDC
+	// windows any more. It stays because the benchmark harness reads it.
 	BoundTightenings int64
 }
 
@@ -111,13 +111,11 @@ func (s Stats) String() string {
 			"  partition fallbacks          %8d\n"+
 			"  cut edges                    %8d\n"+
 			"  boundary transfers           %8d\n"+
-			"  cross-region shares          %8d\n"+
-			"  bound tightenings            %8d\n",
+			"  cross-region shares          %8d\n",
 		s.SchedulerRuns,
 		s.WindowCacheHits, s.WindowCacheMisses,
 		s.WindowInvalidations, s.FullInvalidations,
 		s.ProfileProbes, s.SDCDerivations,
 		s.Regions, s.RegionRepairs, s.PartitionFallbacks,
-		s.CutEdges, s.BoundaryTransfers, s.SharedCrossRegion,
-		s.BoundTightenings)
+		s.CutEdges, s.BoundaryTransfers, s.SharedCrossRegion)
 }

@@ -151,9 +151,10 @@ type (
 	// window-cache hits, misses and invalidations, slot probes against the
 	// power profile, the SDC derivations of uncapped and large runs, and
 	// the decomposition counters of large graphs (regions, repairs, cut
-	// edges, cross-region shares, bound tightenings). IncrementalRuns,
-	// Fallbacks and CompatPatches always read 0. Available on Design.Stats
-	// and aggregated over sweeps via Curve.TotalStats/Surface.TotalStats.
+	// edges, cross-region shares). IncrementalRuns, Fallbacks,
+	// CompatPatches and BoundTightenings always read 0. Available on
+	// Design.Stats and aggregated over sweeps via
+	// Curve.TotalStats/Surface.TotalStats.
 	Stats = core.Stats
 	// CostModel holds register/multiplexer area coefficients.
 	CostModel = bind.CostModel

@@ -11,8 +11,10 @@
 package bind
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,7 +67,12 @@ func (a Lifetime) Overlaps(b Lifetime) bool {
 // one per node that has at least one consumer. Output nodes produce no
 // storable value (they transfer off-chip).
 func Lifetimes(g *cdfg.Graph, s *sched.Schedule) []Lifetime {
-	var out []Lifetime
+	return appendLifetimes(nil, g, s.Start, s.Delay)
+}
+
+// appendLifetimes appends the lifetimes of g's stored values, in node
+// order, under the given starts and delays to dst.
+func appendLifetimes(dst []Lifetime, g *cdfg.Graph, start, delay []int) []Lifetime {
 	for i := range g.N() {
 		n := g.Node(cdfg.NodeID(i))
 		if n.Op == cdfg.Output {
@@ -77,13 +84,13 @@ func Lifetimes(g *cdfg.Graph, s *sched.Schedule) []Lifetime {
 		}
 		last := 0
 		for _, v := range succs {
-			if s.Start[v] > last {
-				last = s.Start[v]
+			if start[v] > last {
+				last = start[v]
 			}
 		}
-		out = append(out, Lifetime{Producer: n.ID, Birth: s.End(n.ID), LastUse: last})
+		dst = append(dst, Lifetime{Producer: n.ID, Birth: start[i] + delay[i], LastUse: last})
 	}
-	return out
+	return dst
 }
 
 // Register is one allocated register with the values (producer node IDs)
@@ -98,31 +105,14 @@ type Register struct {
 // registers returned equals the maximum number of simultaneously live
 // values (optimal for interval graphs).
 func LeftEdge(lifetimes []Lifetime) []Register {
-	sorted := append([]Lifetime(nil), lifetimes...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Birth != sorted[j].Birth {
-			return sorted[i].Birth < sorted[j].Birth
-		}
-		return sorted[i].Producer < sorted[j].Producer
-	})
-	var regs []Register
-	regLast := []int{} // last cycle each register is occupied through
-	for _, lt := range sorted {
-		placed := false
-		for r := range regs {
-			if regLast[r] < lt.Birth {
-				regs[r].Values = append(regs[r].Values, lt.Producer)
-				regLast[r] = lt.LastUse
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			regs = append(regs, Register{Values: []cdfg.NodeID{lt.Producer}})
-			regLast = append(regLast, lt.LastUse)
-		}
+	var p Pricer
+	p.lts = append(p.lts, lifetimes...)
+	slices.SortStableFunc(p.lts, func(a, b Lifetime) int { return cmp.Compare(a.Producer, b.Producer) })
+	for k := range p.lts {
+		p.ord = append(p.ord, int32(k))
 	}
-	return regs
+	p.leftEdge()
+	return p.registers()
 }
 
 // MaxOverlap returns the maximum number of simultaneously live values —
@@ -200,56 +190,13 @@ func Build(g *cdfg.Graph, s *sched.Schedule, fus []FU, fuOf []int, cm CostModel)
 		}
 	}
 
-	lifetimes := Lifetimes(g, s)
-	regs := LeftEdge(lifetimes)
-	regOf := make(map[cdfg.NodeID]int) // producer -> register
-	for r, reg := range regs {
-		for _, v := range reg.Values {
-			regOf[v] = r
-		}
-	}
-
-	d := &Datapath{FUs: fus, Registers: regs}
-	// FU operand multiplexers: for each instance and operand position, the
-	// set of distinct source registers across its bound operations.
-	for _, fu := range fus {
-		maxPorts := 0
-		for _, op := range fu.Ops {
-			if p := len(g.Preds(op)); p > maxPorts {
-				maxPorts = p
-			}
-		}
-		for port := 0; port < maxPorts; port++ {
-			sources := map[int]bool{}
-			for _, op := range fu.Ops {
-				preds := g.Preds(op)
-				if port < len(preds) {
-					if r, ok := regOf[preds[port]]; ok {
-						sources[r] = true
-					}
-				}
-			}
-			if len(sources) > 1 {
-				d.FUMuxInputs += len(sources) - 1
-			}
-		}
-	}
-	// Register write multiplexers: distinct producing FUs per register.
-	for _, reg := range regs {
-		writers := map[int]bool{}
-		for _, v := range reg.Values {
-			writers[fuOf[v]] = true
-		}
-		if len(writers) > 1 {
-			d.RegMuxInputs += len(writers) - 1
-		}
-	}
-
-	for _, fu := range fus {
-		d.FUArea += fu.Module.Area
-	}
-	d.RegArea = float64(len(regs)) * cm.RegisterArea
-	d.MuxArea = float64(d.FUMuxInputs+d.RegMuxInputs) * cm.MuxInputArea
+	var p Pricer
+	p.Registers(g, s.Start, s.Delay)
+	d := &Datapath{FUs: fus, Registers: p.registers()}
+	d.FUArea, d.FUMuxInputs, d.RegMuxInputs = p.count(g, len(fus), func(f int) (*library.Module, []cdfg.NodeID) {
+		return fus[f].Module, fus[f].Ops
+	}, fuOf)
+	d.RegArea, d.MuxArea = cm.parts(len(d.Registers), d.FUMuxInputs+d.RegMuxInputs)
 	return d, nil
 }
 

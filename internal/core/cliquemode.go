@@ -98,7 +98,7 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 		for _, v := range block {
 			st.fuOf[v] = fu
 			st.fus[fu].ops = append(st.fus[fu].ops, cdfg.NodeID(v))
-			st.committed[v] = true
+			st.markCommitted(cdfg.NodeID(v), true)
 			st.decisions = append(st.decisions, Decision{
 				Node: cdfg.NodeID(v), Module: lib.Module(st.moduleOf[v]).Name,
 				FU: fu, NewFU: len(st.fus[fu].ops) == 1, Start: st.start[v],

@@ -277,10 +277,14 @@ type state struct {
 	fixedStarts []int          // schedOpts buffer: committed starts, -1 = free
 	arena       *sched.Arena   // scheduler scratch bound to g
 	baseBind    sched.Binding  // binding under the current assumptions
-	potential   []int          // per-module uncommitted-implementer counts
-	amortized   []float64      // per-module amortized new-instance area (countPotential)
+	potential   []int          // per-module uncommitted-implementer counts (markCommitted)
+	amortized   []float64      // per-module amortized new-instance area (markCommitted)
 	instancesOf [][]int        // per-module instance indices (bucketInstances)
 	cm          bind.CostModel
+	// pricer holds the merge passes' pricing buffers (area); they are
+	// allocated on the first pricing, which a state whose merge pass
+	// tries no pair never reaches.
+	pricer bind.Pricer
 
 	// weight[v] is the decision loop's first ranking key: the area of the
 	// cheapest module of v's op, scaled by the seeded jitter factor under
@@ -331,6 +335,7 @@ func (st *state) initTables() {
 	st.potential = make([]int, nm)
 	st.amortized = make([]float64, nm)
 	st.instancesOf = make([][]int, nm)
+	st.countPotential()
 	st.cm = st.cfg.cost()
 	if p := st.cfg.Perturb; p.enabled() {
 		// One fixed draw order (jitter factors, then the tie permutation)
@@ -909,8 +914,9 @@ func (st *state) rebuildCommitted() {
 }
 
 // auditCommitted panics unless the maintained profile equals a
-// from-scratch rebuild and every instance timeline equals its ops sorted
-// by (start, ID). Test-only invariant, checked under Config.coldWindows.
+// from-scratch rebuild, every instance timeline equals its ops sorted by
+// (start, ID), and the potential counts and amortized estimates equal a
+// full recount. Test-only invariant, checked under Config.coldWindows.
 func (st *state) auditCommitted() {
 	for c, want := range st.committedProfile() {
 		if math.Abs(st.profile[c]-want) > 1e-9 {
@@ -924,13 +930,19 @@ func (st *state) auditCommitted() {
 			panic(fmt.Sprintf("core: timeline audit failed: instance %d line %v, ops in start order %v", f, fu.line, want))
 		}
 	}
+	potential, amortized := slices.Clone(st.potential), slices.Clone(st.amortized)
+	st.countPotential()
+	if !slices.Equal(potential, st.potential) || !slices.Equal(amortized, st.amortized) {
+		panic(fmt.Sprintf("core: potential audit failed: maintained %v / %v, recounted %v / %v",
+			potential, amortized, st.potential, st.amortized))
+	}
 }
 
 // commit applies a decision, folding it into the profile.
 func (st *state) commit(d Decision) {
 	mi := st.moduleIndexOf(d)
 	m := st.lib.Module(mi)
-	st.committed[d.Node] = true
+	st.markCommitted(d.Node, true)
 	st.start[d.Node] = d.Start
 	st.setModule(d.Node, mi)
 	if d.NewFU {
@@ -959,7 +971,7 @@ func (st *state) uncommit(d Decision) {
 	// dropped whole.
 	st.eng.invalidateWindows()
 	st.stats.FullInvalidations++
-	st.committed[d.Node] = false
+	st.markCommitted(d.Node, false)
 	st.fuOf[d.Node] = -1
 	f := &st.fus[d.FU]
 	f.ops = f.ops[:len(f.ops)-1]
@@ -1045,32 +1057,26 @@ func (st *state) repair() error {
 	return nil
 }
 
-// finish validates and assembles the Design.
+// finish validates (check) and assembles the Design.
 func (st *state) finish() (*Design, error) {
-	if st.cfg.coldWindows {
-		st.auditCommitted()
+	if err := st.check(); err != nil {
+		return nil, err
 	}
 	s := sched.Schedule{
 		G:      st.g,
 		Start:  append([]int(nil), st.start...),
-		Delay:  make([]int, st.g.N()),
-		Power:  make([]float64, st.g.N()),
+		Delay:  append([]int(nil), st.delays...),
+		Power:  append([]float64(nil), st.powers...),
 		Module: make([]string, st.g.N()),
 	}
-	for i := range st.moduleOf {
-		m := st.lib.Module(st.moduleOf[i])
-		s.Delay[i] = m.Delay
-		s.Power[i] = m.Power
-		s.Module[i] = m.Name
-	}
-	if err := s.Validate(st.cons.PowerMax, st.cons.Deadline); err != nil {
-		return nil, fmt.Errorf("core: internal error: final schedule invalid: %w", err)
+	for i, mi := range st.moduleOf {
+		s.Module[i] = st.lib.Module(mi).Name
 	}
 	fus := make([]bind.FU, len(st.fus))
 	for i, f := range st.fus {
 		fus[i] = bind.FU{Module: st.lib.Module(f.module), Ops: append([]cdfg.NodeID(nil), f.ops...)}
 	}
-	dp, err := bind.Build(st.g, &s, fus, st.fuOf, st.cfg.cost())
+	dp, err := bind.Build(st.g, &s, fus, st.fuOf, st.cm)
 	if err != nil {
 		return nil, fmt.Errorf("core: internal error: %w", err)
 	}

@@ -175,10 +175,11 @@ func (st *state) muxEstimate(v cdfg.NodeID, f int) float64 {
 }
 
 // countPotential counts, per module, the uncommitted operations it could
-// implement into st.potential, for the amortized-area estimate: one sweep
-// instead of one graph scan per (op, module) candidate. mi implements
-// node i's op exactly when mi is among the op's candidate modules. It then
-// fills st.amortized, the estimate per module, once per decision.
+// implement into st.potential, for the amortized-area estimate, and fills
+// st.amortized, the estimate per module. mi implements node i's op
+// exactly when mi is among the op's candidate modules. It is the full
+// recount: initTables runs it once, markCommitted keeps both tables
+// current from then on, and the cold-window audit compares them with it.
 func (st *state) countPotential() {
 	clear(st.potential)
 	for i, c := range st.committed {
@@ -191,6 +192,22 @@ func (st *state) countPotential() {
 	}
 	for mi, p := range st.potential {
 		st.amortized[mi] = st.amortizedAreaWith(mi, p)
+	}
+}
+
+// markCommitted sets v's committed flag and moves the potential count and
+// amortized estimate of each of v's candidate modules with it: a commit
+// changes the tables in O(candidates), so bestDecision reads them without
+// a recount.
+func (st *state) markCommitted(v cdfg.NodeID, c bool) {
+	st.committed[v] = c
+	delta := 1
+	if c {
+		delta = -1
+	}
+	for _, mi := range st.cand[v] {
+		st.potential[mi] += delta
+		st.amortized[mi] = st.amortizedAreaWith(mi, st.potential[mi])
 	}
 }
 
@@ -322,7 +339,6 @@ func (st *state) overCap(t, d int, p float64) int {
 // windows of lighter nodes are never derived (scanDecisions).
 func (st *state) bestDecision() (Decision, bool) {
 	st.prepareWindows()
-	st.countPotential()
 	st.bucketInstances()
 	best, found := st.scanDecisions(true)
 	if decided != nil {

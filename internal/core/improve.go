@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pchls/internal/cdfg"
+	"pchls/internal/library"
 	"pchls/internal/sched"
 )
 
@@ -124,42 +125,142 @@ func (st *state) areaDescent() {
 // mergePass tries to merge functional-unit instances of the same module
 // whose operations do not overlap in time, keeping a merge whenever it
 // reduces the exact datapath area (functional units, registers and
-// interconnect). It runs after all operations are committed.
-func (st *state) mergePass() {
-	area := func() (float64, bool) {
-		d, err := st.finish()
-		if err != nil {
-			return 0, false
+// interconnect). It runs after all operations are committed and reports
+// whether anything merged. A merge moves no operation, so the pass prices
+// the registers once, on its first trial, and each trial recounts only the
+// multiplexers; a state whose instances offer no candidate pair is never
+// priced at all.
+func (st *state) mergePass() bool {
+	entered, valid := false, false
+	cur := 0.0
+	return st.sweepPairs(func(i, j int) bool {
+		if st.fus[i].module != st.fus[j].module || st.overlaps(i, j) {
+			return false
 		}
-		return d.Area(), true
+		if !entered {
+			entered = true
+			if valid = st.check() == nil; valid {
+				cur = st.area(true)
+			}
+		}
+		if !valid {
+			return false
+		}
+		a, ok := st.tryMerge(i, j, cur)
+		cur = a
+		return ok
+	})
+}
+
+// tryMerge merges instance j into i (same module, disjoint timelines) and
+// keeps the merge when the area drops below cur, reusing the registers of
+// the last area call; it returns the area of the resulting state and
+// whether it merged.
+func (st *state) tryMerge(i, j int, cur float64) (float64, bool) {
+	li, lj := st.fus[i].line, st.fus[j].line
+	m := st.mergeFUs(i, j, st.mergeLines(make([]cdfg.NodeID, 0, len(li)+len(lj)), li, lj))
+	a := st.area(false)
+	if priced != nil {
+		priced(st, a)
 	}
-	cur, ok := area()
-	if !ok {
-		return
+	if a < cur-1e-9 {
+		return a, true
 	}
-	for changed := true; changed; {
-		changed = false
+	st.unmerge(m)
+	return cur, false
+}
+
+// sweepPairs offers try the instance pairs (i, j), i < j, in lexicographic
+// order, sweep after sweep, until a sweep merges nothing, and reports
+// whether any try merged. A try that merges removes instance j, so the
+// same index is offered again. A try is a pure function of the state, and
+// every pair from a sweep's last merge on has failed against the state
+// that merge left, so the next sweep stops when it reaches the position of
+// that merge without having merged since.
+func (st *state) sweepPairs(try func(i, j int) bool) bool {
+	merged := false
+	stopI, stopJ := -1, -1
+	for {
+		lastI, lastJ := -1, -1
 		for i := 0; i < len(st.fus); i++ {
 			for j := i + 1; j < len(st.fus); j++ {
-				if st.fus[i].module != st.fus[j].module {
-					continue
+				if lastI < 0 && stopI >= 0 && (i > stopI || i == stopI && j >= stopJ) {
+					return merged
 				}
-				if st.overlaps(i, j) {
-					continue
-				}
-				li, lj := st.fus[i].line, st.fus[j].line
-				m := st.mergeFUs(i, j, st.mergeLines(make([]cdfg.NodeID, 0, len(li)+len(lj)), li, lj))
-				if a, ok := area(); ok && a < cur-1e-9 {
-					cur = a
-					changed = true
+				if try(i, j) {
+					lastI, lastJ, merged = i, j, true
 					j-- // instance j was removed; re-examine this index
-				} else {
-					st.unmerge(m)
 				}
 			}
 		}
+		if lastI < 0 {
+			return merged
+		}
+		stopI, stopJ = lastI, lastJ
 	}
 }
+
+// area returns the exact datapath area finish().Area() would report for
+// the current state, bit for bit, without assembling a design. retimed
+// reports whether starts or modules may have changed since the last call:
+// if so the registers are re-allocated, otherwise that call's registers
+// are reused and only the multiplexers are recounted.
+func (st *state) area(retimed bool) float64 {
+	if retimed {
+		st.pricer.Registers(st.g, st.start, st.delays)
+	}
+	return st.pricer.Area(st.g, st.cm, len(st.fus), st.instanceAt, st.fuOf)
+}
+
+// instanceAt returns instance f's module and operations, for the pricer.
+func (st *state) instanceAt(f int) (*library.Module, []cdfg.NodeID) {
+	return st.lib.Module(st.fus[f].module), st.fus[f].ops
+}
+
+// check runs finish's validation on the state itself and returns an error
+// exactly when finish would: the schedule (precedence, power cap,
+// deadline), then the binding (every node on an instance whose module
+// implements its operation, no two operations of an instance overlapping
+// along its timeline, and each instance's operations bound to it), after
+// the committed-state audit under Config.coldWindows.
+func (st *state) check() error {
+	if st.cfg.coldWindows {
+		st.auditCommitted()
+	}
+	s := sched.Schedule{G: st.g, Start: st.start, Delay: st.delays, Power: st.powers}
+	if err := s.Validate(st.cons.PowerMax, st.cons.Deadline); err != nil {
+		return fmt.Errorf("core: internal error: final schedule invalid: %w", err)
+	}
+	for v, f := range st.fuOf {
+		n := st.g.Node(cdfg.NodeID(v))
+		if f < 0 || f >= len(st.fus) {
+			return fmt.Errorf("core: internal error: node %q bound to instance %d of %d", n.Name, f, len(st.fus))
+		}
+		if m := st.lib.Module(st.fus[f].module); !m.Implements(n.Op) {
+			return fmt.Errorf("core: internal error: node %q (%s) bound to module %q", n.Name, n.Op, m.Name)
+		}
+	}
+	for f, fu := range st.fus {
+		for k := 1; k < len(fu.line); k++ {
+			if prev, x := fu.line[k-1], fu.line[k]; st.start[x] < st.start[prev]+st.delays[prev] {
+				return fmt.Errorf("core: internal error: instance %d: ops %q and %q overlap in time",
+					f, st.g.Node(prev).Name, st.g.Node(x).Name)
+			}
+		}
+		for _, x := range fu.ops {
+			if st.fuOf[x] != f {
+				return fmt.Errorf("core: internal error: instance %d lists op %q but fuOf disagrees", f, st.g.Node(x).Name)
+			}
+		}
+	}
+	return nil
+}
+
+// priced, when set, is called with the state and its area at every merge
+// trial of mergePass and shiftMergePass, before the trial is kept or
+// undone. Test-only: the stitch pricing differential compares the area
+// and check with finish.
+var priced func(st *state, area float64)
 
 // overlaps reports whether any operation of instance i overlaps one of j
 // in time: one walk along both timelines, stepping past whichever current

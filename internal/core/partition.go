@@ -317,7 +317,8 @@ func addRealPower(dst []float64, d *Design, realN int) {
 // The merge pass then reconciles shared instances across part
 // boundaries, the shift-merge pass re-times operations within precedence
 // slack to share instances whose reservations collide (cross-region
-// sharing), finish re-validates the joint schedule — this is where a
+// sharing), the two alternate until the plain pass merges nothing after a
+// shift-merge pass, finish re-validates the joint schedule — this is where a
 // severed dependency a part scheduled too early surfaces as an error — and
 // verify.Check independently re-derives every constraint on the stitched
 // result.
@@ -360,7 +361,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 			if !ok {
 				return nil, fmt.Errorf("core: stitch: region %d references unknown module %q", ri, d.Schedule.Module[li])
 			}
-			st.committed[old] = true
+			st.markCommitted(old, true)
 			st.start[old] = d.Schedule.Start[li]
 			st.setModule(old, mi)
 			st.fuOf[old] = fuBase + fuMap[d.FUOf[li]]
@@ -380,8 +381,12 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 	}
 	st.rebuildCommitted()
 	st.mergePass()
-	for st.shiftMergePass() {
-		st.mergePass()
+	// A shift-merge sweep over a state a whole sweep already failed on
+	// fails again, so the loop ends once the plain pass merges nothing.
+	for st.shiftMergePass() && st.mergePass() {
+	}
+	if stitched != nil {
+		stitched(st)
 	}
 	d, err := st.finish()
 	if err != nil {
@@ -393,6 +398,11 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 	return d, nil
 }
 
+// stitched, when set, is called with the stitch's state once its merge
+// passes are done, before finish. Test-only: the stitch pricing
+// differential sweeps every pair again there.
+var stitched func(st *state)
+
 // shiftMergePass is the cross-region instance-sharing pass of the stitch:
 // instance pairs the plain merge pass cannot combine — same module with
 // overlapping reservations, or different modules hosting the same
@@ -400,30 +410,24 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 // re-binding) operations within their precedence-local slack, and merged
 // when every collision resolves and the exact datapath area shrinks. Runs
 // after all operations are committed; returns whether anything merged.
+// Each attempt is priced by area and validated by check, so no design is
+// assembled until the stitch's one finish.
 func (st *state) shiftMergePass() bool {
-	d0, err := st.finish()
-	if err != nil {
+	if st.check() != nil {
 		return false
 	}
-	cur := d0.Area()
-	any := false
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(st.fus); i++ {
-			for j := i + 1; j < len(st.fus); j++ {
-				if st.fus[i].module == st.fus[j].module && !st.overlaps(i, j) {
-					continue // the plain merge pass handles these
-				}
-				if a, ok := st.tryShiftMerge(i, j, cur); ok {
-					cur = a
-					st.stats.SharedCrossRegion++
-					changed, any = true, true
-					j-- // instance j was removed; re-examine this index
-				}
-			}
+	cur := st.area(true)
+	return st.sweepPairs(func(i, j int) bool {
+		if st.fus[i].module == st.fus[j].module && !st.overlaps(i, j) {
+			return false // the plain merge pass handles these
 		}
-	}
-	return any
+		a, ok := st.tryShiftMerge(i, j, cur)
+		if ok {
+			cur = a
+			st.stats.SharedCrossRegion++
+		}
+		return ok
+	})
 }
 
 // tryShiftMerge re-times operations so instances i and j can share one
@@ -433,15 +437,15 @@ func (st *state) shiftMergePass() bool {
 // j's, and finally re-pack the union from an empty timeline.
 // Different-module pairs additionally re-bind one side's operations onto
 // the other's module (both directions tried) before re-timing. The first
-// attempt whose merged design passes the full finish validation and
-// shrinks the exact area wins.
+// attempt that shrinks the exact area (area) and passes finish's full
+// validation (check) wins.
 //
 // Attempts change the engine's own start, moduleOf and profile in place,
 // and every value they overwrite goes to the undo log; a rejected attempt
 // is rolled back by restoring the saved values, so the next one starts
 // from the entry state bit for bit. The profile is rebuilt from scratch
 // after an accepted attempt and, once the remaining attempts are done,
-// after a packed attempt that finish rejected: a rebuild sums in instance
+// after a packed attempt that was rejected: a rebuild sums in instance
 // order, so deferring it keeps every attempt of the call on the bits it
 // entered with. Returns the new area and whether a merge was kept.
 func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
@@ -501,10 +505,14 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 		if ok {
 			m := st.mergeFUs(i, j, slices.Clone(st.packBuf))
 			st.fus[i].module = at.target
-			if d, err := st.finish(); err == nil && d.Area() < cur-1e-9 {
+			a := st.area(true)
+			if priced != nil {
+				priced(st, a)
+			}
+			if a < cur-1e-9 && st.check() == nil {
 				st.undo, st.moved = st.undo[:0], st.moved[:0]
 				st.rebuildCommitted()
-				return d.Area(), true
+				return a, true
 			}
 			st.unmerge(m)
 			rebuild = true
@@ -664,8 +672,8 @@ func (st *state) packShift(i, j, fixed int) bool {
 // revisiting: when a node's turn comes, its predecessors are final.
 // Zero-slack neighborhoods that packShift cannot touch (every region ends
 // up deadline-tight after its own area descent) become mergeable at the
-// price of re-timing bystander operations; the full finish validation
-// still gates acceptance. Same contract as packShift.
+// price of re-timing bystander operations; finish's full validation
+// (check) still gates acceptance. Same contract as packShift.
 func (st *state) ripplePack(i, j int) bool {
 	if st.topo == nil {
 		topo, err := st.g.TopoOrder()

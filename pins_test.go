@@ -20,13 +20,13 @@ var synthesizePins = []struct {
 	area                            float64
 	allocs                          int
 }{
-	{"hal", 73, 0, 6, 1078, 423},
-	{"cosine", 628, 0, 144, 2784, 810},
-	{"elliptic", 452, 0, 178, 1609, 669},
-	{"fir16", 475, 0, 43, 2628, 800},
-	{"ar", 232, 0, 55, 1218, 588},
-	{"diffeq2", 171, 0, 14, 1025, 487},
-	{"fft8", 776, 0, 10, 2122, 765},
+	{"hal", 73, 0, 6, 1078, 334},
+	{"cosine", 628, 0, 144, 2784, 626},
+	{"elliptic", 452, 0, 178, 1609, 528},
+	{"fir16", 475, 0, 43, 2628, 587},
+	{"ar", 232, 0, 55, 1218, 493},
+	{"diffeq2", 171, 0, 14, 1025, 393},
+	{"fft8", 776, 0, 10, 2122, 609},
 }
 
 // TestSynthesizePins checks every BenchmarkSynthesize point against its

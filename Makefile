@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRunnerMap -fuzztime=30s ./internal/runner/
 	$(GO) test -fuzz='FuzzWindows$$' -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz='FuzzReplay$$' -fuzztime=30s ./internal/sched/
+	$(GO) test -fuzz='FuzzStoppedRun$$' -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz='FuzzFit$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzColdWindows$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzPrunedDecision$$' -fuzztime=30s ./internal/core/

@@ -93,11 +93,11 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 	}
 	st.locked = true // start times are final; Decisions log is synthetic
 	for _, block := range partition {
-		fu := len(st.fus)
-		st.fus = append(st.fus, instance{module: st.moduleOf[block[0]]})
+		fu := st.addInstance(st.moduleOf[block[0]], nil)
 		for _, v := range block {
 			st.fuOf[v] = fu
 			st.fus[fu].ops = append(st.fus[fu].ops, cdfg.NodeID(v))
+			st.noteOp(fu, cdfg.NodeID(v))
 			st.markCommitted(cdfg.NodeID(v), true)
 			st.decisions = append(st.decisions, Decision{
 				Node: cdfg.NodeID(v), Module: lib.Module(st.moduleOf[v]).Name,

@@ -285,6 +285,17 @@ type state struct {
 	// allocated on the first pricing, which a state whose merge pass
 	// tries no pair never reaches.
 	pricer bind.Pricer
+	// descent is the module descent's start buffer (descentProbe).
+	descent []int
+	// ports is the largest operand count of any node, the length of every
+	// instance's producer summary; producerSlab is the unused rest of the
+	// slab the summaries are cut from (producerChunk).
+	ports        int
+	producerSlab []cdfg.NodeID
+	// skips counts the work the cost bound of scanDecisions saved: the
+	// override window derivations and the new-instance probes it skipped.
+	// Only the pruning differential reads it.
+	skips struct{ windows, probes int }
 
 	// weight[v] is the decision loop's first ranking key: the area of the
 	// cheapest module of v's op, scaled by the seeded jitter factor under
@@ -332,6 +343,9 @@ func (st *state) initTables() {
 	st.baseBind = func(nd cdfg.Node) *library.Module {
 		return st.lib.Module(st.moduleOf[nd.ID])
 	}
+	for i := range n {
+		st.ports = max(st.ports, len(st.g.Preds(cdfg.NodeID(i))))
+	}
 	st.potential = make([]int, nm)
 	st.amortized = make([]float64, nm)
 	st.instancesOf = make([][]int, nm)
@@ -375,11 +389,72 @@ func (st *state) setModule(v cdfg.NodeID, mi int) {
 // commit order, which bind.Build and Design.FUs read; line holds the same
 // operations in (start, ID) order — the instance's timeline, the busy list
 // fit searches. Executions on one instance never overlap, so a line is
-// disjoint and its ends ascend with its starts.
+// disjoint and its ends ascend with its starts. producers summarizes, per
+// operand port, the producers feeding that port of the operations (see
+// noteOp); muxEstimate reads it in O(ports).
 type instance struct {
-	module int
-	ops    []cdfg.NodeID
-	line   []cdfg.NodeID
+	module    int
+	ops       []cdfg.NodeID
+	line      []cdfg.NodeID
+	producers []cdfg.NodeID
+}
+
+// The states of a port in an instance's producer summary besides a
+// producer's ID: no operation of the instance has the port, or two of
+// them read it from different producers.
+const (
+	portUnseen cdfg.NodeID = -1
+	portMixed  cdfg.NodeID = -2
+)
+
+// addInstance appends an instance of module mi hosting ops (which it
+// keeps) and returns its index; the instance's producer summary is cut
+// from the state's slab and summarizes ops.
+func (st *state) addInstance(mi int, ops []cdfg.NodeID) int {
+	f := len(st.fus)
+	st.fus = append(st.fus, instance{module: mi, ops: ops, producers: st.producerChunk()})
+	st.summarize(f)
+	return f
+}
+
+// producerChunk cuts one summary of st.ports entries from the slab, which
+// is allocated one instance per node at a time: a state holds at most one
+// instance per node, so a synthesis rarely cuts more.
+func (st *state) producerChunk() []cdfg.NodeID {
+	if len(st.producerSlab) < st.ports {
+		st.producerSlab = make([]cdfg.NodeID, st.ports*st.g.N())
+	}
+	c := st.producerSlab[:st.ports:st.ports]
+	st.producerSlab = st.producerSlab[st.ports:]
+	return c
+}
+
+// noteOp folds operation x's operand producers into instance f's summary:
+// a port seen for the first time takes x's producer, and a port whose
+// producer differs from x's becomes mixed.
+func (st *state) noteOp(f int, x cdfg.NodeID) {
+	sum := st.fus[f].producers
+	for port, p := range st.g.Preds(x) {
+		switch sum[port] {
+		case portUnseen:
+			sum[port] = p
+		case p, portMixed: // unchanged
+		default:
+			sum[port] = portMixed
+		}
+	}
+}
+
+// summarize recomputes instance f's producer summary from its operations,
+// after an operation left it (uncommit, unmerge).
+func (st *state) summarize(f int) {
+	sum := st.fus[f].producers
+	for k := range sum {
+		sum[k] = portUnseen
+	}
+	for _, x := range st.fus[f].ops {
+		st.noteOp(f, x)
+	}
 }
 
 // byStart orders operations by (start, ID), the order of timelines.
@@ -946,13 +1021,14 @@ func (st *state) commit(d Decision) {
 	st.start[d.Node] = d.Start
 	st.setModule(d.Node, mi)
 	if d.NewFU {
-		st.fus = append(st.fus, instance{module: mi})
+		st.addInstance(mi, nil)
 		st.fuAreaCommitted += m.Area
 	}
 	st.fuOf[d.Node] = d.FU
 	f := &st.fus[d.FU]
 	f.ops = append(f.ops, d.Node)
 	f.line = st.insertLine(f.line, d.Node)
+	st.noteOp(d.FU, d.Node)
 	for c := d.Start; c < d.Start+m.Delay && c < len(st.profile); c++ {
 		st.profile[c] += m.Power
 	}
@@ -980,6 +1056,8 @@ func (st *state) uncommit(d Decision) {
 	if d.NewFU {
 		st.fuAreaCommitted -= st.lib.Module(st.fus[d.FU].module).Area
 		st.fus = st.fus[:len(st.fus)-1]
+	} else {
+		st.summarize(d.FU)
 	}
 	st.decisions = st.decisions[:len(st.decisions)-1]
 	// Restore the assumed module for the node.

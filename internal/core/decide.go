@@ -145,34 +145,33 @@ func (st *state) sdcWindow(v cdfg.NodeID, mi int) (sched.Window, bool) {
 // one for the result port when f already has operations (its output fans
 // to a new destination register). This mirrors bind.Build's mux model
 // using producer nodes as register proxies (registers do not exist yet at
-// decision time).
+// decision time). f's producer summary answers each port in O(1): a port
+// no operation of f has adds nothing, one fed by v's producer alone adds
+// nothing, and any other adds an input.
 func (st *state) muxEstimate(v cdfg.NodeID, f int) float64 {
-	fu := st.fus[f]
+	fu := &st.fus[f]
 	if len(fu.ops) == 0 {
 		return 0
 	}
-	inputs := 0
-	preds := st.g.Preds(v)
-	for port, p := range preds {
-		seen := false
-		fresh := false
-		for _, op := range fu.ops {
-			ep := st.g.Preds(op)
-			if port < len(ep) {
-				seen = true
-				if ep[port] != p {
-					fresh = true
-				}
-			}
-		}
-		if seen && fresh {
+	// Result-side fan-out: sharing adds one register-write source.
+	inputs := 1
+	for port, p := range st.g.Preds(v) {
+		if q := fu.producers[port]; q != portUnseen && q != p {
 			inputs++
 		}
 	}
-	// Result-side fan-out: sharing adds one register-write source.
-	inputs++
-	return float64(inputs) * st.cm.MuxInputArea
+	est := float64(inputs) * st.cm.MuxInputArea
+	if mux != nil {
+		mux(st, v, f, est)
+	}
+	return est
 }
+
+// mux, when set, is called with the state, the node, the instance and the
+// estimate of every muxEstimate. Test-only: the producer-summary
+// differential compares each estimate with a scan of the instance's
+// operations.
+var mux func(st *state, v cdfg.NodeID, f int, est float64)
 
 // countPotential counts, per module, the uncommitted operations it could
 // implement into st.potential, for the amortized-area estimate, and fills
@@ -336,7 +335,9 @@ func (st *state) overCap(t, d int, p float64) int {
 // smallest node ID (or tie rank), then the smallest module area — all
 // deterministic. The weight is fixed for the life of the state, so the
 // scan stops at the first node lighter than a decision it has, and the
-// windows of lighter nodes are never derived (scanDecisions).
+// windows of lighter nodes are never derived; within the class, the
+// candidates that cannot beat the decision's cost are not derived either
+// (scanDecisions).
 func (st *state) bestDecision() (Decision, bool) {
 	st.prepareWindows()
 	st.bucketInstances()
@@ -353,12 +354,27 @@ func (st *state) bestDecision() (Decision, bool) {
 var decided func(st *state, d Decision, ok bool)
 
 // scanDecisions ranks the decisions of the iteration bestDecision set up.
-// With prune it stops at the first node (in st.order) lighter than the
-// best decision found so far; without, it visits every uncommitted node.
+// Without prune it visits every uncommitted node and every candidate.
+// With prune it ranks by weight, then by cost, before deriving:
+//
+//   - It stops at the first node (in st.order) lighter than the best
+//     decision found so far.
+//   - Once it holds a decision of v's weight class, a decision of v whose
+//     cost exceeds the best cost cannot win — consider drops it — and the
+//     best cost only falls. A new instance costs its module's full area,
+//     so when no candidate module of v is that cheap (newCanWin) none of
+//     v's new-instance probes run. A sharing decision costs its mux
+//     estimate, which needs no window, so then a candidate whose window
+//     would be an uncached override derivation is skipped without one
+//     when every instance of its module estimates above the best cost.
+//     An equal cost still falls to the tie-breaks, so the bound is strict.
+//     Cached, base and SDC windows cost little and are not bounded.
+//
 // Both return the same decision: the first key is the weight, visit order
 // matters only between different nodes, whose ties consider breaks
-// explicitly, and a class with no admissible decision falls through to
-// the next one, so !found still means no node has a decision.
+// explicitly, a skipped decision is one consider would drop, and a class
+// with no admissible decision falls through to the next one, so !found
+// still means no node has a decision.
 func (st *state) scanDecisions(prune bool) (Decision, bool) {
 	best := Decision{FU: -1}
 	bestWidth, bestWeight := 0, 0.0
@@ -419,6 +435,8 @@ func (st *state) scanDecisions(prune bool) (Decision, bool) {
 		if prune && found && st.weight[v] < bestWeight {
 			break
 		}
+		// With prune, a decision found so far is of v's weight class.
+		newCanWin := !prune || !found || st.newCanWin(v, best.Cost)
 		// Best new-instance module for v, chosen by amortized area so that
 		// a slightly larger multi-function unit (the ALU) beats several
 		// single-function units — the effect the clique formulation
@@ -426,6 +444,10 @@ func (st *state) scanDecisions(prune bool) (Decision, bool) {
 		// so sharing an existing instance always wins when feasible.
 		newMi, newStart, newWidth := -1, 0, 0
 		for j, mi := range st.cand[v] {
+			if !newCanWin && st.derives(v, j) && st.sharesLose(v, mi, best.Cost) {
+				st.skips.windows++
+				continue
+			}
 			w, ok := st.window(v, j)
 			if !ok {
 				continue
@@ -439,6 +461,10 @@ func (st *state) scanDecisions(prune bool) (Decision, bool) {
 						Start: t, Cost: st.muxEstimate(v, f),
 					}, w.Width())
 				}
+			}
+			if !newCanWin {
+				st.skips.probes++
+				continue
 			}
 			if t, ok := st.freeSlot(v, nil, w, m.Delay, m.Power); ok {
 				if newMi < 0 || st.amortized[mi] < st.amortized[newMi] {
@@ -455,4 +481,40 @@ func (st *state) scanDecisions(prune bool) (Decision, bool) {
 		}
 	}
 	return best, found
+}
+
+// newCanWin reports whether a new instance for v can cost at most bound:
+// whether some candidate module of v has an area within it.
+func (st *state) newCanWin(v cdfg.NodeID, bound float64) bool {
+	for _, mi := range st.cand[v] {
+		if st.lib.Module(mi).Area <= bound {
+			return true
+		}
+	}
+	return false
+}
+
+// derives reports whether window(v, j) would derive an override pair:
+// on the exhaustive path, unlocked, for a candidate the base windows and
+// the cache do not serve. It follows window's branches, which must agree.
+func (st *state) derives(v cdfg.NodeID, j int) bool {
+	if st.locked || st.sdc {
+		return false
+	}
+	eng := st.eng
+	if st.cand[v][j] == st.moduleOf[v] && eng.warm {
+		return false
+	}
+	return !eng.over[eng.slotOf[v]+j].cached
+}
+
+// sharesLose reports whether binding v onto any instance of module mi
+// would cost more than bound (true when there is none).
+func (st *state) sharesLose(v cdfg.NodeID, mi int, bound float64) bool {
+	for _, f := range st.instancesOf[mi] {
+		if st.muxEstimate(v, f) <= bound {
+			return false
+		}
+	}
+	return true
 }

@@ -104,14 +104,14 @@ func TestMuxEstimate(t *testing.T) {
 	g.MustAddEdge(i4, a2)
 	st := newTestState(t, g, Constraints{Deadline: 10})
 	addIdx := st.moduleOf[a1]
-	st.fus = append(st.fus, instance{module: addIdx, ops: []cdfg.NodeID{a1}})
+	st.addInstance(addIdx, []cdfg.NodeID{a1})
 	st.committed[a1] = true
 	st.fuOf[a1] = 0
 	if got := st.muxEstimate(a2, 0); got != 3*4.0 {
 		t.Errorf("muxEstimate = %g, want 12", got)
 	}
 	// Empty instance: free.
-	st.fus = append(st.fus, instance{module: addIdx})
+	st.addInstance(addIdx, nil)
 	if got := st.muxEstimate(a2, 1); got != 0 {
 		t.Errorf("muxEstimate on empty FU = %g, want 0", got)
 	}

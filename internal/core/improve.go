@@ -17,25 +17,22 @@ import (
 // lower-power units relieve per-cycle congestion at the price of their own
 // latency, which is exactly the operator speed/energy/area trade the paper
 // explores. It returns ErrInfeasible when no assignment reachable by these
-// single-op descents meets the deadline.
+// single-op descents meets the deadline: with the shortest length reached,
+// or with the scheduler's failure when no probe yielded a schedule at all.
+//
+// A probe only asks whether its schedule is shorter than the best one so
+// far, so it stops as soon as a node ends at or past that length
+// (descentProbe); the verdict is the full run's.
 func (st *state) refineInitialModules() error {
-	probe := func() (int, bool) {
-		st.stats.SchedulerRuns++
-		s, err := sched.PASAP(st.g, st.baseBind, st.schedOpts())
-		if err != nil {
-			return 0, false
-		}
-		return s.Length(), true
-	}
-	length, ok := probe()
-	if ok && length <= st.cons.Deadline {
+	length, err := st.descentProbe(0)
+	if err == nil && length <= st.cons.Deadline {
 		if !st.cfg.SkipAreaDescent {
 			st.areaDescent()
 		}
 		return nil
 	}
-	if !ok {
-		length = 1 << 30
+	if err != nil {
+		length = 1 << 30 // no schedule yet: any probe that yields one improves
 	}
 	maxRounds := st.g.N() * st.lib.Len()
 	for round := 0; round < maxRounds; round++ {
@@ -52,7 +49,7 @@ func (st *state) refineInitialModules() error {
 				}
 				saved := st.moduleOf[i]
 				st.setModule(cdfg.NodeID(i), mi)
-				if l, ok := probe(); ok && l < bestLen {
+				if l, perr := st.descentProbe(bestLen - 1); perr == nil && l < bestLen {
 					bestNode, bestModule, bestLen = i, mi, l
 				}
 				st.setModule(cdfg.NodeID(i), saved)
@@ -62,7 +59,7 @@ func (st *state) refineInitialModules() error {
 			break
 		}
 		st.setModule(cdfg.NodeID(bestNode), bestModule)
-		length = bestLen
+		length, err = bestLen, nil
 		if length <= st.cons.Deadline {
 			if !st.cfg.SkipAreaDescent {
 				st.areaDescent()
@@ -70,9 +67,41 @@ func (st *state) refineInitialModules() error {
 			return nil
 		}
 	}
+	if err != nil {
+		// No probe yielded a schedule, so the assignment is still the
+		// initial one and err is its scheduler failure.
+		return fmt.Errorf("core: no initial module assignment tried yields a pasap schedule: %w: %w", ErrInfeasible, err)
+	}
 	return fmt.Errorf("core: pasap length %d exceeds T = %d for every initial module assignment tried: %w",
 		length, st.cons.Deadline, ErrInfeasible)
 }
+
+// descentProbe is the module descent's pasap probe under the current
+// assumptions: it runs into the state's descent buffer, stopped once a
+// node ends past bound (sched.Options.Stop; 0 runs in full), and returns
+// the schedule's length, or the run's error — sched.ErrStopped when the
+// length exceeds bound.
+func (st *state) descentProbe(bound int) (int, error) {
+	st.stats.SchedulerRuns++
+	if st.descent == nil {
+		st.descent = make([]int, st.g.N())
+	}
+	opts := st.schedOpts()
+	opts.Stop = bound
+	err := sched.PASAPStarts(st.g, st.baseBind, opts, st.descent)
+	if descentProbed != nil {
+		descentProbed(st, bound, err)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return length(st.descent, st.delays), nil
+}
+
+// descentProbed, when set, is called with the state, the bound and the
+// outcome of every descent probe. Test-only: the stopped-probe
+// differential checks each verdict against a full run.
+var descentProbed func(st *state, bound int, err error)
 
 // areaDescent refines the initial module assumptions toward smaller-area
 // modules: any single operation is switched to a cheaper (power-feasible)
@@ -81,13 +110,8 @@ func (st *state) refineInitialModules() error {
 // cost less and draw less power, this orients the whole greedy search
 // toward the cheap end of the operator trade-off; the per-candidate
 // windows still let individual operations upgrade to fast modules where
-// the schedule needs them.
+// the schedule needs them. The probes stop at the deadline.
 func (st *state) areaDescent() {
-	probe := func() bool {
-		st.stats.SchedulerRuns++
-		s, err := sched.PASAP(st.g, st.baseBind, st.schedOpts())
-		return err == nil && s.Length() <= st.cons.Deadline
-	}
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < st.g.N(); i++ {
@@ -109,7 +133,7 @@ func (st *state) areaDescent() {
 				}
 				saved := st.moduleOf[i]
 				st.setModule(cdfg.NodeID(i), mi)
-				if probe() {
+				if l, err := st.descentProbe(st.cons.Deadline); err == nil && l <= st.cons.Deadline {
 					bestMi = mi
 				}
 				st.setModule(cdfg.NodeID(i), saved)
@@ -290,12 +314,22 @@ type fuMerge struct {
 }
 
 // mergeFUs moves all ops of instance j onto instance i (i < j), whose
-// timeline becomes line, and deletes j, renumbering fuOf.
+// timeline becomes line and whose producer summary absorbs j's, and
+// deletes j, renumbering fuOf.
 func (st *state) mergeFUs(i, j int, line []cdfg.NodeID) fuMerge {
 	fi := &st.fus[i]
 	m := fuMerge{i: i, j: j, module: fi.module, ops: len(fi.ops), line: fi.line, gone: st.fus[j]}
 	fi.ops = append(fi.ops, st.fus[j].ops...)
 	fi.line = line
+	// Fold j's producer summary into i's, port by port.
+	for k, q := range st.fus[j].producers {
+		if p := fi.producers[k]; q != portUnseen && p != q {
+			fi.producers[k] = q
+			if p != portUnseen {
+				fi.producers[k] = portMixed
+			}
+		}
+	}
 	st.fus = append(st.fus[:j], st.fus[j+1:]...)
 	for n := range st.fuOf {
 		switch {
@@ -308,12 +342,13 @@ func (st *state) mergeFUs(i, j int, line []cdfg.NodeID) fuMerge {
 	return m
 }
 
-// unmerge reverts the merge m, the last change to the instances. The
-// appended ops stay behind i's ops in its backing array, where the next
-// append overwrites them.
+// unmerge reverts the merge m, the last change to the instances, and
+// summarizes i's producers again. The appended ops stay behind i's ops in
+// its backing array, where the next append overwrites them.
 func (st *state) unmerge(m fuMerge) {
 	fi := &st.fus[m.i]
 	fi.module, fi.ops, fi.line = m.module, fi.ops[:m.ops], m.line
+	st.summarize(m.i)
 	st.fus = slices.Insert(st.fus, m.j, m.gone)
 	for n := range st.fuOf {
 		if st.fuOf[n] >= m.j {

@@ -232,7 +232,7 @@ func TestShiftMergeRollbackExact(t *testing.T) {
 			powers:   slices.Clone(st.powers),
 		}
 		for _, f := range st.fus {
-			s.fus = append(s.fus, instance{module: f.module, ops: slices.Clone(f.ops)})
+			s.fus = append(s.fus, instance{module: f.module, ops: slices.Clone(f.ops), producers: slices.Clone(f.producers)})
 		}
 		for _, p := range st.profile {
 			s.profile = append(s.profile, math.Float64bits(p))
@@ -245,7 +245,7 @@ func TestShiftMergeRollbackExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for fi, fu := range d.FUs {
-			st.fus = append(st.fus, instance{module: st.nameToMi[fu.Module.Name], ops: slices.Clone(fu.Ops)})
+			st.addInstance(st.nameToMi[fu.Module.Name], slices.Clone(fu.Ops))
 			for _, v := range fu.Ops {
 				st.fuOf[v] = fi
 			}

@@ -353,7 +353,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 			}
 			fuMap[fi] = kept
 			kept++
-			st.fus = append(st.fus, instance{module: mi, ops: ops})
+			st.addInstance(mi, ops)
 			st.fuAreaCommitted += lib.Module(mi).Area
 		}
 		for li, old := range ids {

@@ -15,9 +15,11 @@ import (
 
 // pruneCounts tallies the iterations checkPrunedDecisions compared: all
 // of them, those of a locked (repaired) state and those with no decision
-// (the ones that trigger repair).
+// (the ones that trigger repair); and what the cost bound of the pruned
+// scans skipped: override window derivations and new-instance probes.
 type pruneCounts struct {
 	compared, locked, empty int
+	windows, probes         int
 }
 
 // checkPrunedDecisions installs the decided hook until the test ends:
@@ -33,6 +35,9 @@ func checkPrunedDecisions(t *testing.T, label *string) *pruneCounts {
 		mu.Lock()
 		defer mu.Unlock()
 		counts.compared++
+		counts.windows += st.skips.windows
+		counts.probes += st.skips.probes
+		st.skips.windows, st.skips.probes = 0, 0
 		if st.locked {
 			counts.locked++
 		}
@@ -58,7 +63,9 @@ func checkPrunedDecisions(t *testing.T, label *string) *pruneCounts {
 // TestColdWindowsRandomDifferential under every search variant, and the
 // scaling tiers (the SDC derivation, decomposed where the tier is
 // large). The golden and cold-window suites cannot see the pruning: their
-// coldWindows reference runs through the same pruned scan.
+// coldWindows reference runs through the same pruned scan. The cost bound
+// must skip at least a floor of override derivations and of new-instance
+// probes, so a bound that stops firing fails here too.
 func TestPrunedDecisionMatchesFullScan(t *testing.T) {
 	label := ""
 	counts := checkPrunedDecisions(t, &label)
@@ -105,15 +112,26 @@ func TestPrunedDecisionMatchesFullScan(t *testing.T) {
 		label = tier.name
 		scalingInstance(t, tier)
 	}
-	t.Logf("iterations compared: %d classic, %d random, %d scaling; %d locked, %d without a decision",
-		classic.compared, random.compared-classic.compared, counts.compared-random.compared, counts.locked, counts.empty)
+	t.Logf("iterations compared: %d classic, %d random, %d scaling; %d locked, %d without a decision; "+
+		"the cost bound skipped %d override derivations and %d new-instance probes",
+		classic.compared, random.compared-classic.compared, counts.compared-random.compared, counts.locked, counts.empty,
+		counts.windows, counts.probes)
 	if min := 10000; counts.compared < min {
 		t.Fatalf("only %d iterations compared, want at least %d", counts.compared, min)
 	}
 	if counts.locked == 0 || counts.empty == 0 {
 		t.Fatal("no iteration reached repair; the differential never checks the repaired loop")
 	}
+	if counts.windows < pruneSkipFloor.windows || counts.probes < pruneSkipFloor.probes {
+		t.Fatalf("the cost bound skipped %d override derivations and %d new-instance probes, want at least %d and %d",
+			counts.windows, counts.probes, pruneSkipFloor.windows, pruneSkipFloor.probes)
+	}
 }
+
+// pruneSkipFloor is the least TestPrunedDecisionMatchesFullScan's cost
+// bound must skip over the whole run, about half of what it skipped when
+// the bound was introduced.
+var pruneSkipFloor = struct{ windows, probes int }{10000, 200000}
 
 // FuzzPrunedDecision explores the parameters of
 // TestPrunedDecisionMatchesFullScan's random instances: under any search

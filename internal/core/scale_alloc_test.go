@@ -19,11 +19,11 @@ var scalingPins = []struct {
 	area                                  float64
 	allocs                                int
 }{
-	{"layered-n100", 0, 0, 0, 0, 1271, 2392.4500000000003, 1160},
-	{"layered-n300", 0, 0, 0, 197, 212, 4879.72, 1347},
-	{"blocks-n300", 2, 0, 0, 426, 321, 4426.360000000001, 3317},
-	{"layered-n1000-connected", 7, 0, 981, 1415, 1701, 18302.22000000001, 11911},
-	{"mixed-n1000-connected", 6, 0, 1066, 1389, 1457, 17018.63, 10878},
+	{"layered-n100", 0, 0, 0, 0, 791, 2392.4500000000003, 1032},
+	{"layered-n300", 0, 0, 0, 197, 212, 4879.72, 1143},
+	{"blocks-n300", 2, 0, 0, 426, 321, 4426.360000000001, 3114},
+	{"layered-n1000-connected", 7, 0, 981, 1415, 1701, 18302.22000000001, 9821},
+	{"mixed-n1000-connected", 6, 0, 1066, 1389, 1457, 17018.63, 9124},
 }
 
 // TestScalingCountersAndAllocs checks every CI tier's scale-mode run

@@ -289,7 +289,7 @@ func TestCheckRejectsWhatFinishRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 		for fi, fu := range d.FUs {
-			st.fus = append(st.fus, instance{module: st.nameToMi[fu.Module.Name], ops: slices.Clone(fu.Ops)})
+			st.addInstance(st.nameToMi[fu.Module.Name], slices.Clone(fu.Ops))
 			for _, v := range fu.Ops {
 				st.fuOf[v] = fi
 			}

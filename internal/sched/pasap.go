@@ -79,6 +79,14 @@ type Options struct {
 	// them per run); a run that fixes RefNode or has no arena ignores Ref.
 	Ref     *Reference
 	RefNode cdfg.NodeID
+	// Stop, when positive, ends a pasap run with ErrStopped as soon as a
+	// placed node ends past cycle Stop, since the run's length then exceeds
+	// it. A run that is not stopped is the full run: a bounded run fails
+	// exactly when the full run fails or its length exceeds Stop, and gives
+	// the full run's starts otherwise. Callers that only ask whether a
+	// schedule meets a length (the synthesizer's module descent) skip the
+	// rest of a run that cannot. PALAP ignores it.
+	Stop int
 }
 
 // baseAt returns the ambient power at cycle c.
@@ -183,9 +191,9 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // order.
 //
 // It returns an error wrapping ErrPowerInfeasible if some operation's own
-// power exceeds PowerMax, and an error if the graph is cyclic, a fixed
-// placement is negative, or a per-node option table does not have one
-// entry per node.
+// power exceeds PowerMax, ErrStopped when Options.Stop ends the run, and an
+// error if the graph is cyclic, a fixed placement is negative, or a
+// per-node option table does not have one entry per node.
 func PASAP(g *cdfg.Graph, bind Binding, opts Options) (*Schedule, error) {
 	if err := opts.check(g); err != nil {
 		return nil, err
@@ -277,6 +285,9 @@ func pasapWithin(g *cdfg.Graph, bind Binding, opts *Options, horizon int, delay 
 		if end > horizon {
 			return &horizonError{node: g.Node(id).Name, start: s, end: end, horizon: horizon}
 		}
+		if opts.Stop > 0 && end > opts.Stop {
+			return ErrStopped
+		}
 		start[id] = s
 		for c := s; c < end; c++ {
 			profile[c] += power[id]
@@ -325,7 +336,10 @@ func pasapWithin(g *cdfg.Graph, bind Binding, opts *Options, horizon int, delay 
 			// it lands on its reference start, unless this run's horizon
 			// ends before that start does (the run then goes on in full).
 			if s := rp.start(id, delay); s >= 0 && s+delay[id] <= horizon {
-				place(id, s) // cannot fail: s >= 0 and it ends by the horizon
+				// s >= 0 and it ends by the horizon: only a stop can fail it.
+				if err := place(id, s); err != nil {
+					return err
+				}
 				continue
 			}
 			from = i

@@ -179,6 +179,9 @@ var (
 	// scheduling horizon (with an explicit horizon this typically means the
 	// deadline cannot be met).
 	ErrHorizon = errors.New("operation cannot be placed within horizon")
+	// ErrStopped indicates a pasap run ended early because a placed
+	// operation ends past Options.Stop: the run's length exceeds the bound.
+	ErrStopped = errors.New("pasap run stopped past its length bound")
 )
 
 // Validate checks the schedule: every start time is non-negative, every data

@@ -20,13 +20,13 @@ var synthesizePins = []struct {
 	area                            float64
 	allocs                          int
 }{
-	{"hal", 73, 0, 6, 1078, 334},
-	{"cosine", 628, 0, 144, 2784, 626},
-	{"elliptic", 452, 0, 178, 1609, 528},
-	{"fir16", 475, 0, 43, 2628, 587},
-	{"ar", 232, 0, 55, 1218, 493},
-	{"diffeq2", 171, 0, 14, 1025, 393},
-	{"fft8", 776, 0, 10, 2122, 609},
+	{"hal", 73, 0, 6, 1078, 320},
+	{"cosine", 504, 0, 144, 2784, 590},
+	{"elliptic", 216, 0, 65, 1609, 504},
+	{"fir16", 423, 0, 31, 2628, 554},
+	{"ar", 232, 0, 55, 1218, 433},
+	{"diffeq2", 168, 0, 14, 1025, 367},
+	{"fft8", 768, 0, 10, 2122, 577},
 }
 
 // TestSynthesizePins checks every BenchmarkSynthesize point against its
@@ -69,9 +69,9 @@ type portfolioPin struct {
 }
 
 var portfolioPins = []portfolioPin{
-	{"hal", 842, 1078, 2 * 15172902, 54240},
-	{"diffeq2", 882, 1025, 2 * 20015156, 51663},
-	{"fft8", 1716, 2122, 2 * 58873427, 146883},
+	{"hal", 842, 1078, 2 * 15172902, 46118},
+	{"diffeq2", 882, 1025, 2 * 20015156, 34107},
+	{"fft8", 1716, 2122, 2 * 58873427, 110902},
 }
 
 // check fails tb unless res reproduces the pinned areas exactly.

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"pchls"
-	"pchls/internal/bench"
 	"pchls/internal/cdfg"
 	"pchls/internal/gen"
 )
@@ -58,18 +57,10 @@ func main() {
 		powMin := fs.Float64("pmin", 0.5, "with -libout: min per-cycle module power")
 		powMax := fs.Float64("pmax", 8, "with -libout: max per-cycle module power")
 		levels := fs.Int("levels", 1, "with -libout: voltage operating points per computation module (<=1 = single-level)")
-		legacy := fs.Bool("legacy", false, "use the pre-gen layered generator (bench.Random) for old seeds")
 		preset := fs.String("preset", "", "graph-shape preset: chain|wide|layered|mixed|blocks (explicit shape flags override the recipe)")
 		blocks := fs.Int("blocks", 0, "split the computations into this many disjoint blocks (<=1 = single block)")
 		connect := fs.Bool("connect", false, "bridge weakly-connected components with minimum extra edges: guarantees a single-component graph")
 		fs.Parse(args)
-		if *legacy {
-			g := bench.Random(rand.New(rand.NewSource(*seed)), bench.RandomConfig{
-				Nodes: *n, MaxWidth: *width, MulFraction: *mul,
-			})
-			fmt.Print(g.Text())
-			return
-		}
 		cfg := gen.GraphConfig{
 			Nodes: *n, MaxWidth: *width, EdgeDensity: *edges,
 			MulFraction: *mul, CmpFraction: *cmp, Blocks: *blocks,

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
@@ -206,51 +204,6 @@ func TestBenchmarksScheduleUnderTable1(t *testing.T) {
 			t.Errorf("%s: invalid asap: %v", name, err)
 		}
 	}
-}
-
-func TestRandomGeneratorAlwaysValid(t *testing.T) {
-	f := func(seed int64, szRaw, widthRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := RandomConfig{
-			Nodes:    int(szRaw%60) + 1,
-			MaxWidth: int(widthRaw%6) + 1,
-		}
-		g := Random(rng, cfg)
-		if err := g.Validate(); err != nil {
-			return false
-		}
-		comp := 0
-		for _, n := range g.Nodes() {
-			if !n.Op.IsTransfer() {
-				comp++
-			}
-		}
-		return comp == cfg.Nodes
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandomDeterministicForSeed(t *testing.T) {
-	a := Random(rand.New(rand.NewSource(7)), RandomConfig{Nodes: 30})
-	b := Random(rand.New(rand.NewSource(7)), RandomConfig{Nodes: 30})
-	if a.Text() != b.Text() {
-		t.Fatal("same seed produced different graphs")
-	}
-	c := Random(rand.New(rand.NewSource(8)), RandomConfig{Nodes: 30})
-	if a.Text() == c.Text() {
-		t.Fatal("different seeds produced identical graphs (suspicious)")
-	}
-}
-
-func TestRandomPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Random with 0 nodes should panic")
-		}
-	}()
-	Random(rand.New(rand.NewSource(1)), RandomConfig{Nodes: 0})
 }
 
 func TestFFT(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package bench provides the classical high-level-synthesis benchmark
 // data-flow graphs the paper evaluates on ("hal", "cosine", "elliptic"),
-// plus secondary benchmarks (fir, ar, diffeq2) and random layered DAG
-// generators for property-based testing.
+// plus secondary benchmarks (fir, ar, diffeq2, fft). Random instances for
+// property-based testing come from internal/gen.
 //
 // Each graph uses explicit Input ("imp") and Output ("xpt") transfer nodes,
 // matching the input/output rows of the paper's functional-unit library

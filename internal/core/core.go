@@ -917,7 +917,10 @@ func (st *state) windowSchedsFor(v cdfg.NodeID, j int, opts sched.Options) (earl
 	}
 	early, late = st.overrideStarts(v, j)
 	st.stats.SchedulerRuns++
-	if sched.PASAPStarts(st.g, st.baseBind, opts, early) != nil || length(early, st.ovDelays) > st.cons.Deadline {
+	// A pasap longer than T fails the pair; stop it at the first node that
+	// ends past T instead of running it out (PALAP ignores Stop).
+	opts.Stop = st.cons.Deadline
+	if sched.PASAPStarts(st.g, st.baseBind, opts, early) != nil {
 		return nil, nil, false
 	}
 	st.stats.SchedulerRuns++

@@ -3,13 +3,13 @@ package core
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 )
 
@@ -121,9 +121,6 @@ func TestSynthesizeBadDeadline(t *testing.T) {
 	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := Synthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 10, PowerMax: p}, Config{}); err == nil {
 			t.Fatalf("accepted power cap %g", p)
-		}
-		if _, err := ExactSynthesize(bench.HAL(), library.Table1(), Constraints{Deadline: 10, PowerMax: p}, 0); err == nil {
-			t.Fatalf("exact synthesis accepted power cap %g", p)
 		}
 	}
 	// Zero and negative caps mean unconstrained.
@@ -258,8 +255,7 @@ func TestReportContents(t *testing.T) {
 func TestQuickSynthesizeRandomGraphsValid(t *testing.T) {
 	lib := library.Table1()
 	f := func(seed int64, szRaw, pRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := bench.Random(rng, bench.RandomConfig{Nodes: int(szRaw%14) + 2, MaxWidth: 3})
+		g := gen.Graph(seed, gen.GraphConfig{Nodes: int(szRaw%14) + 2, MaxWidth: 3})
 		// Deadline: serial critical path plus slack; power: generous or
 		// moderately tight.
 		cp, _ := g.CriticalPath(func(n cdfg.Node) int {

@@ -1,14 +1,15 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 	"pchls/internal/sched"
+	"pchls/internal/verify"
 )
 
 func TestOracleSimpleSchedule(t *testing.T) {
@@ -113,8 +114,7 @@ func TestDesignsNeverBeatOracle(t *testing.T) {
 func TestQuickOracleLowerBound(t *testing.T) {
 	lib := library.Table1()
 	f := func(seed int64, szRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := bench.Random(rng, bench.RandomConfig{Nodes: int(szRaw%12) + 2, MaxWidth: 3})
+		g := gen.Graph(seed, gen.GraphConfig{Nodes: int(szRaw%12) + 2, MaxWidth: 3})
 		cp, _ := g.CriticalPath(func(n cdfg.Node) int {
 			if n.Op == cdfg.Mul {
 				return 4
@@ -130,5 +130,64 @@ func TestQuickOracleLowerBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGreedyOptimalityGapOnTinyInstances measures the greedy against the
+// exhaustive optimum (verify.BruteForce, which shares no code with the
+// engine): the greedy must never beat it (or the oracle is broken), and on
+// these instances it should stay within 40 % FU area.
+func TestGreedyOptimalityGapOnTinyInstances(t *testing.T) {
+	lib := library.Table1()
+	checked := 0
+	for seed := int64(0); seed < 12; seed++ {
+		g := gen.Graph(seed, gen.GraphConfig{Nodes: 4, MaxWidth: 2})
+		cp, _ := g.CriticalPath(func(n cdfg.Node) int {
+			if n.Op == cdfg.Mul {
+				return 2
+			}
+			return 1
+		})
+		cons := Constraints{Deadline: cp + 3}
+		exact, err := verify.BruteForce(g, lib, cons.Deadline, cons.PowerMax, verify.BruteOptions{MaxNodes: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exact.Feasible {
+			continue
+		}
+		in := verify.Input{
+			Graph: g, Library: lib, Deadline: cons.Deadline, PowerMax: cons.PowerMax,
+			Start: exact.Start, Module: make([]string, g.N()), FU: exact.FU,
+			ReportedFUArea: exact.FUArea,
+		}
+		fus := 0
+		for _, f := range exact.FU {
+			fus = max(fus, f+1)
+		}
+		in.FUModules = make([]string, fus)
+		for v, mi := range exact.Module {
+			in.Module[v] = lib.Module(mi).Name
+			in.FUModules[exact.FU[v]] = in.Module[v]
+		}
+		if err := verify.Check(in); err != nil {
+			t.Fatalf("seed %d: exact result invalid: %v", seed, err)
+		}
+		greedy, err := SynthesizeBest(g, lib, cons, Config{})
+		if err != nil {
+			t.Fatalf("seed %d: greedy failed where exact succeeded: %v", seed, err)
+		}
+		if greedy.Datapath.FUArea < exact.FUArea-1e-9 {
+			t.Fatalf("seed %d: greedy FU area %.1f beats the exact optimum %.1f",
+				seed, greedy.Datapath.FUArea, exact.FUArea)
+		}
+		if greedy.Datapath.FUArea > exact.FUArea*1.4+1e-9 {
+			t.Errorf("seed %d: greedy FU area %.1f vs optimum %.1f (gap > 40%%)",
+				seed, greedy.Datapath.FUArea, exact.FUArea)
+		}
+		checked++
+	}
+	if checked < 6 {
+		t.Fatalf("only %d instances checked", checked)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"pchls/internal/cdfg"
@@ -264,33 +263,6 @@ func Plot(curves []Curve, width, height int) string {
 	}
 	sb.WriteString("          " + strings.Join(legend, "   ") + "\n")
 	return sb.String()
-}
-
-// Pareto extracts the Pareto-optimal points (minimal area per power
-// budget): a point survives when no feasible point with lower-or-equal
-// power has lower-or-equal area with at least one strict inequality.
-func Pareto(points []Point) []Point {
-	var feas []Point
-	for _, p := range points {
-		if p.Feasible {
-			feas = append(feas, p)
-		}
-	}
-	sort.Slice(feas, func(i, j int) bool {
-		if feas[i].Power != feas[j].Power {
-			return feas[i].Power < feas[j].Power
-		}
-		return feas[i].Area < feas[j].Area
-	})
-	var out []Point
-	bestArea := math.Inf(1)
-	for _, p := range feas {
-		if p.Area < bestArea-1e-9 {
-			out = append(out, p)
-			bestArea = p.Area
-		}
-	}
-	return out
 }
 
 // Figure1Result packages the Figure 1 reproduction: the unconstrained

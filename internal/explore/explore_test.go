@@ -160,23 +160,6 @@ func TestPlot(t *testing.T) {
 	}
 }
 
-func TestPareto(t *testing.T) {
-	pts := []Point{
-		{Power: 10, Area: 100, Feasible: true},
-		{Power: 15, Area: 100, Feasible: true}, // dominated (same area, more power)
-		{Power: 20, Area: 80, Feasible: true},
-		{Power: 25, Area: 90, Feasible: true}, // dominated
-		{Power: 5, Area: 999, Feasible: false},
-	}
-	out := Pareto(pts)
-	if len(out) != 2 || out[0].Power != 10 || out[1].Power != 20 {
-		t.Fatalf("pareto = %+v", out)
-	}
-	if Pareto(nil) != nil {
-		t.Fatal("pareto of nil should be nil")
-	}
-}
-
 func TestFigure1(t *testing.T) {
 	r, err := Figure1(bench.HAL(), library.Table1(), 12)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"pchls/internal/bench"
 	"pchls/internal/cdfg"
 	"pchls/internal/core"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 )
 
@@ -129,7 +130,7 @@ func TestQuickSynthesisIsFunctionallyCorrect(t *testing.T) {
 	lib := library.Table1()
 	f := func(seed int64, szRaw, slackRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := bench.Random(rng, bench.RandomConfig{Nodes: int(szRaw%12) + 2, MaxWidth: 3})
+		g := gen.Graph(seed, gen.GraphConfig{Nodes: int(szRaw%12) + 2, MaxWidth: 3})
 		cp, _ := g.CriticalPath(func(n cdfg.Node) int {
 			if n.Op == cdfg.Mul {
 				return 4

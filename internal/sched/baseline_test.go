@@ -8,82 +8,6 @@ import (
 	"pchls/internal/library"
 )
 
-func TestListScheduleSerializesOnScarceResources(t *testing.T) {
-	g := wide(t, 3)
-	bind := fastest(t)
-	// One parallel multiplier only: the three multiplies serialize.
-	res := map[string]int{
-		library.NameMulPar: 1,
-		library.NameAdd:    1,
-		library.NameInput:  1,
-		library.NameOutput: 1,
-	}
-	s, err := ListSchedule(g, bind, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(0, 0); err != nil {
-		t.Fatalf("list schedule invalid: %v", err)
-	}
-	// Multiply executions must not overlap.
-	var muls []cdfg.NodeID
-	for _, n := range g.Nodes() {
-		if n.Op == cdfg.Mul {
-			muls = append(muls, n.ID)
-		}
-	}
-	for i := 0; i < len(muls); i++ {
-		for j := i + 1; j < len(muls); j++ {
-			a, b := muls[i], muls[j]
-			if s.Start[a] < s.End(b) && s.Start[b] < s.End(a) {
-				t.Fatalf("muls %d and %d overlap: [%d,%d) vs [%d,%d)", a, b, s.Start[a], s.End(a), s.Start[b], s.End(b))
-			}
-		}
-	}
-	// With ample resources the schedule matches ASAP.
-	ample := map[string]int{
-		library.NameMulPar: 10, library.NameAdd: 10,
-		library.NameInput: 10, library.NameOutput: 10,
-	}
-	sa, err := ListSchedule(g, bind, ample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asap, _ := ASAP(g, bind)
-	if sa.Length() != asap.Length() {
-		t.Fatalf("ample list schedule length %d, asap %d", sa.Length(), asap.Length())
-	}
-}
-
-func TestListScheduleMissingResource(t *testing.T) {
-	g := wide(t, 2)
-	_, err := ListSchedule(g, fastest(t), map[string]int{library.NameMulPar: 1})
-	if err == nil {
-		t.Fatal("list schedule accepted missing module instances")
-	}
-}
-
-func TestListScheduleRespectsAllocation(t *testing.T) {
-	g := wide(t, 4)
-	bind := fastest(t)
-	res := map[string]int{
-		library.NameMulPar: 2,
-		library.NameAdd:    1,
-		library.NameInput:  1,
-		library.NameOutput: 1,
-	}
-	s, err := ListSchedule(g, bind, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := MinResources(s)
-	for name, k := range need {
-		if k > res[name] {
-			t.Errorf("schedule uses %d x %q, allocated %d", k, name, res[name])
-		}
-	}
-}
-
 func TestMinResources(t *testing.T) {
 	g := wide(t, 3)
 	s, _ := ASAP(g, fastest(t))

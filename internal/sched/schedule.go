@@ -1,9 +1,9 @@
 // Package sched implements the scheduling machinery of the power-constrained
 // high-level synthesis flow: classical ASAP/ALAP, the power-constrained
 // pasap/palap heuristics of Nielsen & Madsen (DATE 2003), mobility windows,
-// per-cycle power profiles, schedule validation, and baseline schedulers
-// (resource-constrained list scheduling, force-directed scheduling, and a
-// two-step schedule-then-power-repair baseline).
+// per-cycle power profiles, schedule validation, and the baseline
+// schedulers the ablation benchmarks run (a two-step force-directed
+// schedule-then-power-repair baseline and simulated annealing).
 //
 // Time is measured in integer clock cycles. An operation with start time t
 // and delay d occupies cycles t, t+1, ..., t+d-1; a data successor may start
@@ -276,4 +276,26 @@ func (s *Schedule) ProfileString(powerMax float64) string {
 		fmt.Fprintf(&sb, "P< = %.2f\n", powerMax)
 	}
 	return sb.String()
+}
+
+// MinResources returns, for a schedule, the number of simultaneously active
+// instances required of each module — i.e. the allocation the schedule
+// implies if every concurrent operation needs its own instance.
+func MinResources(s *Schedule) map[string]int {
+	need := make(map[string]int)
+	length := s.Length()
+	for c := 0; c < length; c++ {
+		active := make(map[string]int)
+		for i := range s.Start {
+			if s.Start[i] <= c && c < s.Start[i]+s.Delay[i] {
+				active[s.Module[i]]++
+			}
+		}
+		for name, k := range active {
+			if k > need[name] {
+				need[name] = k
+			}
+		}
+	}
+	return need
 }

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
@@ -71,6 +72,9 @@ func BruteForce(g *cdfg.Graph, lib *library.Library, deadline int, powerMax floa
 	}
 	if deadline <= 0 {
 		return nil, fmt.Errorf("verify: brute force: deadline %d must be positive", deadline)
+	}
+	if math.IsNaN(powerMax) || math.IsInf(powerMax, 0) {
+		return nil, fmt.Errorf("verify: brute force: power cap %g must be finite", powerMax)
 	}
 	if g.N() > opt.MaxNodes {
 		return nil, fmt.Errorf("verify: brute force: %d nodes > limit %d: %w", g.N(), opt.MaxNodes, ErrTooLarge)
@@ -229,6 +233,9 @@ func Schedulable(g *cdfg.Graph, delays []int, powers []float64, deadline int, po
 	}
 	if deadline <= 0 {
 		return false, fmt.Errorf("verify: schedulable: deadline %d must be positive", deadline)
+	}
+	if math.IsNaN(powerMax) || math.IsInf(powerMax, 0) {
+		return false, fmt.Errorf("verify: schedulable: power cap %g must be finite", powerMax)
 	}
 	order, err := g.TopoOrder()
 	if err != nil {

@@ -2,10 +2,13 @@ package verify_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"pchls/internal/cdfg"
 	"pchls/internal/core"
 	"pchls/internal/gen"
+	"pchls/internal/library"
 	"pchls/internal/verify"
 )
 
@@ -206,5 +209,97 @@ func TestBruteRejectsOversizedAndMalformed(t *testing.T) {
 	if _, err := verify.BruteForce(inst.Graph, inst.Library, inst.Deadline, inst.PowerMax,
 		verify.BruteOptions{MaxNodes: 32, MaxExpansions: 5}); !errors.Is(err, verify.ErrTooLarge) {
 		t.Errorf("budget exhaustion not reported as ErrTooLarge: %v", err)
+	}
+}
+
+// nonFiniteCaps are power caps the exhaustive searches must reject: no
+// per-cycle draw compares above NaN, so a NaN (or infinite) cap would
+// otherwise read as uncapped and the oracle would answer another question.
+var nonFiniteCaps = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
+func TestBruteForceRejectsNonFiniteCap(t *testing.T) {
+	inst := tinyInstance(1, 3, 1.5, 2.0)
+	for _, p := range nonFiniteCaps {
+		if _, err := verify.BruteForce(inst.Graph, inst.Library, inst.Deadline, p, verify.BruteOptions{MaxNodes: 16}); err == nil {
+			t.Errorf("accepted power cap %g", p)
+		}
+	}
+}
+
+func TestBruteFrontRejectsNonFiniteCap(t *testing.T) {
+	inst := tinyInstance(1, 3, 1.5, 2.0)
+	for _, p := range nonFiniteCaps {
+		if _, err := verify.BruteFront(inst.Graph, inst.Library, inst.Deadline, p, nil, verify.BruteOptions{MaxNodes: 16}); err == nil {
+			t.Errorf("accepted power cap %g", p)
+		}
+	}
+}
+
+func TestSchedulableRejectsNonFiniteCap(t *testing.T) {
+	inst := tinyInstance(1, 3, 1.5, 2.0)
+	n := inst.Graph.N()
+	delays, powers := make([]int, n), make([]float64, n)
+	for v := range delays {
+		delays[v], powers[v] = 1, 1
+	}
+	for _, p := range nonFiniteCaps {
+		if _, err := verify.Schedulable(inst.Graph, delays, powers, inst.Deadline, p, verify.BruteOptions{MaxNodes: 16}); err == nil {
+			t.Errorf("accepted power cap %g", p)
+		}
+	}
+}
+
+// bruteTable1 runs the exhaustive search on g under Table 1, uncapped.
+func bruteTable1(t *testing.T, g *cdfg.Graph, deadline int) *verify.BruteResult {
+	t.Helper()
+	br, err := verify.BruteForce(g, library.Table1(), deadline, 0, verify.BruteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return br
+}
+
+func TestBruteForceChain(t *testing.T) {
+	// i -> a1(+) -> a2(+) -> o at T=6: one adder suffices (sequential),
+	// plus one input and one output unit: 87 + 16 + 16 = 119.
+	g := cdfg.New("t")
+	i := g.MustAddNode("i", cdfg.Input)
+	a1 := g.MustAddNode("a1", cdfg.Add)
+	a2 := g.MustAddNode("a2", cdfg.Add)
+	o := g.MustAddNode("o", cdfg.Output)
+	g.MustAddEdge(i, a1)
+	g.MustAddEdge(a1, a2)
+	g.MustAddEdge(a2, o)
+	if br := bruteTable1(t, g, 6); !br.Feasible || br.FUArea != 119 {
+		t.Fatalf("optimum = %+v, want FU area 119", br)
+	}
+}
+
+func TestBruteForcePrefersSerialMultWhenTimeAllows(t *testing.T) {
+	// One multiply with plenty of slack: the serial multiplier (103) beats
+	// the parallel one (339).
+	g := cdfg.New("t")
+	i := g.MustAddNode("i", cdfg.Input)
+	m := g.MustAddNode("m", cdfg.Mul)
+	o := g.MustAddNode("o", cdfg.Output)
+	g.MustAddEdge(i, m)
+	g.MustAddEdge(m, o)
+	if br := bruteTable1(t, g, 8); !br.Feasible || br.FUArea != 103+16+16 {
+		t.Fatalf("optimum = %+v, want FU area 135", br)
+	}
+	// At T=4 only the parallel multiplier fits.
+	if br := bruteTable1(t, g, 4); !br.Feasible || br.FUArea != 339+16+16 {
+		t.Fatalf("tight-T optimum = %+v, want FU area 371", br)
+	}
+}
+
+func TestBruteForceInfeasible(t *testing.T) {
+	// The input transfer and a multiply cannot both finish by T=2.
+	g := cdfg.New("t")
+	i := g.MustAddNode("i", cdfg.Input)
+	m := g.MustAddNode("m", cdfg.Mul)
+	g.MustAddEdge(i, m)
+	if br := bruteTable1(t, g, 2); br.Feasible {
+		t.Fatalf("found a design at T=2: %+v", br)
 	}
 }

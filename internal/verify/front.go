@@ -105,6 +105,9 @@ func BruteFront(g *cdfg.Graph, lib *library.Library, maxDeadline int, powerMax f
 	if maxDeadline <= 0 {
 		return nil, fmt.Errorf("verify: brute front: deadline %d must be positive", maxDeadline)
 	}
+	if math.IsNaN(powerMax) || math.IsInf(powerMax, 0) {
+		return nil, fmt.Errorf("verify: brute front: power cap %g must be finite", powerMax)
+	}
 	if g.N() > opt.MaxNodes {
 		return nil, fmt.Errorf("verify: brute front: %d nodes > limit %d: %w", g.N(), opt.MaxNodes, ErrTooLarge)
 	}

@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzStoppedRun$$' -fuzztime=30s ./internal/sched/
 	$(GO) test -fuzz='FuzzFit$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzColdWindows$$' -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz='FuzzRefutedPairs$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzPrunedDecision$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz='FuzzStitchPricing$$' -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/server/

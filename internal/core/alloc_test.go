@@ -165,7 +165,7 @@ func TestFirstDecisionAllocs(t *testing.T) {
 			t.Fatal("no decision")
 		}
 	})
-	const measured = 765701
+	const measured = 381672
 	if max := float64(measured * 6 / 5); got > max {
 		t.Fatalf("first decision allocates %.0f B/run, budget %.0f", got, max)
 	}

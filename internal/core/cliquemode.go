@@ -32,12 +32,13 @@ func SynthesizeCliquePartition(g *cdfg.Graph, lib *library.Library, cons Constra
 	if err != nil {
 		return nil, err
 	}
+	defer st.release()
 	if err := st.refineInitialModules(); err != nil {
 		return nil, err
 	}
 
 	// Static windows under the assumed modules.
-	opts := sched.Options{PowerMax: cons.PowerMax, Delays: st.delays, Powers: st.powers, Arena: st.arena}
+	opts := sched.Options{PowerMax: cons.PowerMax, Delays: st.delays, Powers: st.powers, Arena: st.kit.arena}
 	st.stats.SchedulerRuns += 2
 	windows, err := sched.Windows(g, st.baseBind, cons.Deadline, opts)
 	if err != nil {

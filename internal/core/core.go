@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"pchls/internal/bind"
 	"pchls/internal/cdfg"
@@ -166,6 +167,10 @@ type Config struct {
 	// SDC completion bounds so area descent inside one part cannot starve
 	// downstream parts of deadline slack.
 	due []int
+	// kits, when non-nil, is the pool of scheduler scratch (kit) that the
+	// synthesis states of one SynthesizeBest call borrow and give back.
+	// regionConfig strips it: a part's graph is not the call's.
+	kits *sync.Pool
 }
 
 func (c Config) cost() bind.CostModel {
@@ -259,10 +264,11 @@ type state struct {
 	opts  sched.Options
 	stats Stats
 
-	// sdc selects the SDC window derivation (useSDC); topo and sdcB are
-	// its cached topological order and recycled bounds buffers.
+	// sdc selects the SDC window derivation (useSDC). sdcB holds the SDC
+	// bounds last derived (deriveBounds): the SDC path's windows, and on
+	// either path the precedence bound that refutes override pairs and
+	// descent probes before they run (refutes).
 	sdc  bool
-	topo []cdfg.NodeID
 	sdcB sched.SDCBounds
 
 	// Hot-path lookup tables and scratch, built once by initTables. The
@@ -275,7 +281,7 @@ type state struct {
 	ovDelays    []int          // single-node override copies of delays/powers
 	ovPowers    []float64      //   (windowSchedsFor)
 	fixedStarts []int          // schedOpts buffer: committed starts, -1 = free
-	arena       *sched.Arena   // scheduler scratch bound to g
+	kit         *kit           // scheduler scratch bound to g, borrowed by newState
 	baseBind    sched.Binding  // binding under the current assumptions
 	potential   []int          // per-module uncommitted-implementer counts (markCommitted)
 	amortized   []float64      // per-module amortized new-instance area (markCommitted)
@@ -339,7 +345,6 @@ func (st *state) initTables() {
 	st.ovDelays = make([]int, n)
 	st.ovPowers = make([]float64, n)
 	st.fixedStarts = make([]int, n)
-	st.arena = sched.NewArena(st.g)
 	st.baseBind = func(nd cdfg.Node) *library.Module {
 		return st.lib.Module(st.moduleOf[nd.ID])
 	}
@@ -504,6 +509,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		moduleOf:  make([]int, g.N()),
 		fuOf:      make([]int, g.N()),
 		profile:   make([]float64, cons.Deadline),
+		kit:       cfg.borrowKit(g),
 	}
 	copy(st.profile, cfg.baseProfile)
 	for i := range st.fuOf {
@@ -521,13 +527,7 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		st.moduleOf[n.ID] = mi
 	}
 	st.initTables()
-	if st.sdc = useSDC(g, cons, cfg); st.sdc {
-		topo, err := g.TopoOrder()
-		if err != nil {
-			return nil, err
-		}
-		st.topo = topo
-	}
+	st.sdc = useSDC(g, cons, cfg)
 	st.eng = newEngine(st)
 	return st, nil
 }
@@ -618,6 +618,7 @@ func synthesizeMono(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg C
 	if err != nil {
 		return nil, err
 	}
+	defer st.release()
 	if err := st.refineInitialModules(); err != nil {
 		return nil, err
 	}
@@ -711,6 +712,9 @@ func SynthesizeBestContext(ctx context.Context, g *cdfg.Graph, lib *library.Libr
 	if err != nil {
 		return nil, err
 	}
+	// Every run of the call synthesizes g: its states share one pool of
+	// scheduler scratch.
+	cfg.kits = new(sync.Pool)
 	altCfg := cfg
 	altCfg.SkipAreaDescent = !cfg.SkipAreaDescent
 	configs := [2]Config{cfg, altCfg}
@@ -827,7 +831,7 @@ func (st *state) schedOpts() sched.Options {
 		FixedStarts: st.fixedStarts,
 		Delays:      st.delays,
 		Powers:      st.powers,
-		Arena:       st.arena,
+		Arena:       st.kit.arena,
 		Release:     st.cfg.release,
 		Due:         st.cfg.due,
 	}
@@ -913,7 +917,7 @@ func (st *state) windowSchedsFor(v cdfg.NodeID, j int, opts sched.Options) (earl
 		return st.fullPair(opts)
 	}
 	if st.eng.refOK {
-		opts.Ref, opts.RefNode = &st.eng.ref, v
+		opts.Ref, opts.RefNode = &st.kit.ref, v
 	}
 	early, late = st.overrideStarts(v, j)
 	st.stats.SchedulerRuns++

@@ -24,12 +24,11 @@ func (st *state) prepareWindows() {
 	}
 	if st.sdc {
 		st.stats.SDCDerivations++
-		st.fillFixedStarts()
-		sched.DeriveSDCBounds(st.g, st.topo, st.cons.Deadline, st.delays, st.fixedStarts,
-			st.cfg.release, st.cfg.due, &st.sdcB)
+		st.deriveBounds(st.cons.Deadline)
 		return
 	}
 	eng := st.eng
+	eng.bounded = false
 	st.opts = st.schedOpts()
 	baseOK := st.baseWindows(st.opts)
 	if !baseOK && eng.warm {
@@ -46,9 +45,10 @@ func (st *state) prepareWindows() {
 // whether it has one: the locked start as a point window (the assumed
 // module only); the SDC bounds; the base window under the assumed module;
 // or else the override pair's entry, served from the engine's cache when
-// an entry survived the commitments since it was derived. Entries are
-// cached only while the base pair stands (eng.warm), since their validity
-// rests on it.
+// an entry survived the commitments since it was derived, and refuted
+// without a run when the precedence bound leaves v no start under the
+// module (pairRefuted). Entries are cached only while the base pair
+// stands (eng.warm), since their validity rests on it.
 func (st *state) window(v cdfg.NodeID, j int) (sched.Window, bool) {
 	mi := st.cand[v][j]
 	if st.locked {
@@ -68,13 +68,78 @@ func (st *state) window(v cdfg.NodeID, j int) (sched.Window, bool) {
 		return ent.w, ent.ok
 	}
 	st.stats.WindowCacheMisses++
-	e := st.computeEntry(v, j, st.opts)
+	var e winEntry
+	if !st.pairRefuted(v, mi) {
+		e = st.computeEntry(v, j, st.opts)
+	}
 	if eng.warm {
 		e.cached = true
 		*ent = e
 	}
 	return e.w, e.ok
 }
+
+// pairRefuted reports whether the precedence bound refutes the override
+// pair of candidate (v, mi) before it runs (refutes). The bound is derived
+// once per iteration, at its first cache miss, under the iteration's own
+// committed starts, release and due. A refuted pair fails, or yields a
+// window of width < 1, so it caches like a failed pair: not ok, with no
+// start arrays, dropped at the next commit.
+func (st *state) pairRefuted(v cdfg.NodeID, mi int) bool {
+	if !st.eng.bounded {
+		st.deriveBounds(st.cons.Deadline)
+		st.eng.bounded = true
+	}
+	if !st.refutes(v, st.lib.Module(mi).Delay) {
+		return false
+	}
+	if refuted != nil {
+		refuted(st, refutedPair, v, mi, st.cons.Deadline)
+	}
+	return true
+}
+
+// deriveBounds derives the SDC bounds of the current state under deadline
+// into st.sdcB, in one O(V+E) pass: the committed starts, the module
+// assumptions, and the release and due constraints.
+func (st *state) deriveBounds(deadline int) {
+	st.fillFixedStarts()
+	sched.DeriveSDCBounds(st.g, st.topoOrder(), deadline, st.delays, st.fixedStarts,
+		st.cfg.release, st.cfg.due, &st.sdcB)
+}
+
+// refutes reports whether the precedence bound in st.sdcB (deriveBounds)
+// leaves the uncommitted node v no start under a module of delay d, which
+// proves that no pasap run of the state with v at that delay ends by the
+// bound's deadline. A pasap run places a free node no earlier than its
+// release and its predecessors' ends, so no start is earlier than Early;
+// in a run that ends by the deadline, no node ends past its due, the
+// start of a fixed successor or the start of a free one, so no end is
+// later than LateEnd. Neither bound of v depends on v's own delay, and
+// longer delays of other nodes only tighten both, so a bound derived
+// before other nodes' delays grew still refutes soundly. The coldWindows
+// oracle refutes nothing: it runs every pair and probe in full, so the
+// golden and cold-window suites compare the bound with full runs.
+func (st *state) refutes(v cdfg.NodeID, d int) bool {
+	return !st.cfg.coldWindows && st.fixedStarts[v] < 0 && st.sdcB.Early[v]+d > st.sdcB.LateEnd[v]
+}
+
+// refutation names what the precedence bound refuted: an override pair,
+// an area-descent probe or a refine probe.
+type refutation int
+
+const (
+	refutedPair refutation = iota
+	refutedDescent
+	refutedRefine
+)
+
+// refuted, when set, is called with the state, the kind, the node, the
+// candidate module and the length bound of every pair or probe the
+// precedence bound refutes, in place of running it; a probe's call sees
+// the state with v switched to mi. Test-only: TestRefutedPairsFailInFull
+// runs each one in full.
+var refuted func(st *state, kind refutation, v cdfg.NodeID, mi, bound int)
 
 // baseWindows derives the base windows (every node under its assumed
 // module) into eng.baseWin under opts, the iteration's scheduler options,
@@ -109,7 +174,7 @@ func (st *state) baseWindows(opts sched.Options) bool {
 	// entry validity across a later commitment requires the committed
 	// module to match this snapshot.
 	eng.assumed = append(eng.assumed[:0], st.moduleOf...)
-	eng.refOK = !st.cfg.coldWindows && eng.ref.Reset(st.g, st.baseBind, opts, eng.baseWin) == nil
+	eng.refOK = !st.cfg.coldWindows && st.kit.ref.Reset(st.g, st.baseBind, opts, eng.baseWin) == nil
 	return true
 }
 

@@ -59,22 +59,68 @@ type engine struct {
 	// node v (st.cand[v][j]) owns over[slotOf[v]+j], so node v's entries
 	// are the range slotOf[v]..slotOf[v+1].
 	over []winEntry
-	// ref is the base pair as the replay reference of the override runs
-	// (sched.Reference): an override run copies the nodes it shares with
-	// the base pair and patches the base selection order. refOK reports
-	// that ref describes the current base pair; the coldWindows oracle
-	// never sets it.
-	ref   sched.Reference
+	// refOK reports that the state's kit.ref, the replay reference of the
+	// override runs (sched.Reference), describes the current base pair: an
+	// override run copies the nodes it shares with the base pair and
+	// patches the base selection order. The coldWindows oracle never sets
+	// it.
 	refOK bool
-	// slab holds the start arrays of the override runs: the candidate in
-	// slot k owns the 2n ints from k*2n, its early starts then its late
-	// starts, so a run writes straight into the arrays its cache entry
-	// keeps. A slot is rewritten only when its
-	// entry is recomputed, after the old entry was dropped. It is
-	// allocated on first use. lateBase is the base palap's start buffer.
-	slab     []int
+	// bounded reports that st.sdcB holds the precedence bound of the
+	// current iteration (refutedPair), derived at its first cache miss.
+	bounded bool
+	// slotOf indexes the candidate slots; the start arrays of the override
+	// runs live in the state's kit.slab. lateBase is the base palap's
+	// start buffer.
 	slotOf   []int
 	lateBase []int
+}
+
+// kit is the scheduler scratch of one synthesis state over graph g: the
+// arena, the replay reference of the override runs and their start slab.
+// The states of one SynthesizeBest call borrow kits from the call's pool
+// (Config.kits) and give them back when they end, so the ladder allocates
+// them once per concurrent state instead of once per state, and the
+// reference's memoized patched orders carry over to every later state
+// whose delays match. Nothing a design keeps points into a kit.
+//
+// slab holds the start arrays of the override runs: the candidate in slot
+// k owns the 2n ints from k*2n, its early starts then its late starts, so
+// a run writes straight into the arrays its cache entry keeps. A slot is
+// rewritten only when its entry is recomputed, after the old entry was
+// dropped (or by a later state, after this one ended). It is allocated on
+// first use.
+type kit struct {
+	g     *cdfg.Graph
+	arena *sched.Arena
+	ref   sched.Reference
+	slab  []int
+}
+
+// borrowKit returns a kit for a state over g: one from the pool when
+// there is one and it holds a kit of g, a fresh one otherwise.
+func (c Config) borrowKit(g *cdfg.Graph) *kit {
+	if c.kits != nil {
+		if k, ok := c.kits.Get().(*kit); ok && k.g == g {
+			return k
+		}
+	}
+	return &kit{g: g, arena: sched.NewArena(g)}
+}
+
+// topoOrder returns the topological order of the state's graph, cached in
+// the kit's arena. newState validated the graph, so it is acyclic.
+func (st *state) topoOrder() []cdfg.NodeID {
+	topo, _ := st.kit.arena.TopoOrder()
+	return topo
+}
+
+// release gives the state's kit back to its pool, when it has one; the
+// state must not run the schedulers afterwards.
+func (st *state) release() {
+	if st.cfg.kits != nil {
+		st.cfg.kits.Put(st.kit)
+	}
+	st.kit = nil
 }
 
 // newEngine builds the cold window cache of a fresh state; SDC-regime
@@ -100,11 +146,11 @@ func newEngine(st *state) *engine {
 // override runs to write into.
 func (st *state) overrideStarts(v cdfg.NodeID, j int) (early, late []int) {
 	eng, n := st.eng, st.g.N()
-	if eng.slab == nil {
-		eng.slab = make([]int, len(eng.over)*2*n)
+	if len(st.kit.slab) != len(eng.over)*2*n {
+		st.kit.slab = make([]int, len(eng.over)*2*n)
 	}
 	at := eng.slotOf[v] + j
-	slot := eng.slab[at*2*n : (at+1)*2*n]
+	slot := st.kit.slab[at*2*n : (at+1)*2*n]
 	return slot[:n:n], slot[n:]
 }
 

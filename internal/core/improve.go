@@ -22,7 +22,10 @@ import (
 //
 // A probe only asks whether its schedule is shorter than the best one so
 // far, so it stops as soon as a node ends at or past that length
-// (descentProbe); the verdict is the full run's.
+// (descentProbe); the verdict is the full run's. A probe the precedence
+// bound under that length refutes does not run (descentMeets): the bound
+// is derived at the start of every round and whenever the best length
+// falls.
 func (st *state) refineInitialModules() error {
 	length, err := st.descentProbe(0)
 	if err == nil && length <= st.cons.Deadline {
@@ -37,6 +40,7 @@ func (st *state) refineInitialModules() error {
 	maxRounds := st.g.N() * st.lib.Len()
 	for round := 0; round < maxRounds; round++ {
 		bestNode, bestModule, bestLen := -1, -1, length
+		st.deriveBounds(bestLen - 1)
 		for i := 0; i < st.g.N(); i++ {
 			cur := st.lib.Module(st.moduleOf[i])
 			for _, mi := range st.lib.Candidates(st.g.Node(cdfg.NodeID(i)).Op) {
@@ -49,10 +53,12 @@ func (st *state) refineInitialModules() error {
 				}
 				saved := st.moduleOf[i]
 				st.setModule(cdfg.NodeID(i), mi)
-				if l, perr := st.descentProbe(bestLen - 1); perr == nil && l < bestLen {
-					bestNode, bestModule, bestLen = i, mi, l
-				}
+				l, ok := st.descentMeets(refutedRefine, cdfg.NodeID(i), bestLen-1)
 				st.setModule(cdfg.NodeID(i), saved)
+				if ok {
+					bestNode, bestModule, bestLen = i, mi, l
+					st.deriveBounds(bestLen - 1)
+				}
 			}
 		}
 		if bestNode < 0 {
@@ -98,6 +104,23 @@ func (st *state) descentProbe(bound int) (int, error) {
 	return length(st.descent, st.delays), nil
 }
 
+// descentMeets is one probe of the module descent, with node v just
+// switched to the module it tries: whether the pasap probe of the current
+// assumptions ends by bound (descentProbe), and the schedule's length.
+// When the precedence bound in st.sdcB refutes v under its new delay
+// (refutes), the probe does not run and fails; kind names the descent for
+// the refuted hook.
+func (st *state) descentMeets(kind refutation, v cdfg.NodeID, bound int) (int, bool) {
+	if st.refutes(v, st.delays[v]) {
+		if refuted != nil {
+			refuted(st, kind, v, st.moduleOf[v], bound)
+		}
+		return 0, false
+	}
+	l, err := st.descentProbe(bound)
+	return l, err == nil && l <= bound
+}
+
 // descentProbed, when set, is called with the state, the bound and the
 // outcome of every descent probe. Test-only: the stopped-probe
 // differential checks each verdict against a full run.
@@ -110,10 +133,15 @@ var descentProbed func(st *state, bound int, err error)
 // cost less and draw less power, this orients the whole greedy search
 // toward the cheap end of the operator trade-off; the per-candidate
 // windows still let individual operations upgrade to fast modules where
-// the schedule needs them. The probes stop at the deadline.
+// the schedule needs them. The probes stop at the deadline, and a probe
+// the precedence bound under the deadline refutes does not run
+// (descentMeets). The bound is derived once per sweep and again after a
+// change that shortens a delay; a bound stale only through lengthened
+// delays is looser, so it still refutes soundly.
 func (st *state) areaDescent() {
 	for changed := true; changed; {
 		changed = false
+		st.deriveBounds(st.cons.Deadline)
 		for i := 0; i < st.g.N(); i++ {
 			if st.committed[cdfg.NodeID(i)] {
 				continue
@@ -133,14 +161,18 @@ func (st *state) areaDescent() {
 				}
 				saved := st.moduleOf[i]
 				st.setModule(cdfg.NodeID(i), mi)
-				if l, err := st.descentProbe(st.cons.Deadline); err == nil && l <= st.cons.Deadline {
+				if _, ok := st.descentMeets(refutedDescent, cdfg.NodeID(i), st.cons.Deadline); ok {
 					bestMi = mi
 				}
 				st.setModule(cdfg.NodeID(i), saved)
 			}
 			if bestMi >= 0 {
+				shorter := st.lib.Module(bestMi).Delay < st.delays[i]
 				st.setModule(cdfg.NodeID(i), bestMi)
 				changed = true
+				if shorter {
+					st.deriveBounds(st.cons.Deadline)
+				}
 			}
 		}
 	}

@@ -50,13 +50,15 @@ func synthesizePartitioned(g *cdfg.Graph, lib *library.Library, cons Constraints
 }
 
 // regionConfig strips the per-region synthesis config of everything that
-// belongs to the whole-graph run: nested decomposition, worker fan-out and
-// the incumbent area bound. synthesizeWaves sets each part's ambient
-// profile and boundary pins itself.
+// belongs to the whole-graph run: nested decomposition, worker fan-out,
+// the incumbent area bound and the kit pool of the whole graph.
+// synthesizeWaves sets each part's ambient profile and boundary pins
+// itself.
 func regionConfig(cfg Config) Config {
 	cfg.partition = partitionOff
 	cfg.Workers = 1
 	cfg.AreaBound = 0
+	cfg.kits = nil
 	return cfg
 }
 
@@ -328,6 +330,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 	if err != nil {
 		return nil, err
 	}
+	defer st.release()
 	st.stats = st.stats.Add(driver)
 	for ri, d := range regions {
 		ids, rn := parts[ri], realNs[ri]
@@ -675,13 +678,6 @@ func (st *state) packShift(i, j, fixed int) bool {
 // price of re-timing bystander operations; finish's full validation
 // (check) still gates acceptance. Same contract as packShift.
 func (st *state) ripplePack(i, j int) bool {
-	if st.topo == nil {
-		topo, err := st.g.TopoOrder()
-		if err != nil {
-			return false
-		}
-		st.topo = topo
-	}
 	T := st.cons.Deadline
 	// Phase 1: re-pack the union, earliest-fit after live predecessor
 	// finishes, successors unconstrained (the sweep repairs them).
@@ -696,7 +692,7 @@ func (st *state) ripplePack(i, j int) bool {
 	// count as one), so instance exclusivity is preserved throughout. The
 	// moved node changes places in its timeline (a bystander's line is
 	// marked for rollback to re-sort).
-	for _, v := range st.topo {
+	for _, v := range st.topoOrder() {
 		lo := st.readyAt(v)
 		if st.start[v] >= lo {
 			continue

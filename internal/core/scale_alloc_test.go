@@ -19,11 +19,11 @@ var scalingPins = []struct {
 	area                                  float64
 	allocs                                int
 }{
-	{"layered-n100", 0, 0, 0, 0, 791, 2392.4500000000003, 1032},
-	{"layered-n300", 0, 0, 0, 197, 212, 4879.72, 1143},
-	{"blocks-n300", 2, 0, 0, 426, 321, 4426.360000000001, 3114},
-	{"layered-n1000-connected", 7, 0, 981, 1415, 1701, 18302.22000000001, 9821},
-	{"mixed-n1000-connected", 6, 0, 1066, 1389, 1457, 17018.63, 9124},
+	{"layered-n100", 0, 0, 0, 0, 750, 2392.4500000000003, 1032},
+	{"layered-n300", 0, 0, 0, 197, 212, 4879.72, 1123},
+	{"blocks-n300", 2, 0, 0, 426, 321, 4426.360000000001, 3085},
+	{"layered-n1000-connected", 7, 0, 981, 1415, 1636, 18302.22000000001, 9671},
+	{"mixed-n1000-connected", 6, 0, 1066, 1389, 1395, 17018.63, 9017},
 }
 
 // TestScalingCountersAndAllocs checks every CI tier's scale-mode run

@@ -8,8 +8,10 @@ import "fmt"
 // saved runs. All counters are zero-based per run; Design.Stats carries
 // the counters of the run that produced the design.
 type Stats struct {
-	// SchedulerRuns counts full pasap/palap executions (probes, window
-	// derivations, per-candidate overrides).
+	// SchedulerRuns counts the pasap/palap executions that ran (probes,
+	// window derivations, per-candidate overrides, module-descent probes).
+	// An override pair or descent probe the precedence bound refutes runs
+	// none and counts nothing here.
 	SchedulerRuns int64
 	// IncrementalRuns is always 0: no window derivation pins nodes any
 	// more. It stays because the v1 wire carries it (the
@@ -20,9 +22,10 @@ type Stats struct {
 	// WindowCacheHits counts (node, module) candidate windows served from
 	// the engine's cache without any scheduler run.
 	WindowCacheHits int64
-	// WindowCacheMisses counts candidate windows that had to be computed
-	// by a full pasap/palap pair because the node was invalidated (or
-	// never cached).
+	// WindowCacheMisses counts candidate override windows the cache did
+	// not hold (invalidated, or never cached): each was either refuted by
+	// the iteration's precedence bound without a scheduler run, or
+	// derived by an override pasap/palap pair.
 	WindowCacheMisses int64
 	// WindowInvalidations counts cached candidate entries discarded by
 	// the post-commit invalidation rule.

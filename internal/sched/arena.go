@@ -99,6 +99,11 @@ func (a *Arena) topoFor(g *cdfg.Graph) ([]cdfg.NodeID, error) {
 	return g.TopoOrder()
 }
 
+// TopoOrder returns the topological order of the arena's graph, the one
+// cdfg.Graph.TopoOrder gives, computed once and shared with the runs: the
+// caller must not modify it.
+func (a *Arena) TopoOrder() ([]cdfg.NodeID, error) { return a.topoFor(a.g) }
+
 // reverseOf returns the cached reversed graph of g (building it once), or
 // a fresh reversal when g is foreign to the arena.
 func (a *Arena) reverseOf(g *cdfg.Graph) *cdfg.Graph {

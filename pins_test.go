@@ -20,13 +20,13 @@ var synthesizePins = []struct {
 	area                            float64
 	allocs                          int
 }{
-	{"hal", 73, 0, 6, 1078, 320},
-	{"cosine", 504, 0, 144, 2784, 590},
-	{"elliptic", 216, 0, 65, 1609, 504},
+	{"hal", 66, 0, 6, 1078, 320},
+	{"cosine", 471, 0, 144, 2784, 586},
+	{"elliptic", 186, 0, 65, 1609, 496},
 	{"fir16", 423, 0, 31, 2628, 554},
-	{"ar", 232, 0, 55, 1218, 433},
-	{"diffeq2", 168, 0, 14, 1025, 367},
-	{"fft8", 768, 0, 10, 2122, 577},
+	{"ar", 85, 0, 55, 1218, 391},
+	{"diffeq2", 139, 0, 14, 1025, 364},
+	{"fft8", 722, 0, 10, 2122, 563},
 }
 
 // TestSynthesizePins checks every BenchmarkSynthesize point against its
@@ -70,8 +70,8 @@ type portfolioPin struct {
 
 var portfolioPins = []portfolioPin{
 	{"hal", 842, 1078, 2 * 15172902, 46118},
-	{"diffeq2", 882, 1025, 2 * 20015156, 34107},
-	{"fft8", 1716, 2122, 2 * 58873427, 110902},
+	{"diffeq2", 882, 1025, 2 * 20015156, 34104},
+	{"fft8", 1716, 2122, 2 * 58873427, 110886},
 }
 
 // check fails tb unless res reproduces the pinned areas exactly.

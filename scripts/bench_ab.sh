@@ -13,8 +13,9 @@
 # The workloads run one after the other, each for the same seeds: pair i
 # runs seed first-seed+i-1 (default first seed 1) on both sides with
 # `bash benchmark/run.sh --workload W --seed S --trace 0 -out DIR`. The base
-# is built from a `git worktree` under .bench_build/ab/, removed again on
-# exit. Records of every workload go to
+# is a `git archive` of the revision unpacked under .bench_build/ab/ and
+# removed again on exit, so the script writes nothing into .git. Records of
+# every workload go to
 # .bench_build/ab/<workloads>-<time>/{base,head}, logs to log/<workload>/;
 # after each pair the end-to-end metrics of both sides are printed side by
 # side, and the script ends with one `go run ./benchmark -compare base
@@ -36,8 +37,10 @@ wt="$ab/base-$rev"
 out="$ab/${2//,/+}-$(date -u +%Y%m%dT%H%M%SZ)"
 mkdir -p "$ab" "$out/base" "$out/head"
 
-git worktree add --force --detach "$wt" "$rev" >/dev/null
-trap 'git -C "$head" worktree remove --force "$wt" 2>/dev/null || true' EXIT
+rm -rf "$wt"
+mkdir -p "$wt"
+trap 'rm -rf "$wt"' EXIT
+git archive "$rev" | tar -x -C "$wt"
 
 metrics=(latency_p50_ms latency_tail_ms throughput_ops_s cells_per_s cpu_ms_per_op alloc_mb_per_op rss_mb setup_s)
 

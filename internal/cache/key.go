@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -82,14 +83,39 @@ func finishKey(sb *strings.Builder) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// synthesizeHead renders the first line of a synthesize key, the part
+// that differs between the cells of one grid.
+func synthesizeHead(cons core.Constraints, singlePass bool) string {
+	return fmt.Sprintf("%s synthesize single=%t deadline=%d power=%s\n",
+		keyVersion, singlePass, cons.Deadline, canonFloat(cons.PowerMax))
+}
+
 // SynthesizeKey derives the content address of one /v1/synthesize result
 // — also the per-point sharding key for cluster grids.
 func SynthesizeKey(g *cdfg.Graph, lib *library.Library, cons core.Constraints, singlePass bool) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s synthesize single=%t deadline=%d power=%s\n",
-		keyVersion, singlePass, cons.Deadline, canonFloat(cons.PowerMax))
+	sb.WriteString(synthesizeHead(cons, singlePass))
 	writeGraphLib(&sb, g, lib)
 	return finishKey(&sb)
+}
+
+// SynthesizeKeys returns SynthesizeKey(g, lib, cons[i], singlePass) for
+// every i: the keys of a grid's cells, with the (graph, library) text
+// they share rendered once instead of once per cell.
+func SynthesizeKeys(g *cdfg.Graph, lib *library.Library, cons []core.Constraints, singlePass bool) []string {
+	var sb strings.Builder
+	writeGraphLib(&sb, g, lib)
+	shared := sb.String()
+	keys := make([]string, len(cons))
+	h := sha256.New()
+	var sum [sha256.Size]byte
+	for i, cn := range cons {
+		h.Reset()
+		io.WriteString(h, synthesizeHead(cn, singlePass))
+		io.WriteString(h, shared)
+		keys[i] = hex.EncodeToString(h.Sum(sum[:0]))
+	}
+	return keys
 }
 
 // PortfolioKey derives the content address of one /v1/portfolio result.

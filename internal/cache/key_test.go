@@ -64,3 +64,32 @@ func TestKeyBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSynthesizeKeysMatchSynthesizeKey holds the grid form to the pinned
+// single-cell form: every returned key equals SynthesizeKey of its cell,
+// for both libraries and both algorithm selections.
+func TestSynthesizeKeysMatchSynthesizeKey(t *testing.T) {
+	g := bench.HAL()
+	var cons []core.Constraints
+	for _, d := range []int{8, 17, 1 << 20} {
+		for _, p := range []float64{0, 7.5, 11.25, 1.0 / 3} {
+			cons = append(cons, core.Constraints{Deadline: d, PowerMax: p})
+		}
+	}
+	for _, lib := range []*library.Library{library.Table1(), dvsLibrary(t)} {
+		for _, single := range []bool{false, true} {
+			keys := SynthesizeKeys(g, lib, cons, single)
+			if len(keys) != len(cons) {
+				t.Fatalf("SynthesizeKeys returned %d keys for %d cells", len(keys), len(cons))
+			}
+			for i, cn := range cons {
+				if want := SynthesizeKey(g, lib, cn, single); keys[i] != want {
+					t.Errorf("cell %d %+v single=%t: key %s, want %s", i, cn, single, keys[i], want)
+				}
+			}
+		}
+	}
+	if keys := SynthesizeKeys(g, library.Table1(), nil, false); len(keys) != 0 {
+		t.Errorf("no cells gave %d keys", len(keys))
+	}
+}

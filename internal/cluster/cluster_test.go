@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pchls/internal/core"
 )
 
 // --- ring ---
@@ -408,6 +410,52 @@ func TestProxyForwardsStatusVerbatim(t *testing.T) {
 	}
 }
 
+// TestProxyCountsOnlyRetriesThatHappen pins Proxy's retry counter to
+// Point's rule: a retry is an attempt that moves to another worker, so a
+// failure with no worker left to try counts none.
+func TestProxyCountsOnlyRetriesThatHappen(t *testing.T) {
+	closed := func() string {
+		ts := httptest.NewServer(http.NotFoundHandler())
+		ts.Close()
+		return ts.URL
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/portfolio", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{}`))
+	})
+	live := httptest.NewServer(mux)
+	defer live.Close()
+
+	pool := NewPool(PoolConfig{PointTimeout: 5 * time.Second, ReviveAfter: time.Minute})
+	pool.SetMembers([]string{closed()})
+	if _, _, err := pool.Proxy(context.Background(), "k", "/v1/portfolio", []byte(`{}`)); err == nil {
+		t.Fatal("Proxy to a closed member succeeded")
+	}
+	if st := pool.Stats(); st.Retries != 0 || st.Failures != 1 {
+		t.Errorf("one failing member: Stats = %+v, want 0 retries and 1 failure", st)
+	}
+
+	// Two members, and the key's owner is the one that fails.
+	dead := closed()
+	members := []string{dead, live.URL}
+	ring := NewRing(members, 0)
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("proxy-%d", i); ring.Owner(k) == dead {
+			key = k
+		}
+	}
+	pool = NewPool(PoolConfig{PointTimeout: 5 * time.Second, ReviveAfter: time.Minute})
+	pool.SetMembers(members)
+	status, _, err := pool.Proxy(context.Background(), key, "/v1/portfolio", []byte(`{}`))
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("Proxy after owner failure = (%d, %v), want 200 from the survivor", status, err)
+	}
+	if st := pool.Stats(); st.Retries != 1 || st.Failures != 1 {
+		t.Errorf("owner fails, survivor answers: Stats = %+v, want 1 retry and 1 failure", st)
+	}
+}
+
 // --- Peers ---
 
 func TestPeersFetch(t *testing.T) {
@@ -482,19 +530,20 @@ func TestCachedResultResult(t *testing.T) {
 		t.Errorf("422 Result = %+v, want the zero infeasible point", pr)
 	}
 
-	design := CachedResult{Status: http.StatusOK, Body: []byte(`{
-		"area": {"total": 12.5},
-		"peak_power": 20,
-		"repair_locked": true,
-		"functional_units": [{"module":"m1"},{"module":"m2"}],
-		"registers": [{}, {}, {}]
-	}`)}
-	pr, err = design.Result()
-	if err != nil {
-		t.Fatalf("200 Result: %v", err)
-	}
-	if !pr.Feasible || pr.Area != 12.5 || pr.Peak != 20 || !pr.Locked || pr.FUs != 2 || pr.Registers != 3 {
-		t.Errorf("200 Result = %+v", pr)
+	// A 200 is read from its summary alone: a body that disagrees, or no
+	// body at all, changes nothing.
+	sum := Summary{Area: 12.5, Peak: 20, FUs: 2, Registers: 3, Locked: true}
+	stats := core.Stats{SchedulerRuns: 7}
+	for _, body := range [][]byte{nil, []byte(`{"area": {"total": 99}}`)} {
+		design := CachedResult{Status: http.StatusOK, Body: body, Summary: sum, Stats: stats}
+		pr, err = design.Result()
+		if err != nil {
+			t.Fatalf("200 Result: %v", err)
+		}
+		want := PointResult{Feasible: true, Summary: sum, Stats: stats}
+		if pr != want {
+			t.Errorf("200 Result (body %q) = %+v, want %+v", body, pr, want)
+		}
 	}
 
 	if _, err := (CachedResult{Status: http.StatusInternalServerError}).Result(); err == nil {

@@ -282,9 +282,13 @@ func (p *Pool) Proxy(ctx context.Context, key, path string, body []byte) (int, [
 		liveSet[m] = true
 	}
 	var lastErr error
+	tried := 0
 	for _, addr := range ring.Owners(key, ring.Len()) {
 		if !liveSet[addr] {
 			continue
+		}
+		if tried++; tried > 1 {
+			p.retries.Add(1)
 		}
 		status, respBody, err := p.proxyOnce(ctx, addr, path, body)
 		if err == nil {
@@ -296,7 +300,6 @@ func (p *Pool) Proxy(ctx context.Context, key, path string, body []byte) (int, [
 			return 0, nil, ctx.Err()
 		}
 		p.markDead(addr)
-		p.retries.Add(1)
 	}
 	return 0, nil, lastErr
 }

@@ -17,13 +17,15 @@ import (
 // The cluster-internal endpoints and the coordinator's grid sharding.
 //
 // A worker's /cluster/point is POST /v1/synthesize with a different
-// envelope: the same request schema, routed through the same cache key
-// and the same engine invocation, but answered as a JSON-wrapped
-// (status, body, stats) triple so the coordinator can reassemble grids
-// byte-identically — including deterministic 422s — without parsing
-// failure bodies out of HTTP errors. /cluster/cache exposes the result
-// cache read-only for peer fill; it never computes, so peers cannot
-// recurse into each other.
+// envelope: the same request schema plus a body flag, routed through the
+// same cache key and the same engine invocation, but answered as a
+// JSON-wrapped (status, summary, stats) triple so the coordinator can
+// reassemble grids byte-identically — including deterministic 422s —
+// without parsing failure bodies out of HTTP errors. The design document
+// itself travels only when the point request asks for it (the
+// coordinator's single synthesize); grid cells need only the summary.
+// /cluster/cache exposes the result cache read-only for peer fill, body
+// included; it never computes, so peers cannot recurse into each other.
 
 // gridForward is the request-source part of a grid's point requests:
 // the benchmark name, or the inline graph/library serialized once and
@@ -64,13 +66,24 @@ func (f gridForward) point(cons core.Constraints, singlePass bool) cluster.Point
 	}
 }
 
-// pointRequest renders a synthesize request as one cluster point.
-func (req *synthesizeRequest) pointRequest(cons core.Constraints) (cluster.PointRequest, error) {
-	fwd, err := forwardSource(req.Benchmark, req.Graph, req.Library)
-	if err != nil {
-		return cluster.PointRequest{}, err
+// pointRequest is the body of POST /cluster/point as a worker decodes
+// it: a synthesize request plus cluster.PointRequest's Body flag.
+type pointRequest struct {
+	synthesizeRequest
+	Body bool `json:"body,omitempty"`
+}
+
+// execPoint is /cluster/point's core: execSynthesize, answered without
+// the response bytes unless the request asks for them. The cache entry
+// keeps its body either way; only this answer leaves it out.
+func (s *Server) execPoint(ctx context.Context, req *pointRequest) (*result, cache.Outcome, error) {
+	res, outcome, err := s.execSynthesize(ctx, &req.synthesizeRequest)
+	if err != nil || req.Body {
+		return res, outcome, err
 	}
-	return fwd.point(cons, req.SinglePass), nil
+	summary := *res
+	summary.body = nil
+	return &summary, outcome, nil
 }
 
 // clusterEval builds the explore Eval hook of a grid request: nil on a
@@ -78,8 +91,8 @@ func (req *synthesizeRequest) pointRequest(cons core.Constraints) (cluster.Point
 // coordinator it shards the grid across the worker pool: every cell keeps
 // the content address it would have as an individual /v1/synthesize
 // request, so the pool's consistent hashing sends it to the worker whose
-// cache is hot for it, and the decoded results feed the same subsumption
-// assembly the local path uses.
+// cache is hot for it, and the cells' summaries feed the same subsumption
+// assembly the local path uses. No design body crosses the wire.
 func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *library.Library,
 	g *cdfg.Graph, lib *library.Library, singlePass bool) (func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error), error) {
 	pool := s.cfg.Pool
@@ -91,10 +104,9 @@ func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *librar
 		return nil, err
 	}
 	return func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error) {
-		keys := make([]string, len(cons))
+		keys := cache.SynthesizeKeys(g, lib, cons, singlePass)
 		reqs := make([]cluster.PointRequest, len(cons))
 		for i, cn := range cons {
-			keys[i] = cache.SynthesizeKey(g, lib, cn, singlePass)
 			reqs[i] = fwd.point(cn, singlePass)
 		}
 		resps, err := pool.MapPoints(ctx, keys, reqs)
@@ -123,13 +135,14 @@ func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *librar
 
 // writePoint answers /cluster/point, which evaluates one grid cell on a
 // worker: the same request schema, cache key and engine path as
-// /v1/synthesize, answered as a PointResponse. Deterministic
-// infeasibility rides inside the response (status 422) like any cached
-// result; only transient faults (overload, deadline) use the HTTP status,
-// which tells the coordinator to retry elsewhere.
+// /v1/synthesize, answered as a PointResponse (without the body unless
+// execPoint kept it). Deterministic infeasibility rides inside the
+// response (status 422) like any cached result; only transient faults
+// (overload, deadline) use the HTTP status, which tells the coordinator
+// to retry elsewhere.
 func writePoint(w http.ResponseWriter, res *result, outcome cache.Outcome) {
 	body, err := json.Marshal(cluster.PointResponse{
-		CachedResult: cluster.CachedResult{Status: res.status, Body: res.body, Stats: res.stats},
+		CachedResult: cluster.CachedResult{Status: res.status, Body: res.body, Summary: res.sum, Stats: res.stats},
 		Cache:        outcome.String(),
 	})
 	if err != nil {
@@ -154,7 +167,7 @@ func (s *Server) handleClusterCache(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not cached")
 		return
 	}
-	body, err := json.Marshal(cluster.CachedResult{Status: res.status, Body: res.body, Stats: res.stats})
+	body, err := json.Marshal(cluster.CachedResult{Status: res.status, Body: res.body, Summary: res.sum, Stats: res.stats})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

@@ -20,7 +20,6 @@ import (
 	"pchls/internal/cluster"
 	"pchls/internal/core"
 	"pchls/internal/library"
-	"pchls/internal/sched"
 )
 
 // newTestCluster boots a coordinator fronting n in-process workers and
@@ -69,22 +68,12 @@ func requireSameResponse(t *testing.T, path, body, clusterURL, soloURL string) {
 func TestClusterSurfaceByteIdentical(t *testing.T) {
 	pool, coord, _ := newTestCluster(t, 3)
 	_, solo := newTestServer(t, Config{})
-	lib := library.Table1()
 
 	for _, name := range benchmarkNames {
-		g, err := bench.ByName(name)
-		if err != nil {
-			t.Fatalf("bench.ByName(%q): %v", name, err)
-		}
-		asap, err := sched.ASAP(g, sched.UniformFastest(lib))
-		if err != nil {
-			t.Fatalf("ASAP(%s): %v", name, err)
-		}
-		cp, peak := asap.Length(), asap.PeakPower()
 		// One deadline below the critical path exercises the infeasible
 		// (422) leg of the point protocol alongside feasible cells.
-		body := fmt.Sprintf(`{"benchmark":%q,"deadlines":[%d,%d,%d],"powers":[%g,%g],"single_pass":true}`,
-			name, cp-1, cp, cp+3, peak/3, peak)
+		_, deadlines, powers := surfaceAxes(t, name)
+		body := surfaceBody(name, deadlines, powers, true)
 		requireSameResponse(t, "/v1/surface", body, coord.URL, solo.URL)
 	}
 	if pts := pool.Stats().Points; pts == 0 {

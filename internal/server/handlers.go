@@ -179,15 +179,17 @@ func (s *Server) execSynthesize(ctx context.Context, req *synthesizeRequest) (*r
 	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
 			return s.compute(ctx, func(ctx context.Context) (*result, error) {
-				preq, err := req.pointRequest(cons)
+				fwd, err := forwardSource(req.Benchmark, req.Graph, req.Library)
 				if err != nil {
 					return nil, err
 				}
+				preq := fwd.point(cons, req.SinglePass)
+				preq.Body = true
 				resp, err := pool.Point(ctx, key, preq)
 				if err != nil {
 					return nil, err
 				}
-				return &result{status: resp.Status, body: resp.Body, stats: resp.Stats}, nil
+				return &result{status: resp.Status, body: resp.Body, sum: resp.Summary, stats: resp.Stats}, nil
 			})
 		}
 		return s.compute(ctx, func(ctx context.Context) (*result, error) {
@@ -203,7 +205,7 @@ func (s *Server) execSynthesize(ctx context.Context, req *synthesizeRequest) (*r
 			if err != nil {
 				return nil, err
 			}
-			return &result{status: http.StatusOK, body: body, stats: d.Stats}, nil
+			return &result{status: http.StatusOK, body: body, sum: cluster.SummaryOf(d), stats: d.Stats}, nil
 		})
 	})
 }

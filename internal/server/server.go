@@ -129,9 +129,10 @@ func (c Config) withDefaults() Config {
 // result is one cached response: everything needed to replay it
 // byte-identically, plus the work counters of the run that produced it.
 type result struct {
-	status int        // HTTP status (200, or 422 for deterministic infeasibility)
-	body   []byte     // exact response bytes
-	stats  core.Stats // engine work of the producing run (zero for 422)
+	status int             // HTTP status (200, or 422 for deterministic infeasibility)
+	body   []byte          // exact response bytes
+	sum    cluster.Summary // the design's grid-cell summary (synthesize 200s only)
+	stats  core.Stats      // engine work of the producing run (zero for 422)
 }
 
 // synthFunc runs one synthesis; it is a struct field so tests can
@@ -192,7 +193,7 @@ func New(cfg Config) *Server {
 			if !ok {
 				return nil, false
 			}
-			return &result{status: cr.Status, body: cr.Body, stats: cr.Stats}, true
+			return &result{status: cr.Status, body: cr.Body, sum: cr.Summary, stats: cr.Stats}, true
 		}))
 	}
 	s.cache = cache.New[*result](cfg.CacheEntries, cfg.CacheTTL, cacheOpts...)
@@ -249,7 +250,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", s.handleBatch))
 	s.mux.HandleFunc("GET /v1/benchmarks", s.instrument("/v1/benchmarks", s.handleBenchmarks))
 	if cfg.Worker {
-		s.mux.HandleFunc("POST /cluster/point", s.instrument("/cluster/point", handle(s, s.execSynthesize, writePoint)))
+		s.mux.HandleFunc("POST /cluster/point", s.instrument("/cluster/point", handle(s, s.execPoint, writePoint)))
 		s.mux.HandleFunc("GET /cluster/cache", s.instrument("/cluster/cache", s.handleClusterCache))
 	}
 	if cfg.Pool != nil {

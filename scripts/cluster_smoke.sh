@@ -5,7 +5,8 @@
 # two sharded surfaces through the coordinator, and require every
 # response to be byte-identical to a single worker computing the same
 # request locally — and the synthesize response to be byte-identical to
-# the CLI's -json output. Also checks the cluster and peer-fill metrics.
+# the CLI's -json output. A third surface overlaps an earlier one on
+# other axes, so its shared cells come from the workers' warm caches. Also checks the cluster and peer-fill metrics.
 # Exits non-zero on any failure. Used by `make cluster-smoke` and CI.
 set -eu
 
@@ -81,6 +82,34 @@ for bm_body in \
     }
     echo "cluster-smoke: sharded $bm surface byte-identical"
 done
+
+# A surface on other axes that shares two cells with the hal surface
+# above: the coordinator's own surface cache misses, so the grid reaches
+# the workers, which answer the shared cells from their result caches
+# (a hit on the owner, or a peer fill on a worker that stole the cell).
+cache_hits() {
+    curl -sf "$W1/metrics" -o "$TMP/hits-w1"
+    curl -sf "$W2/metrics" -o "$TMP/hits-w2"
+    awk '/^pchls_cache_(peer_)?hits_total/ {s += $2} END {print s+0}' "$TMP/hits-w1" "$TMP/hits-w2"
+}
+hits0=$(cache_hits)
+OVERLAP='{"benchmark":"hal","deadlines":[17,20],"powers":[20,40]}'
+curl -sf -D "$TMP/overlap-headers" -X POST -d "$OVERLAP" "$COORD/v1/surface" -o "$TMP/surface-overlap-coord.json"
+grep -qi '^x-pchls-cache: miss' "$TMP/overlap-headers" || {
+    echo "cluster-smoke: the overlapping surface did not miss the coordinator's cache" >&2
+    exit 1
+}
+curl -sf -X POST -d "$OVERLAP" "$W2/v1/surface" -o "$TMP/surface-overlap-w2.json"
+cmp -s "$TMP/surface-overlap-coord.json" "$TMP/surface-overlap-w2.json" || {
+    echo "cluster-smoke: overlapping surface from warm workers differs from local surface" >&2
+    exit 1
+}
+warm=$(($(cache_hits) - hits0))
+[ "$warm" -ge 2 ] || {
+    echo "cluster-smoke: the overlapping surface reached $warm warm worker cache entries, want 2" >&2
+    exit 1
+}
+echo "cluster-smoke: overlapping surface byte-identical from warm worker caches ($warm hits)"
 
 # A coordinated synthesize must match the CLI's -json output exactly.
 curl -sf -X POST -d '{"benchmark":"hal","deadline":17,"power_max":20}' \

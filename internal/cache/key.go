@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -83,36 +82,28 @@ func finishKey(sb *strings.Builder) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// synthesizeHead renders the first line of a synthesize key, the part
-// that differs between the cells of one grid.
-func synthesizeHead(cons core.Constraints, singlePass bool) string {
-	return fmt.Sprintf("%s synthesize single=%t deadline=%d power=%s\n",
-		keyVersion, singlePass, cons.Deadline, canonFloat(cons.PowerMax))
-}
-
 // SynthesizeKey derives the content address of one /v1/synthesize result
 // — also the per-point sharding key for cluster grids.
 func SynthesizeKey(g *cdfg.Graph, lib *library.Library, cons core.Constraints, singlePass bool) string {
-	var sb strings.Builder
-	sb.WriteString(synthesizeHead(cons, singlePass))
-	writeGraphLib(&sb, g, lib)
-	return finishKey(&sb)
+	return SynthesizeKeys(g, lib, []core.Constraints{cons}, singlePass)[0]
 }
 
-// SynthesizeKeys returns SynthesizeKey(g, lib, cons[i], singlePass) for
-// every i: the keys of a grid's cells, with the (graph, library) text
-// they share rendered once instead of once per cell.
+// SynthesizeKeys derives the content addresses of a grid's cells, keys[i]
+// for cons[i], rendering the (graph, library) text they share once.
 func SynthesizeKeys(g *cdfg.Graph, lib *library.Library, cons []core.Constraints, singlePass bool) []string {
 	var sb strings.Builder
 	writeGraphLib(&sb, g, lib)
-	shared := sb.String()
+	shared := []byte(sb.String())
 	keys := make([]string, len(cons))
 	h := sha256.New()
 	var sum [sha256.Size]byte
+	var head []byte // the first line, the part that differs between cells
 	for i, cn := range cons {
+		head = fmt.Appendf(head[:0], "%s synthesize single=%t deadline=%d power=%s\n",
+			keyVersion, singlePass, cn.Deadline, canonFloat(cn.PowerMax))
 		h.Reset()
-		io.WriteString(h, synthesizeHead(cn, singlePass))
-		io.WriteString(h, shared)
+		h.Write(head)
+		h.Write(shared)
 		keys[i] = hex.EncodeToString(h.Sum(sum[:0]))
 	}
 	return keys

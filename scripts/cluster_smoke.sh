@@ -85,12 +85,15 @@ done
 
 # A surface on other axes that shares two cells with the hal surface
 # above: the coordinator's own surface cache misses, so the grid reaches
-# the workers, which answer the shared cells from their result caches
-# (a hit on the owner, or a peer fill on a worker that stole the cell).
+# the workers, which answer the shared cells from their result caches.
+# Only owner-side hits are summed: a cell a worker holds itself is one
+# hit there, and a cell a stealing worker fills from its owner is one hit
+# on the owner (the peer-fill probe reads the owner's cache), so each
+# warm cell adds exactly one.
 cache_hits() {
     curl -sf "$W1/metrics" -o "$TMP/hits-w1"
     curl -sf "$W2/metrics" -o "$TMP/hits-w2"
-    awk '/^pchls_cache_(peer_)?hits_total/ {s += $2} END {print s+0}' "$TMP/hits-w1" "$TMP/hits-w2"
+    awk '$1 == "pchls_cache_hits_total" {s += $2} END {print s+0}' "$TMP/hits-w1" "$TMP/hits-w2"
 }
 hits0=$(cache_hits)
 OVERLAP='{"benchmark":"hal","deadlines":[17,20],"powers":[20,40]}'
@@ -99,14 +102,14 @@ grep -qi '^x-pchls-cache: miss' "$TMP/overlap-headers" || {
     echo "cluster-smoke: the overlapping surface did not miss the coordinator's cache" >&2
     exit 1
 }
-curl -sf -X POST -d "$OVERLAP" "$W2/v1/surface" -o "$TMP/surface-overlap-w2.json"
-cmp -s "$TMP/surface-overlap-coord.json" "$TMP/surface-overlap-w2.json" || {
-    echo "cluster-smoke: overlapping surface from warm workers differs from local surface" >&2
-    exit 1
-}
 warm=$(($(cache_hits) - hits0))
 [ "$warm" -ge 2 ] || {
     echo "cluster-smoke: the overlapping surface reached $warm warm worker cache entries, want 2" >&2
+    exit 1
+}
+curl -sf -X POST -d "$OVERLAP" "$W2/v1/surface" -o "$TMP/surface-overlap-w2.json"
+cmp -s "$TMP/surface-overlap-coord.json" "$TMP/surface-overlap-w2.json" || {
+    echo "cluster-smoke: overlapping surface from warm workers differs from local surface" >&2
     exit 1
 }
 echo "cluster-smoke: overlapping surface byte-identical from warm worker caches ($warm hits)"

@@ -4,8 +4,10 @@
 // cell (consistent hashing keeps every worker's result cache hot for
 // its shard), with work-stealing for straggler shards and retry on a
 // different worker when one fails. Single synthesize requests route to
-// their key's owner; portfolio requests are proxied whole. Responses
-// are byte-identical to a single pchls-server.
+// their key's owner; portfolio and pareto requests are proxied whole to
+// their key's owner and not sharded (a portfolio is one search, and a
+// front's domination spans its cells). Responses are byte-identical to
+// a single pchls-server.
 //
 // Usage:
 //

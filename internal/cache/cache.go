@@ -13,6 +13,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,6 +203,11 @@ func (c *Cache[V]) removeLocked(el *list.Element) {
 // ctx aborts only this caller's wait, not the shared compute: a coalesced
 // caller whose context expires returns ctx.Err() while the flight keeps
 // running for the others.
+//
+// A compute (or peer probe) that panics releases its key on the way out:
+// nothing is cached, the callers waiting on it get errComputePanicked,
+// the panic goes on up this caller's stack, and the next Do for the key
+// computes afresh.
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func(ctx context.Context) (V, error)) (V, Outcome, error) {
 	var zero V
 	c.mu.Lock()
@@ -220,15 +226,26 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func(ctx context.
 			return zero, Coalesced, ctx.Err()
 		}
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	// The error stands until the flight finishes normally, so a panic
+	// below leaves it for the followers.
+	f := &flight[V]{done: make(chan struct{}), err: errComputePanicked}
 	c.flights[key] = f
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.putLocked(key, f.val)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 
 	outcome := Miss
 	if c.peer != nil {
 		if v, ok := c.peer(ctx, key); ok {
 			c.peerHits.Add(1)
-			f.val, outcome = v, PeerHit
+			f.val, f.err, outcome = v, nil, PeerHit
 		} else {
 			c.peerMisses.Add(1)
 		}
@@ -237,16 +254,12 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func(ctx context.
 		c.misses.Add(1)
 		f.val, f.err = compute(ctx)
 	}
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.putLocked(key, f.val)
-	}
-	c.mu.Unlock()
-	close(f.done)
 	return f.val, outcome, f.err
 }
+
+// errComputePanicked is what the callers coalesced onto a flight get
+// when its compute panics.
+var errComputePanicked = errors.New("cache: the computation for this key panicked")
 
 // Len returns the current number of live entries (expired entries linger
 // until touched).

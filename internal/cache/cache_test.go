@@ -160,6 +160,56 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestDoPanicReleasesKey: a compute that panics must not leave its
+// flight behind. The panic reaches the leader, a caller coalesced onto
+// the flight gets an error instead of waiting out its deadline, nothing
+// is cached, and the next Do computes again.
+func TestDoPanicReleasesKey(t *testing.T) {
+	c := New[int](4, 0)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		_, _, _ = c.Do(context.Background(), "k", func(context.Context) (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	follower := make(chan error)
+	go func() {
+		_, out, err := c.Do(ctx, "k", func(context.Context) (int, error) {
+			t.Error("a caller coalesced onto a live flight ran its own compute")
+			return 0, nil
+		})
+		if out != Coalesced {
+			t.Errorf("follower outcome = %s, want coalesced", out)
+		}
+		follower <- err
+	}()
+	for c.Stats().Coalesced == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("leader recovered %v, want the compute's panic", r)
+	}
+	if err := <-follower; !errors.Is(err, errComputePanicked) {
+		t.Fatalf("follower err = %v, want errComputePanicked", err)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("a panicked compute left a cache entry")
+	}
+	v, out, err := c.Do(ctx, "k", func(context.Context) (int, error) { return 7, nil })
+	if err != nil || out != Miss || v != 7 {
+		t.Fatalf("Do after the panic = %d,%s,%v; want 7,miss,nil", v, out, err)
+	}
+}
+
 func TestCoalescedWaiterHonorsContext(t *testing.T) {
 	c := New[int](4, 0)
 	started := make(chan struct{})

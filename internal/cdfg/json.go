@@ -38,6 +38,61 @@ type edgeJSON struct {
 // emitted in ID order and edges in (source ID, declaration) order, so the
 // output is canonical: two equal graphs marshal to identical bytes.
 func (g *Graph) MarshalJSON() ([]byte, error) {
+	out := g.nodesJSON()
+	for _, n := range g.nodes {
+		for _, v := range g.succs[n.ID] {
+			out.Edges = append(out.Edges, edgeJSON{From: n.Name, To: g.nodes[v].Name})
+		}
+	}
+	return json.Marshal(out)
+}
+
+// ExactJSON serializes the graph like MarshalJSON, but lists the edges
+// in an order that decodes back to this very graph: every node's
+// predecessors (its operand order, which synthesis reads) and successors
+// come back in the graph's own order. MarshalJSON's (source ID,
+// declaration) order keeps the successor order only, so a graph whose
+// edges were not added source by source decodes with its operands
+// reordered. Where that order already rebuilds the graph, as for a graph
+// built source by source, ExactJSON lists the edges in it too.
+func (g *Graph) ExactJSON() ([]byte, error) {
+	out := g.nodesJSON()
+	// An edge u -> v can be listed once the edges before it in u's
+	// successor list and in v's predecessor list are. The graph's own
+	// AddEdge sequence meets both, so some such sequence exists. Sources
+	// are tried in ID order, and a source again whenever the edge it waits
+	// on in v's predecessor list comes up, so each edge is tried a bounded
+	// number of times.
+	next := make([]int, len(g.nodes)) // successors of u listed so far
+	fed := make([]int, len(g.nodes))  // predecessors of v listed so far
+	queue := make([]NodeID, len(g.nodes))
+	for i := range queue {
+		queue[i] = NodeID(i)
+	}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for ; next[u] < len(g.succs[u]); next[u]++ {
+			v := g.succs[u][next[u]]
+			if g.preds[v][fed[v]] != u {
+				break
+			}
+			fed[v]++
+			out.Edges = append(out.Edges, edgeJSON{From: g.nodes[u].Name, To: g.nodes[v].Name})
+			if fed[v] < len(g.preds[v]) {
+				queue = append(queue, g.preds[v][fed[v]])
+			}
+		}
+	}
+	if len(out.Edges) < g.E() {
+		return nil, fmt.Errorf("cdfg: graph %q: successor and predecessor orders admit no edge sequence", g.Name)
+	}
+	return json.Marshal(out)
+}
+
+// nodesJSON returns the graph's JSON form with its nodes in ID order and
+// room for its edges.
+func (g *Graph) nodesJSON() graphJSON {
 	out := graphJSON{
 		Name:  g.Name,
 		Nodes: make([]nodeJSON, 0, len(g.nodes)),
@@ -46,12 +101,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	for _, n := range g.nodes {
 		out.Nodes = append(out.Nodes, nodeJSON{Name: n.Name, Op: n.Op.String()})
 	}
-	for _, n := range g.nodes {
-		for _, v := range g.succs[n.ID] {
-			out.Edges = append(out.Edges, edgeJSON{From: n.Name, To: g.nodes[v].Name})
-		}
-	}
-	return json.Marshal(out)
+	return out
 }
 
 // UnmarshalJSON decodes and validates a graph from the JSON schema above.

@@ -3,6 +3,8 @@ package cdfg
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -100,5 +102,126 @@ func TestGraphJSONTextAgreement(t *testing.T) {
 	}
 	if fromJSON.Text() != fromText.Text() {
 		t.Fatal("JSON and text round trips disagree")
+	}
+}
+
+// sameOrders reports whether two graphs have the same nodes and the same
+// successor and predecessor lists, order included.
+func sameOrders(a, b *Graph) bool {
+	if a.Text() != b.Text() {
+		return false
+	}
+	for i := range a.nodes {
+		for _, l := range [][2][]NodeID{{a.succs[i], b.succs[i]}, {a.preds[i], b.preds[i]}} {
+			if len(l[0]) != len(l[1]) {
+				return false
+			}
+			for j := range l[0] {
+				if l[0][j] != l[1][j] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestGraphExactJSON: ExactJSON decodes back to the very graph, operand
+// order included, for edges added in any order and for a chain listed
+// against its ID order; MarshalJSON does not
+// when the edges were not added source by source; and for a graph built
+// source by source the two serializations are the same bytes.
+func TestGraphExactJSON(t *testing.T) {
+	g := testGraph(t)
+	exact, err := g.ExactJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canon, _ := json.Marshal(g); !bytes.Equal(exact, canon) {
+		t.Fatalf("source-ordered graph: ExactJSON %s, MarshalJSON %s", exact, canon)
+	}
+
+	// A random DAG whose edges are added in a shuffled order.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		g := New("shuffled")
+		const inputs, n = 3, 12
+		for i := 0; i < n; i++ {
+			op := Add
+			if i < inputs {
+				op = Input
+			}
+			g.MustAddNode(fmt.Sprintf("n%d", i), op)
+		}
+		var edges [][2]NodeID
+		for v := inputs; v < n; v++ {
+			for _, u := range rng.Perm(v)[:1+rng.Intn(2)] {
+				edges = append(edges, [2]NodeID{NodeID(u), NodeID(v)})
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, e := range edges {
+			g.MustAddEdge(e[0], e[1])
+		}
+		raw, err := g.ExactJSON()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		back, err := ParseJSON(raw)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !sameOrders(g, back) {
+			t.Fatalf("trial %d: ExactJSON does not decode back to the graph:\n%s", trial, raw)
+		}
+	}
+
+	// A chain whose IDs fall along it: input u_i feeds v_{i-1}, then v_i,
+	// and v_i's operands are u_i, then u_{i+1}. Listing the edges in ID
+	// order admits one of them at a time.
+	const k = 500
+	g = New("chain")
+	us, vs := make([]NodeID, k+1), make([]NodeID, k)
+	for i := k; i >= 0; i-- {
+		if i < k {
+			vs[i] = g.MustAddNode(fmt.Sprintf("v%d", i), Add)
+		}
+		us[i] = g.MustAddNode(fmt.Sprintf("u%d", i), Input)
+	}
+	for i := 0; i < k; i++ {
+		g.MustAddEdge(us[i], vs[i])
+		g.MustAddEdge(us[i+1], vs[i])
+	}
+	raw, err := g.ExactJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ParseJSON(raw); err != nil || !sameOrders(g, back) {
+		t.Fatalf("reversed chain: ExactJSON does not decode back to the graph (%v)", err)
+	}
+
+	// The operand order MarshalJSON loses: m's operands are b, then a.
+	g = New("operands")
+	a := g.MustAddNode("a", Input)
+	b := g.MustAddNode("b", Input)
+	m := g.MustAddNode("m", Mul)
+	g.MustAddEdge(b, m)
+	g.MustAddEdge(a, m)
+	for _, c := range []struct {
+		name  string
+		write func() ([]byte, error)
+		exact bool
+	}{{"MarshalJSON", g.MarshalJSON, false}, {"ExactJSON", g.ExactJSON, true}} {
+		raw, err := c.write()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseJSON(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sameOrders(g, back) != c.exact {
+			t.Errorf("%s keeps the operand order: %t, want %t", c.name, !c.exact, c.exact)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pchls/internal/core"
+	"pchls/internal/explore"
 )
 
 // --- ring ---
@@ -138,7 +139,7 @@ func gridOf(n int) ([]string, []PointRequest) {
 	reqs := make([]PointRequest, n)
 	for i := 0; i < n; i++ {
 		keys[i] = fmt.Sprintf("key-%d", i)
-		reqs[i] = PointRequest{Benchmark: "hal", Deadline: i + 1, PowerMax: 20}
+		reqs[i] = PointRequest{Source: Source{Benchmark: "hal"}, Deadline: i + 1, PowerMax: 20}
 	}
 	return keys, reqs
 }
@@ -359,7 +360,7 @@ func TestPointFailsOverToAnotherWorker(t *testing.T) {
 			survivor = w
 		}
 	}
-	resp, err := pool.Point(context.Background(), key, PointRequest{Benchmark: "hal", Deadline: 9})
+	resp, err := pool.Point(context.Background(), key, PointRequest{Source: Source{Benchmark: "hal"}, Deadline: 9})
 	if err != nil {
 		t.Fatalf("Point after owner death: %v", err)
 	}
@@ -381,7 +382,7 @@ func TestPointDoesNotRetryDeterministicFaults(t *testing.T) {
 	}
 	pool := NewPool(PoolConfig{PointTimeout: 5 * time.Second})
 	pool.SetMembers(workerURLs(ws))
-	_, err := pool.Point(context.Background(), "k", PointRequest{Benchmark: "nope", Deadline: 1})
+	_, err := pool.Point(context.Background(), "k", PointRequest{Source: Source{Benchmark: "nope"}, Deadline: 1})
 	if err == nil {
 		t.Fatal("Point succeeded on a 400")
 	}
@@ -410,9 +411,12 @@ func TestProxyForwardsStatusVerbatim(t *testing.T) {
 	}
 }
 
-// TestProxyCountsOnlyRetriesThatHappen pins Proxy's retry counter to
-// Point's rule: a retry is an attempt that moves to another worker, so a
-// failure with no worker left to try counts none.
+// TestProxyCountsOnlyRetriesThatHappen runs Point and Proxy over the
+// same member states and holds both to one failover walk: a retry is an
+// attempt that moves to another worker, so a failure with no worker left
+// to try counts none; every failed attempt counts a failure and puts its
+// worker on probation; and with no live member both calls answer
+// ErrNoWorkers without an attempt.
 func TestProxyCountsOnlyRetriesThatHappen(t *testing.T) {
 	closed := func() string {
 		ts := httptest.NewServer(http.NotFoundHandler())
@@ -420,39 +424,89 @@ func TestProxyCountsOnlyRetriesThatHappen(t *testing.T) {
 		return ts.URL
 	}
 	mux := http.NewServeMux()
+	mux.HandleFunc("POST /cluster/point", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"status":200,"cache":"miss"}`))
+	})
 	mux.HandleFunc("POST /v1/portfolio", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte(`{}`))
 	})
 	live := httptest.NewServer(mux)
 	defer live.Close()
+	c1, c2 := closed(), closed()
 
-	pool := NewPool(PoolConfig{PointTimeout: 5 * time.Second, ReviveAfter: time.Minute})
-	pool.SetMembers([]string{closed()})
-	if _, _, err := pool.Proxy(context.Background(), "k", "/v1/portfolio", []byte(`{}`)); err == nil {
-		t.Fatal("Proxy to a closed member succeeded")
+	cases := []struct {
+		name      string
+		closed    []string // tried first, in the key's failover order
+		live      bool     // the live worker is the last member tried
+		probation bool     // every member is under probation before the call
+		retries   int64
+	}{
+		{name: "one closed member", closed: []string{c1}, retries: 0},
+		{name: "closed owner", closed: []string{c1}, live: true, retries: 1},
+		{name: "closed owner and second", closed: []string{c1, c2}, live: true, retries: 2},
+		{name: "all members closed", closed: []string{c1, c2}, retries: 1},
+		{name: "all members on probation", closed: []string{c1}, live: true, probation: true},
 	}
-	if st := pool.Stats(); st.Retries != 0 || st.Failures != 1 {
-		t.Errorf("one failing member: Stats = %+v, want 0 retries and 1 failure", st)
-	}
-
-	// Two members, and the key's owner is the one that fails.
-	dead := closed()
-	members := []string{dead, live.URL}
-	ring := NewRing(members, 0)
-	key := ""
-	for i := 0; key == ""; i++ {
-		if k := fmt.Sprintf("proxy-%d", i); ring.Owner(k) == dead {
-			key = k
+	for _, tc := range cases {
+		members := append([]string(nil), tc.closed...)
+		if tc.live {
+			members = append(members, live.URL)
 		}
-	}
-	pool = NewPool(PoolConfig{PointTimeout: 5 * time.Second, ReviveAfter: time.Minute})
-	pool.SetMembers(members)
-	status, _, err := pool.Proxy(context.Background(), key, "/v1/portfolio", []byte(`{}`))
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("Proxy after owner failure = (%d, %v), want 200 from the survivor", status, err)
-	}
-	if st := pool.Stats(); st.Retries != 1 || st.Failures != 1 {
-		t.Errorf("owner fails, survivor answers: Stats = %+v, want 1 retry and 1 failure", st)
+		// A key whose failover sequence ends at the live worker, so every
+		// closed member is tried before it.
+		ring := NewRing(members, 0)
+		key := ""
+		for i := 0; key == ""; i++ {
+			k := fmt.Sprintf("walk-%d", i)
+			if owners := ring.Owners(k, ring.Len()); !tc.live || owners[len(owners)-1] == live.URL {
+				key = k
+			}
+		}
+		calls := map[string]func(*Pool) error{
+			"Point": func(p *Pool) error {
+				resp, err := p.Point(context.Background(), key, PointRequest{Source: Source{Benchmark: "hal"}, Deadline: 17})
+				if err == nil && resp.Status != http.StatusOK {
+					err = fmt.Errorf("point status %d", resp.Status)
+				}
+				return err
+			},
+			"Proxy": func(p *Pool) error {
+				status, _, err := p.Proxy(context.Background(), key, "/v1/portfolio", []byte(`{}`))
+				if err == nil && status != http.StatusOK {
+					err = fmt.Errorf("proxy status %d", status)
+				}
+				return err
+			},
+		}
+		for call, run := range calls {
+			pool := NewPool(PoolConfig{PointTimeout: 5 * time.Second, ReviveAfter: time.Minute})
+			pool.SetMembers(members)
+			if tc.probation {
+				for _, m := range members {
+					pool.markDead(m)
+				}
+			}
+			err := run(pool)
+			_, alive := pool.live()
+			st := pool.Stats()
+			switch {
+			case tc.probation:
+				if !errors.Is(err, ErrNoWorkers) || st.Retries != 0 || st.Failures != 0 || len(alive) != 0 {
+					t.Errorf("%s, %s: err %v, Stats %+v, live %v; want ErrNoWorkers with no attempt", tc.name, call, err, st, alive)
+				}
+				continue
+			case tc.live && err != nil:
+				t.Errorf("%s, %s: %v, want an answer from the live worker", tc.name, call, err)
+			case !tc.live && (err == nil || errors.Is(err, ErrNoWorkers)):
+				t.Errorf("%s, %s: err %v, want the last transport failure", tc.name, call, err)
+			}
+			if st.Retries != tc.retries || st.Failures != int64(len(tc.closed)) {
+				t.Errorf("%s, %s: Stats %+v, want %d retries and %d failures", tc.name, call, st, tc.retries, len(tc.closed))
+			}
+			if tc.live != (len(alive) == 1 && alive[0] == live.URL) || !tc.live && len(alive) != 0 {
+				t.Errorf("%s, %s: live after the call %v, want every closed member on probation", tc.name, call, alive)
+			}
+		}
 	}
 }
 
@@ -532,7 +586,7 @@ func TestCachedResultResult(t *testing.T) {
 
 	// A 200 is read from its summary alone: a body that disagrees, or no
 	// body at all, changes nothing.
-	sum := Summary{Area: 12.5, Peak: 20, FUs: 2, Registers: 3, Locked: true}
+	sum := explore.Summary{Area: 12.5, Peak: 20, FUs: 2, Registers: 3, Locked: true}
 	stats := core.Stats{SchedulerRuns: 7}
 	for _, body := range [][]byte{nil, []byte(`{"area": {"total": 99}}`)} {
 		design := CachedResult{Status: http.StatusOK, Body: body, Summary: sum, Stats: stats}
@@ -540,7 +594,7 @@ func TestCachedResultResult(t *testing.T) {
 		if err != nil {
 			t.Fatalf("200 Result: %v", err)
 		}
-		want := PointResult{Feasible: true, Summary: sum, Stats: stats}
+		want := explore.Point{Feasible: true, Summary: sum, Stats: stats}
 		if pr != want {
 			t.Errorf("200 Result (body %q) = %+v, want %+v", body, pr, want)
 		}

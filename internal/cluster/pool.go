@@ -163,39 +163,44 @@ func (p *Pool) client() *http.Client {
 	return defaultClient
 }
 
-// postJSON sends one cluster-internal POST and decodes a JSON response
-// into out. Non-2xx statuses come back as *statusError.
-func (p *Pool) postJSON(ctx context.Context, addr, path string, body []byte, out any) error {
+// post sends one cluster-internal POST to addr and returns the
+// response status and bytes. Only transport failures are errors.
+func (p *Pool) post(ctx context.Context, addr, path string, body []byte) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.PointTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := p.client().Do(req)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	if resp.StatusCode/100 != 2 {
-		return &statusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(raw))}
-	}
-	return json.Unmarshal(raw, out)
+	return resp.StatusCode, raw, nil
 }
 
-// pointOnce dispatches one point to one worker.
+// pointOnce dispatches one point to one worker. A non-2xx status comes
+// back as *statusError.
 func (p *Pool) pointOnce(ctx context.Context, addr string, req PointRequest) (PointResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return PointResponse{}, err
 	}
+	status, raw, err := p.post(ctx, addr, "/cluster/point", body)
+	if err != nil {
+		return PointResponse{}, err
+	}
+	if status/100 != 2 {
+		return PointResponse{}, &statusError{code: status, msg: string(bytes.TrimSpace(raw))}
+	}
 	var resp PointResponse
-	if err := p.postJSON(ctx, addr, "/cluster/point", body, &resp); err != nil {
+	if err := json.Unmarshal(raw, &resp); err != nil {
 		return PointResponse{}, err
 	}
 	return resp, nil
@@ -224,19 +229,22 @@ func fatalToWorker(err error) bool {
 	return true // transport failure
 }
 
-// Point evaluates one point with shard affinity: the owner of key is
-// tried first, then the ring's failover sequence. Dead workers are
-// skipped while under probation.
-func (p *Pool) Point(ctx context.Context, key string, req PointRequest) (PointResponse, error) {
+// failover runs try on the owners of key in the ring's failover
+// sequence, skipping workers under probation, until one attempt
+// succeeds. A retry is an attempt that moves to another worker. A failed
+// attempt ends the walk when ctx is done or the failure would repeat on
+// every worker (see retryable), and puts a worker whose failure indicts
+// it under probation.
+func (p *Pool) failover(ctx context.Context, key string, try func(addr string) error) error {
 	ring, alive := p.live()
 	if len(alive) == 0 {
-		return PointResponse{}, ErrNoWorkers
+		return ErrNoWorkers
 	}
 	liveSet := make(map[string]bool, len(alive))
 	for _, m := range alive {
 		liveSet[m] = true
 	}
-	var lastErr error
+	lastErr := ErrNoWorkers
 	tried := 0
 	for _, addr := range ring.Owners(key, ring.Len()) {
 		if !liveSet[addr] {
@@ -245,84 +253,53 @@ func (p *Pool) Point(ctx context.Context, key string, req PointRequest) (PointRe
 		if tried++; tried > 1 {
 			p.retries.Add(1)
 		}
-		resp, err := p.pointOnce(ctx, addr, req)
+		err := try(addr)
 		if err == nil {
-			p.points.Add(1)
-			return resp, nil
+			return nil
 		}
 		p.failures.Add(1)
 		lastErr = err
 		if ctx.Err() != nil {
-			return PointResponse{}, ctx.Err()
+			return ctx.Err()
 		}
 		if !retryable(err) {
-			return PointResponse{}, err
+			return err
 		}
 		if fatalToWorker(err) {
 			p.markDead(addr)
 		}
 	}
-	if lastErr == nil {
-		return PointResponse{}, ErrNoWorkers
+	return lastErr
+}
+
+// Point evaluates one point with shard affinity: the owner of key is
+// tried first, then the ring's failover sequence.
+func (p *Pool) Point(ctx context.Context, key string, req PointRequest) (PointResponse, error) {
+	var resp PointResponse
+	err := p.failover(ctx, key, func(addr string) (err error) {
+		resp, err = p.pointOnce(ctx, addr, req)
+		return err
+	})
+	if err == nil {
+		p.points.Add(1)
 	}
-	return PointResponse{}, lastErr
+	return resp, err
 }
 
 // Proxy forwards a whole /v1 request to the worker owning key and
 // returns the worker's status and body verbatim, with the same failover
-// sequence as Point. It carries endpoints whose computation cannot be
-// decomposed into points (the portfolio).
+// sequence as Point: every HTTP status is the proxied endpoint's own
+// answer, so only transport failures move to another worker. It carries
+// endpoints whose computation cannot be decomposed into points (the
+// portfolio and the pareto front).
 func (p *Pool) Proxy(ctx context.Context, key, path string, body []byte) (int, []byte, error) {
-	ring, alive := p.live()
-	if len(alive) == 0 {
-		return 0, nil, ErrNoWorkers
-	}
-	liveSet := make(map[string]bool, len(alive))
-	for _, m := range alive {
-		liveSet[m] = true
-	}
-	var lastErr error
-	tried := 0
-	for _, addr := range ring.Owners(key, ring.Len()) {
-		if !liveSet[addr] {
-			continue
-		}
-		if tried++; tried > 1 {
-			p.retries.Add(1)
-		}
-		status, respBody, err := p.proxyOnce(ctx, addr, path, body)
-		if err == nil {
-			return status, respBody, nil
-		}
-		p.failures.Add(1)
-		lastErr = err
-		if ctx.Err() != nil {
-			return 0, nil, ctx.Err()
-		}
-		p.markDead(addr)
-	}
-	return 0, nil, lastErr
-}
-
-// proxyOnce forwards to one worker. Unlike postJSON, every HTTP status
-// is a valid answer (the proxied endpoint's own 4xx/5xx semantics);
-// only transport failures are errors.
-func (p *Pool) proxyOnce(ctx context.Context, addr, path string, body []byte) (int, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.PointTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client().Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, raw, nil
+	var (
+		status int
+		resp   []byte
+	)
+	err := p.failover(ctx, key, func(addr string) (err error) {
+		status, resp, err = p.post(ctx, addr, path, body)
+		return err
+	})
+	return status, resp, err
 }

@@ -20,21 +20,44 @@ import (
 	"pchls/internal/sched"
 )
 
+// Summary is what grid assembly reads of a design: the values
+// Design.JSON writes for the total area, the peak power, the number of
+// functional units and registers, and repair_locked. It is also the
+// design part of a cluster point answer; encoding/json writes a float64
+// in shortest round-trip form, so Area and Peak cross the wire as the
+// engine's exact bits.
+type Summary struct {
+	// Area is the datapath area of the design.
+	Area float64 `json:"area"`
+	// Peak is the achieved per-cycle power peak.
+	Peak float64 `json:"peak"`
+	// FUs and Registers are allocation counts.
+	FUs       int `json:"fus"`
+	Registers int `json:"registers"`
+	// Locked reports whether the design used the backtrack-and-lock
+	// repair.
+	Locked bool `json:"locked"`
+}
+
+// SummaryOf reads the summary of a synthesized design.
+func SummaryOf(d *core.Design) Summary {
+	return Summary{
+		Area:      d.Area(),
+		Peak:      d.Schedule.PeakPower(),
+		FUs:       len(d.FUs),
+		Registers: len(d.Datapath.Registers),
+		Locked:    d.Locked,
+	}
+}
+
 // Point is one sweep sample.
 type Point struct {
 	// Power is the per-cycle power constraint P< of this sample.
 	Power float64
 	// Feasible reports whether a design was found.
 	Feasible bool
-	// Area is the datapath area of the best design (valid when Feasible).
-	Area float64
-	// Peak is the achieved per-cycle power peak.
-	Peak float64
-	// FUs and Registers are allocation counts.
-	FUs, Registers int
-	// Locked reports whether the design used the backtrack-and-lock
-	// repair.
-	Locked bool
+	// Summary describes the best design (valid when Feasible).
+	Summary
 	// Stats counts the work the synthesis run at this grid point performed
 	// (scheduler executions, window-cache effectiveness). It describes the
 	// run at this point's own budget even when budget subsumption replaces
@@ -124,7 +147,7 @@ func SweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, dead
 	if powers == nil {
 		return Curve{}, fmt.Errorf("%w: step %g stops advancing before max %g", ErrBadGrid, cfg.Step, cfg.PowerMax)
 	}
-	cells, err := grid{
+	gr := grid{
 		deadlines:  []int{deadline},
 		powers:     powers,
 		singlePass: cfg.SinglePass,
@@ -132,12 +155,13 @@ func SweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, dead
 		inFlight:   cfg.InFlight,
 		eval:       cfg.Eval,
 		config:     cfg.Config,
-	}.evaluate(ctx, g, lib)
+	}
+	cells, err := gr.evaluate(ctx, g, lib)
 	if err != nil {
 		return Curve{}, err
 	}
 	if !cfg.NoSubsume {
-		subsumeLine(cells)
+		gr.subsume(cells)
 	}
 	curve := Curve{Benchmark: g.Name, Deadline: deadline, Points: make([]Point, len(cells))}
 	for i, c := range cells {

@@ -100,28 +100,40 @@ func (gr grid) evaluate(ctx context.Context, g *cdfg.Graph, lib *library.Library
 			}
 			c.design = d
 			c.Feasible = true
-			c.Area = d.Area()
-			c.Peak = d.Schedule.PeakPower()
-			c.FUs = len(d.FUs)
-			c.Registers = len(d.Datapath.Registers)
-			c.Locked = d.Locked
+			c.Summary = SummaryOf(d)
 			c.Stats = d.Stats
 			return c, nil
 		})
 }
 
-// subsume applies subsumption to p given the best design carried along
+// subsume makes the evaluated cells monotone in both axes: each cell
+// inherits from the tighter budget in its row and from the tighter
+// deadline in its column, since a design meeting tighter constraints
+// meets looser ones too. On a one-row or one-column grid (a sweep) this
+// is subsumption along its one axis.
+func (gr grid) subsume(cells []cell) {
+	cols := make([]*Point, len(gr.powers))
+	for ti := range gr.deadlines {
+		var row *Point
+		for pi := range gr.powers {
+			c := &cells[ti*len(gr.powers)+pi]
+			c.Point = inherit(inherit(c.Point, row), cols[pi])
+			row, cols[pi] = best(row, c.Point), best(cols[pi], c.Point)
+		}
+	}
+}
+
+// inherit applies subsumption to p given the best design carried along
 // one axis from tighter constraints: that design meets p's constraints
 // too, so when p is infeasible or carried has a smaller area, p takes
-// carried's design fields. p keeps its own Power and Stats, which
+// carried's design summary. p keeps its own Power and Stats, which
 // describe the run at p's constraints.
-func subsume(p Point, carried *Point) Point {
+func inherit(p Point, carried *Point) Point {
 	if carried == nil || (p.Feasible && carried.Area >= p.Area) {
 		return p
 	}
-	c := *carried
-	c.Power, c.Stats = p.Power, p.Stats
-	return c
+	p.Feasible, p.Summary = true, carried.Summary
+	return p
 }
 
 // best returns the design to carry past p: p when it is feasible with a
@@ -131,14 +143,4 @@ func best(carried *Point, p Point) *Point {
 		return &p
 	}
 	return carried
-}
-
-// subsumeLine applies subsumption along a one-axis grid ordered from the
-// tightest constraint to the loosest, making its area non-increasing.
-func subsumeLine(cells []cell) {
-	var carried *Point
-	for i := range cells {
-		cells[i].Point = subsume(cells[i].Point, carried)
-		carried = best(carried, cells[i].Point)
-	}
 }

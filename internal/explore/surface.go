@@ -101,17 +101,7 @@ func ExploreSurfaceContext(ctx context.Context, g *cdfg.Graph, lib *library.Libr
 	if err != nil {
 		return Surface{}, err
 	}
-	// Each cell inherits from the tighter budget in its row and from the
-	// tighter deadline in its column.
-	cols := make([]*Point, len(gr.powers))
-	for ti := range gr.deadlines {
-		var row *Point
-		for pi := range gr.powers {
-			c := &cells[ti*len(gr.powers)+pi]
-			c.Point = subsume(subsume(c.Point, row), cols[pi])
-			row, cols[pi] = best(row, c.Point), best(cols[pi], c.Point)
-		}
-	}
+	gr.subsume(cells)
 	surface := Surface{Benchmark: g.Name, Points: make([]SurfacePoint, len(cells))}
 	for i, c := range cells {
 		surface.Points[i] = SurfacePoint{Deadline: c.Deadline, Power: c.Power, Feasible: c.Feasible, Area: c.Area, Stats: c.Stats}

@@ -76,19 +76,19 @@ func TimeSweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, 
 	if cfg.Step <= 0 || cfg.TMax < cfg.TMin || cfg.TMin <= 0 {
 		return TimeCurve{}, fmt.Errorf("%w: tmin %d tmax %d step %d", ErrBadGrid, cfg.TMin, cfg.TMax, cfg.Step)
 	}
-	cells, err := grid{
+	gr := grid{
 		deadlines:  deadlineGrid(cfg.TMin, cfg.TMax, cfg.Step),
 		powers:     []float64{powerMax},
 		singlePass: cfg.SinglePass,
 		workers:    cfg.Workers,
 		inFlight:   cfg.InFlight,
 		config:     cfg.Config,
-	}.evaluate(ctx, g, lib)
+	}
+	cells, err := gr.evaluate(ctx, g, lib)
 	if err != nil {
 		return TimeCurve{}, err
 	}
-	// A design meeting a tighter deadline also meets a looser one.
-	subsumeLine(cells)
+	gr.subsume(cells)
 	curve := TimeCurve{Benchmark: g.Name, PowerMax: powerMax, Points: make([]TimePoint, len(cells))}
 	for i, c := range cells {
 		curve.Points[i] = TimePoint{

@@ -85,7 +85,7 @@ func (s *Server) execBatchItem(parent context.Context, it batchItem) batchItemJS
 		status, body, _ := errorStatus(err)
 		return batchItemJSON{Status: status, Body: body}
 	}
-	return batchItemJSON{Status: res.status, Cache: outcome.String(), Body: res.body}
+	return batchItemJSON{Status: res.Status, Cache: outcome.String(), Body: res.Body}
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -27,43 +27,24 @@ import (
 // /cluster/cache exposes the result cache read-only for peer fill, body
 // included; it never computes, so peers cannot recurse into each other.
 
-// gridForward is the request-source part of a grid's point requests:
-// the benchmark name, or the inline graph/library serialized once and
-// shared by every point of the grid.
-type gridForward struct {
-	benchmark string
-	graph     json.RawMessage
-	library   json.RawMessage
-}
-
-func forwardSource(benchmark string, graph *cdfg.Graph, lib *library.Library) (gridForward, error) {
-	f := gridForward{benchmark: benchmark}
-	if benchmark == "" && graph != nil {
-		raw, err := json.Marshal(graph)
-		if err != nil {
-			return f, err
+// forward returns the wire form of this source, the one form in which a
+// coordinator sends a source to a worker, for grid cells, single points
+// and whole proxied requests alike: the benchmark name, or the inline
+// graph and library serialized once here and shared by every cell that
+// copies it. The graph travels in its exact edge order, so the worker
+// synthesizes the operands in the order this request gave them.
+func (src *source) forward() (cluster.Source, error) {
+	wire := cluster.Source{Benchmark: src.Benchmark}
+	var err error
+	if src.Graph != nil {
+		if wire.Graph, err = src.Graph.ExactJSON(); err != nil {
+			return wire, err
 		}
-		f.graph = raw
 	}
-	if lib != nil {
-		raw, err := json.Marshal(lib)
-		if err != nil {
-			return f, err
-		}
-		f.library = raw
+	if src.Library != nil {
+		wire.Library, err = json.Marshal(src.Library)
 	}
-	return f, nil
-}
-
-func (f gridForward) point(cons core.Constraints, singlePass bool) cluster.PointRequest {
-	return cluster.PointRequest{
-		Benchmark:  f.benchmark,
-		Graph:      f.graph,
-		Library:    f.library,
-		Deadline:   cons.Deadline,
-		PowerMax:   cons.PowerMax,
-		SinglePass: singlePass,
-	}
+	return wire, err
 }
 
 // pointRequest is the body of POST /cluster/point as a worker decodes
@@ -81,9 +62,9 @@ func (s *Server) execPoint(ctx context.Context, req *pointRequest) (*result, cac
 	if err != nil || req.Body {
 		return res, outcome, err
 	}
-	summary := *res
-	summary.body = nil
-	return &summary, outcome, nil
+	bare := *res
+	bare.Body = nil
+	return &bare, outcome, nil
 }
 
 // clusterEval builds the explore Eval hook of a grid request: nil on a
@@ -93,40 +74,30 @@ func (s *Server) execPoint(ctx context.Context, req *pointRequest) (*result, cac
 // request, so the pool's consistent hashing sends it to the worker whose
 // cache is hot for it, and the cells' summaries feed the same subsumption
 // assembly the local path uses. No design body crosses the wire.
-func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *library.Library,
-	g *cdfg.Graph, lib *library.Library, singlePass bool) (func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error), error) {
+func (s *Server) clusterEval(src *source, g *cdfg.Graph, lib *library.Library, singlePass bool) (func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error), error) {
 	pool := s.cfg.Pool
 	if pool == nil {
 		return nil, nil
 	}
-	fwd, err := forwardSource(benchmark, graph, reqLib)
+	wire, err := src.forward()
 	if err != nil {
 		return nil, err
 	}
+	cell := cluster.PointRequest{Source: wire, SinglePass: singlePass}
 	return func(ctx context.Context, cons []core.Constraints) ([]explore.Point, error) {
-		keys := cache.SynthesizeKeys(g, lib, cons, singlePass)
 		reqs := make([]cluster.PointRequest, len(cons))
 		for i, cn := range cons {
-			reqs[i] = fwd.point(cn, singlePass)
+			reqs[i] = cell
+			reqs[i].Deadline, reqs[i].PowerMax = cn.Deadline, cn.PowerMax
 		}
-		resps, err := pool.MapPoints(ctx, keys, reqs)
+		resps, err := pool.MapPoints(ctx, cache.SynthesizeKeys(g, lib, cons, singlePass), reqs)
 		if err != nil {
 			return nil, err
 		}
 		pts := make([]explore.Point, len(resps))
 		for i, resp := range resps {
-			pr, err := resp.Result()
-			if err != nil {
+			if pts[i], err = resp.Result(); err != nil {
 				return nil, err
-			}
-			pts[i] = explore.Point{
-				Feasible:  pr.Feasible,
-				Area:      pr.Area,
-				Peak:      pr.Peak,
-				FUs:       pr.FUs,
-				Registers: pr.Registers,
-				Locked:    pr.Locked,
-				Stats:     pr.Stats,
 			}
 		}
 		return pts, nil
@@ -142,7 +113,7 @@ func (s *Server) clusterEval(benchmark string, graph *cdfg.Graph, reqLib *librar
 // to retry elsewhere.
 func writePoint(w http.ResponseWriter, res *result, outcome cache.Outcome) {
 	body, err := json.Marshal(cluster.PointResponse{
-		CachedResult: cluster.CachedResult{Status: res.status, Body: res.body, Summary: res.sum, Stats: res.stats},
+		CachedResult: *res,
 		Cache:        outcome.String(),
 	})
 	if err != nil {
@@ -167,7 +138,7 @@ func (s *Server) handleClusterCache(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not cached")
 		return
 	}
-	body, err := json.Marshal(cluster.CachedResult{Status: res.status, Body: res.body, Summary: res.sum, Stats: res.stats})
+	body, err := json.Marshal(res)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

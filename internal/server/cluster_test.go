@@ -120,6 +120,42 @@ func TestClusterSynthesizeAndPortfolio(t *testing.T) {
 	requireSameResponse(t, "/v1/synthesize", `{"benchmark":"nope","deadline":10}`, coord.URL, solo.URL)
 }
 
+// TestClusterInlineGraphAndLibrary sends an inline graph and a custom
+// library through the coordinator: both must reach the workers, or the
+// grid fails (no graph) or the workers silently synthesize Table 1 (no
+// library). The library is checked to matter: without it the same
+// request answers differently.
+func TestClusterInlineGraphAndLibrary(t *testing.T) {
+	_, coord, _ := newTestCluster(t, 2)
+	_, solo := newTestServer(t, Config{})
+
+	const src = `"graph":{"name":"inline","nodes":[{"name":"i1","op":"imp"},{"name":"i2","op":"imp"},{"name":"i3","op":"imp"},` +
+		`{"name":"m1","op":"*"},{"name":"m2","op":"*"},{"name":"a1","op":"+"},{"name":"m3","op":"*"},{"name":"a2","op":"+"}],` +
+		`"edges":[{"from":"i1","to":"m1"},{"from":"i2","to":"m1"},{"from":"i2","to":"m2"},{"from":"i3","to":"m2"},` +
+		`{"from":"m1","to":"a1"},{"from":"m2","to":"a1"},{"from":"a1","to":"m3"},{"from":"i1","to":"m3"},` +
+		`{"from":"m3","to":"a2"},{"from":"i3","to":"a2"}]}`
+	const lib = `"library":[{"name":"IN","ops":["imp"],"area":16,"delay":1,"power":0.2},{"name":"ADD","ops":["+"],"area":3,"delay":1,"power":2},` +
+		`{"name":"MUL","ops":["*"],"area":50,"delay":2,"power":6}]`
+	for _, tc := range []struct{ path, rest string }{
+		{"/v1/synthesize", `"deadline":9,"power_max":12`},
+		{"/v1/surface", `"deadlines":[6,7,10],"powers":[6.5,12,20]`},
+		{"/v1/pareto", `"deadlines":[6,7,10],"powers":[6.5,12,20]`},
+		{"/v1/portfolio", `"deadline":9,"power_max":12,"k":2,"budget":1`},
+	} {
+		body := "{" + src + "," + lib + "," + tc.rest + "}"
+		requireSameResponse(t, tc.path, body, coord.URL, solo.URL)
+		resp := postJSON(t, solo.URL+tc.path, body)
+		if raw := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", tc.path, resp.StatusCode, raw)
+		}
+		withLib := readBody(t, postJSON(t, solo.URL+tc.path, body))
+		table1 := readBody(t, postJSON(t, solo.URL+tc.path, "{"+src+","+tc.rest+"}"))
+		if bytes.Equal(withLib, table1) {
+			t.Fatalf("%s: the custom library answers like Table 1, so the test cannot tell it was forwarded: %s", tc.path, withLib)
+		}
+	}
+}
+
 // TestClusterNoWorkers pins the failure mode of an empty fleet: 503, not
 // a hang or a fallback to local computation the coordinator cannot do.
 func TestClusterNoWorkers(t *testing.T) {

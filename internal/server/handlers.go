@@ -122,14 +122,14 @@ func handle[R any](s *Server, exec func(context.Context, *R) (*result, cache.Out
 func writeResult(w http.ResponseWriter, res *result, outcome cache.Outcome) {
 	sched, incr := int64(0), int64(0)
 	if outcome == cache.Miss || outcome == cache.Coalesced {
-		sched, incr = res.stats.SchedulerRuns, res.stats.IncrementalRuns
+		sched, incr = res.Stats.SchedulerRuns, res.Stats.IncrementalRuns
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(headerCache, outcome.String())
 	w.Header().Set(headerSchedulerRuns, strconv.FormatInt(sched, 10))
 	w.Header().Set(headerIncrementalRuns, strconv.FormatInt(incr, 10))
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	w.WriteHeader(res.Status)
+	_, _ = w.Write(res.Body)
 }
 
 // infeasibleResult renders a deterministic synthesis failure (infeasible
@@ -139,30 +139,49 @@ func infeasibleResult(err error) *result {
 	if merr != nil {
 		body = []byte(`{"error":"infeasible"}`)
 	}
-	return &result{status: http.StatusUnprocessableEntity, body: body}
+	return &result{Status: http.StatusUnprocessableEntity, Body: body}
 }
 
-// compute wraps the admission-control + synthesis body shared by the
-// three POST endpoints: acquire a worker slot, run fn, classify errors.
-// Deterministic failures come back as cacheable results; overload and
-// deadline failures come back as errors (not cached).
-func (s *Server) compute(ctx context.Context, fn func(ctx context.Context) (*result, error)) (*result, error) {
-	release, err := s.acquire(ctx)
+// compute answers key from the result cache or, on a miss, runs fn
+// under admission control: it claims a worker slot, runs fn and
+// classifies its failure. Every computing endpoint, batch items and the
+// worker point endpoint included, goes through it. Deterministic
+// failures come back as cacheable results; overload and deadline
+// failures come back as errors, which the cache does not keep.
+func (s *Server) compute(ctx context.Context, key string, fn func(ctx context.Context) (*result, error)) (*result, cache.Outcome, error) {
+	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
+		release, err := s.acquire(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		res, err := fn(ctx)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrUncovered) {
+				return infeasibleResult(err), nil
+			}
+			return nil, err
+		}
+		return res, nil
+	})
+}
+
+// document ends a run that rendered its own response document: it notes
+// the run's engine work in the metrics when the work was done here (a
+// coordinator's grid cells ran on its workers) and wraps out, indented,
+// as a 200 result.
+func (s *Server) document(out any, stats core.Stats) (*result, error) {
+	if s.cfg.Pool == nil {
+		s.noteStats(stats)
+	}
+	body, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	res, err := fn(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrUncovered) {
-			return infeasibleResult(err), nil
-		}
-		return nil, err
-	}
-	return res, nil
+	return &result{Status: http.StatusOK, Body: body, Stats: stats}, nil
 }
 
 // execSynthesize is the synthesize endpoint's core, shared by the HTTP
@@ -176,37 +195,32 @@ func (s *Server) execSynthesize(ctx context.Context, req *synthesizeRequest) (*r
 		return nil, 0, err
 	}
 	key := cache.SynthesizeKey(g, lib, cons, req.SinglePass)
-	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
+	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
-			return s.compute(ctx, func(ctx context.Context) (*result, error) {
-				fwd, err := forwardSource(req.Benchmark, req.Graph, req.Library)
-				if err != nil {
-					return nil, err
-				}
-				preq := fwd.point(cons, req.SinglePass)
-				preq.Body = true
-				resp, err := pool.Point(ctx, key, preq)
-				if err != nil {
-					return nil, err
-				}
-				return &result{status: resp.Status, body: resp.Body, sum: resp.Summary, stats: resp.Stats}, nil
-			})
+			wire, err := req.forward()
+			if err != nil {
+				return nil, err
+			}
+			resp, err := pool.Point(ctx, key, cluster.PointRequest{Source: wire,
+				Deadline: cons.Deadline, PowerMax: cons.PowerMax, SinglePass: req.SinglePass, Body: true})
+			if err != nil {
+				return nil, err
+			}
+			return &resp.CachedResult, nil
 		}
-		return s.compute(ctx, func(ctx context.Context) (*result, error) {
-			d, err := s.synth(ctx, g, lib, cons, core.Config{Workers: 1}, req.SinglePass)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.validateDesign(d); err != nil {
-				return nil, err
-			}
-			s.noteStats(d.Stats)
-			body, err := d.JSON()
-			if err != nil {
-				return nil, err
-			}
-			return &result{status: http.StatusOK, body: body, sum: cluster.SummaryOf(d), stats: d.Stats}, nil
-		})
+		d, err := s.synth(ctx, g, lib, cons, core.Config{Workers: 1}, req.SinglePass)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.validateDesign(d); err != nil {
+			return nil, err
+		}
+		s.noteStats(d.Stats)
+		body, err := d.JSON()
+		if err != nil {
+			return nil, err
+		}
+		return &result{Status: http.StatusOK, Body: body, Summary: explore.SummaryOf(d), Stats: d.Stats}, nil
 	})
 }
 
@@ -234,7 +248,11 @@ type portfolioJSON struct {
 }
 
 // proxy forwards a whole request to the worker owning key: the path for
-// endpoints whose result cannot be decomposed into grid points. A
+// endpoints whose result cannot be decomposed into grid points. The body
+// is req with its source in forward's wire form: req comes embedded
+// after that form, whose fields sit one embedding level shallower, so
+// they replace the request's own source fields in the encoding and keep
+// their place at the head of the object. A
 // transient worker-side failure (overload, drain) comes back verbatim as
 // a proxyError and is never cached.
 func proxy(ctx context.Context, pool *cluster.Pool, key, path string, req any) (*result, error) {
@@ -249,7 +267,7 @@ func proxy(ctx context.Context, pool *cluster.Pool, key, path string, req any) (
 	if status != http.StatusOK && status != http.StatusUnprocessableEntity {
 		return nil, &proxyError{status: status, body: respBody}
 	}
-	return &result{status: status, body: respBody}, nil
+	return &result{Status: status, Body: respBody}, nil
 }
 
 // execPortfolio is the portfolio endpoint's core. A coordinator cannot
@@ -262,57 +280,55 @@ func (s *Server) execPortfolio(ctx context.Context, req *portfolioRequest) (*res
 		return nil, 0, err
 	}
 	key := cache.PortfolioKey(g, lib, cons, req.K, req.Budget, req.Seed)
-	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
+	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
-			return s.compute(ctx, func(ctx context.Context) (*result, error) {
-				return proxy(ctx, pool, key, "/v1/portfolio", req)
-			})
+			wire, err := req.forward()
+			if err != nil {
+				return nil, err
+			}
+			return proxy(ctx, pool, key, "/v1/portfolio", struct {
+				cluster.Source
+				*portfolioRequest
+			}{wire, req})
 		}
-		return s.compute(ctx, func(ctx context.Context) (*result, error) {
-			pres, err := portfolio.SynthesizeContext(ctx, g, lib, cons, portfolio.Config{
-				K:        req.K,
-				Budget:   req.Budget,
-				Seed:     req.Seed,
-				Workers:  s.cfg.ExploreWorkers,
-				InFlight: s.runnerInflight,
-				Core:     core.Config{Workers: 1},
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := s.validateDesign(pres.Design); err != nil {
-				return nil, err
-			}
-			s.noteStats(pres.Design.Stats)
-			s.portfolioImprovements.Add(int64(pres.PassImprovements + pres.SpliceImprovements))
-			s.portfolioGap.Observe(pres.Gap())
-			design, err := pres.Design.JSON()
-			if err != nil {
-				return nil, err
-			}
-			body, err := json.MarshalIndent(portfolioJSON{
-				Design: design,
-				Portfolio: portfolioStatsJSON{
-					BaselineArea:       pres.BaselineArea,
-					BaselinePeak:       pres.BaselinePeak,
-					Area:               pres.Design.Area(),
-					PeakPower:          pres.Design.Schedule.PeakPower(),
-					Improved:           pres.Improved,
-					Gap:                pres.Gap(),
-					Rounds:             pres.Rounds,
-					Passes:             pres.Passes,
-					Aborted:            pres.Aborted,
-					Infeasible:         pres.Infeasible,
-					PassImprovements:   pres.PassImprovements,
-					Splices:            pres.Splices,
-					SpliceImprovements: pres.SpliceImprovements,
-				},
-			}, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			return &result{status: http.StatusOK, body: body, stats: pres.Design.Stats}, nil
+		pres, err := portfolio.SynthesizeContext(ctx, g, lib, cons, portfolio.Config{
+			K:        req.K,
+			Budget:   req.Budget,
+			Seed:     req.Seed,
+			Workers:  s.cfg.ExploreWorkers,
+			InFlight: s.runnerInflight,
+			Core:     core.Config{Workers: 1},
 		})
+		if err != nil {
+			return nil, err
+		}
+		if err := s.validateDesign(pres.Design); err != nil {
+			return nil, err
+		}
+		s.portfolioImprovements.Add(int64(pres.PassImprovements + pres.SpliceImprovements))
+		s.portfolioGap.Observe(pres.Gap())
+		design, err := pres.Design.JSON()
+		if err != nil {
+			return nil, err
+		}
+		return s.document(portfolioJSON{
+			Design: design,
+			Portfolio: portfolioStatsJSON{
+				BaselineArea:       pres.BaselineArea,
+				BaselinePeak:       pres.BaselinePeak,
+				Area:               pres.Design.Area(),
+				PeakPower:          pres.Design.Schedule.PeakPower(),
+				Improved:           pres.Improved,
+				Gap:                pres.Gap(),
+				Rounds:             pres.Rounds,
+				Passes:             pres.Passes,
+				Aborted:            pres.Aborted,
+				Infeasible:         pres.Infeasible,
+				PassImprovements:   pres.PassImprovements,
+				Splices:            pres.Splices,
+				SpliceImprovements: pres.SpliceImprovements,
+			},
+		}, pres.Design.Stats)
 	})
 }
 
@@ -361,48 +377,38 @@ func (s *Server) execSweep(ctx context.Context, req *sweepRequest) (*result, cac
 		return nil, 0, err
 	}
 	key := cache.SweepKey(g, lib, req.Deadline, req.PowerMin, req.PowerMax, req.Step, req.SinglePass)
-	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
-		return s.compute(ctx, func(ctx context.Context) (*result, error) {
-			eval, err := s.clusterEval(req.Benchmark, req.Graph, req.Library, g, lib, req.SinglePass)
-			if err != nil {
-				return nil, err
-			}
-			cfg := explore.SweepConfig{
-				PowerMin:   req.PowerMin,
-				PowerMax:   req.PowerMax,
-				Step:       req.Step,
-				SinglePass: req.SinglePass,
-				Workers:    s.cfg.ExploreWorkers,
-				InFlight:   s.runnerInflight,
-				Eval:       eval,
-				Config:     core.Config{Workers: 1},
-			}
-			curve, err := explore.SweepContext(ctx, g, lib, req.Deadline, cfg)
-			if err != nil {
-				return nil, err
-			}
-			total := curve.TotalStats()
-			if s.cfg.Pool == nil {
-				s.noteStats(total)
-			}
-			out := curveJSON{
-				Benchmark:  curve.Benchmark,
-				Deadline:   curve.Deadline,
-				Points:     make([]curvePointJSON, 0, len(curve.Points)),
-				TotalStats: toStatsJSON(total),
-			}
-			for _, p := range curve.Points {
-				out.Points = append(out.Points, curvePointJSON{
-					Power: p.Power, Feasible: p.Feasible, Area: p.Area, Peak: p.Peak,
-					FUs: p.FUs, Registers: p.Registers, Locked: p.Locked,
-				})
-			}
-			body, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			return &result{status: http.StatusOK, body: body, stats: total}, nil
+	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
+		eval, err := s.clusterEval(&req.source, g, lib, req.SinglePass)
+		if err != nil {
+			return nil, err
+		}
+		curve, err := explore.SweepContext(ctx, g, lib, req.Deadline, explore.SweepConfig{
+			PowerMin:   req.PowerMin,
+			PowerMax:   req.PowerMax,
+			Step:       req.Step,
+			SinglePass: req.SinglePass,
+			Workers:    s.cfg.ExploreWorkers,
+			InFlight:   s.runnerInflight,
+			Eval:       eval,
+			Config:     core.Config{Workers: 1},
 		})
+		if err != nil {
+			return nil, err
+		}
+		total := curve.TotalStats()
+		out := curveJSON{
+			Benchmark:  curve.Benchmark,
+			Deadline:   curve.Deadline,
+			Points:     make([]curvePointJSON, 0, len(curve.Points)),
+			TotalStats: toStatsJSON(total),
+		}
+		for _, p := range curve.Points {
+			out.Points = append(out.Points, curvePointJSON{
+				Power: p.Power, Feasible: p.Feasible, Area: p.Area, Peak: p.Peak,
+				FUs: p.FUs, Registers: p.Registers, Locked: p.Locked,
+			})
+		}
+		return s.document(out, total)
 	})
 }
 
@@ -427,45 +433,35 @@ func (s *Server) execSurface(ctx context.Context, req *surfaceRequest) (*result,
 		return nil, 0, err
 	}
 	key := cache.SurfaceKey(g, lib, req.Deadlines, req.Powers, req.SinglePass)
-	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
-		return s.compute(ctx, func(ctx context.Context) (*result, error) {
-			eval, err := s.clusterEval(req.Benchmark, req.Graph, req.Library, g, lib, req.SinglePass)
-			if err != nil {
-				return nil, err
-			}
-			cfg := explore.SurfaceConfig{
-				Deadlines:  req.Deadlines,
-				Powers:     req.Powers,
-				SinglePass: req.SinglePass,
-				Workers:    s.cfg.ExploreWorkers,
-				InFlight:   s.runnerInflight,
-				Eval:       eval,
-				Config:     core.Config{Workers: 1},
-			}
-			surface, err := explore.ExploreSurfaceContext(ctx, g, lib, cfg)
-			if err != nil {
-				return nil, err
-			}
-			total := surface.TotalStats()
-			if s.cfg.Pool == nil {
-				s.noteStats(total)
-			}
-			out := surfaceJSON{
-				Benchmark:  surface.Benchmark,
-				Points:     make([]surfacePointJSON, 0, len(surface.Points)),
-				TotalStats: toStatsJSON(total),
-			}
-			for _, p := range surface.Points {
-				out.Points = append(out.Points, surfacePointJSON{
-					Deadline: p.Deadline, Power: p.Power, Feasible: p.Feasible, Area: p.Area,
-				})
-			}
-			body, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			return &result{status: http.StatusOK, body: body, stats: total}, nil
+	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
+		eval, err := s.clusterEval(&req.source, g, lib, req.SinglePass)
+		if err != nil {
+			return nil, err
+		}
+		surface, err := explore.ExploreSurfaceContext(ctx, g, lib, explore.SurfaceConfig{
+			Deadlines:  req.Deadlines,
+			Powers:     req.Powers,
+			SinglePass: req.SinglePass,
+			Workers:    s.cfg.ExploreWorkers,
+			InFlight:   s.runnerInflight,
+			Eval:       eval,
+			Config:     core.Config{Workers: 1},
 		})
+		if err != nil {
+			return nil, err
+		}
+		total := surface.TotalStats()
+		out := surfaceJSON{
+			Benchmark:  surface.Benchmark,
+			Points:     make([]surfacePointJSON, 0, len(surface.Points)),
+			TotalStats: toStatsJSON(total),
+		}
+		for _, p := range surface.Points {
+			out.Points = append(out.Points, surfacePointJSON{
+				Deadline: p.Deadline, Power: p.Power, Feasible: p.Feasible, Area: p.Area,
+			})
+		}
+		return s.document(out, total)
 	})
 }
 
@@ -503,67 +499,67 @@ func (s *Server) execPareto(ctx context.Context, req *paretoRequest) (*result, c
 	}
 	model, capacity := req.batteryModel()
 	key := cache.ParetoKey(g, lib, req.Deadlines, req.Powers, model, capacity, paretoMaxPeriods, req.SinglePass)
-	return s.cache.Do(ctx, key, func(ctx context.Context) (*result, error) {
+	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
-			return s.compute(ctx, func(ctx context.Context) (*result, error) {
-				return proxy(ctx, pool, key, "/v1/pareto", req)
+			wire, err := req.forward()
+			if err != nil {
+				return nil, err
+			}
+			return proxy(ctx, pool, key, "/v1/pareto", struct {
+				cluster.Source
+				*paretoRequest
+			}{wire, req})
+		}
+		var (
+			battery power.Battery
+			err     error
+		)
+		if capacity > 0 {
+			battery, err = explore.NewBattery(model, capacity)
+		} else {
+			battery, err = explore.DefaultBattery(g, lib, model)
+		}
+		if err != nil {
+			return nil, err
+		}
+		front, err := explore.ExploreParetoContext(ctx, g, lib, explore.ParetoConfig{
+			Deadlines:  req.Deadlines,
+			Powers:     req.Powers,
+			Battery:    battery,
+			MaxPeriods: paretoMaxPeriods,
+			SinglePass: req.SinglePass,
+			Workers:    s.cfg.ExploreWorkers,
+			InFlight:   s.runnerInflight,
+			Config:     core.Config{Workers: 1},
+		})
+		if err != nil {
+			return nil, err
+		}
+		var total core.Stats
+		out := paretoJSON{
+			Benchmark: front.Benchmark,
+			Battery:   battery.Model(),
+			Evaluated: front.Evaluated,
+			Feasible:  front.Feasible,
+			Points:    make([]paretoPointJSON, 0, len(front.Points)),
+		}
+		for _, p := range front.Points {
+			if err := s.validateDesign(p.Design); err != nil {
+				return nil, err
+			}
+			total = total.Add(p.Design.Stats)
+			design, err := p.Design.JSON()
+			if err != nil {
+				return nil, err
+			}
+			out.Points = append(out.Points, paretoPointJSON{
+				Deadline: p.Deadline, Power: p.PowerMax,
+				Area: p.Area, Latency: p.Latency, Peak: p.Peak, Lifetime: p.Lifetime,
+				Design: design,
 			})
 		}
-		return s.compute(ctx, func(ctx context.Context) (*result, error) {
-			var battery power.Battery
-			var berr error
-			if capacity > 0 {
-				battery, berr = explore.NewBattery(model, capacity)
-			} else {
-				battery, berr = explore.DefaultBattery(g, lib, model)
-			}
-			if berr != nil {
-				return nil, berr
-			}
-			front, err := explore.ExploreParetoContext(ctx, g, lib, explore.ParetoConfig{
-				Deadlines:  req.Deadlines,
-				Powers:     req.Powers,
-				Battery:    battery,
-				MaxPeriods: paretoMaxPeriods,
-				SinglePass: req.SinglePass,
-				Workers:    s.cfg.ExploreWorkers,
-				InFlight:   s.runnerInflight,
-				Config:     core.Config{Workers: 1},
-			})
-			if err != nil {
-				return nil, err
-			}
-			var total core.Stats
-			out := paretoJSON{
-				Benchmark: front.Benchmark,
-				Battery:   battery.Model(),
-				Evaluated: front.Evaluated,
-				Feasible:  front.Feasible,
-				Points:    make([]paretoPointJSON, 0, len(front.Points)),
-			}
-			for _, p := range front.Points {
-				if err := s.validateDesign(p.Design); err != nil {
-					return nil, err
-				}
-				total = total.Add(p.Design.Stats)
-				design, err := p.Design.JSON()
-				if err != nil {
-					return nil, err
-				}
-				out.Points = append(out.Points, paretoPointJSON{
-					Deadline: p.Deadline, Power: p.PowerMax,
-					Area: p.Area, Latency: p.Latency, Peak: p.Peak, Lifetime: p.Lifetime,
-					Design: design,
-				})
-			}
-			s.noteStats(total)
-			s.paretoPoints.Observe(float64(len(front.Points)))
-			body, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			return &result{status: http.StatusOK, body: body, stats: total}, nil
-		})
+		s.paretoPoints.Observe(float64(len(front.Points)))
+		return s.document(out, total)
 	})
 }
 

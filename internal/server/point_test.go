@@ -15,6 +15,7 @@ import (
 
 	"pchls/internal/bench"
 	"pchls/internal/cluster"
+	"pchls/internal/explore"
 	"pchls/internal/library"
 	"pchls/internal/sched"
 )
@@ -99,7 +100,7 @@ func TestPointSummaryMatchesBody(t *testing.T) {
 						t.Fatalf("%s: below the critical path got status %d, want 422", cell, full.Status)
 					}
 					if full.Status == http.StatusUnprocessableEntity {
-						if full.Summary != (cluster.Summary{}) {
+						if full.Summary != (explore.Summary{}) {
 							t.Fatalf("%s: a 422 with summary %+v, want zero", cell, full.Summary)
 						}
 						infeasible++

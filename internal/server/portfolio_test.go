@@ -43,7 +43,7 @@ func TestPortfolioEndpoint(t *testing.T) {
 	}
 
 	// The served design must match a direct portfolio call bit for bit.
-	g, lib, cons, err := (&portfolioRequest{Benchmark: "hal", Deadline: 11, PowerMax: 29.28, K: 8, Budget: 2, Seed: 1}).validate()
+	g, lib, cons, err := (&portfolioRequest{source: source{Benchmark: "hal"}, Deadline: 11, PowerMax: 29.28, K: 8, Budget: 2, Seed: 1}).validate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,14 +21,21 @@ import (
 // checks here are cross-field (exactly one graph source, a deadline in
 // (0, maxDeadline], sane grids).
 
-// synthesizeRequest is the body of POST /v1/synthesize.
-type synthesizeRequest struct {
+// source names what a request synthesizes: a built-in benchmark or an
+// inline graph, and a module library. Every request type embeds it
+// untagged, so its fields sit flat in the request's JSON object.
+type source struct {
 	// Benchmark names a built-in CDFG; mutually exclusive with Graph.
 	Benchmark string `json:"benchmark,omitempty"`
 	// Graph is an inline CDFG in the {"name","nodes","edges"} schema.
 	Graph *cdfg.Graph `json:"graph,omitempty"`
 	// Library is an optional module list; the paper's Table 1 when absent.
 	Library *library.Library `json:"library,omitempty"`
+}
+
+// synthesizeRequest is the body of POST /v1/synthesize.
+type synthesizeRequest struct {
+	source
 	// Deadline is the latency constraint T in cycles (> 0, required).
 	Deadline int `json:"deadline"`
 	// PowerMax is the per-cycle power constraint P< (0 = unconstrained).
@@ -41,11 +48,9 @@ type synthesizeRequest struct {
 // portfolioRequest is the body of POST /v1/portfolio: anytime portfolio
 // synthesis with effort knobs.
 type portfolioRequest struct {
-	Benchmark string           `json:"benchmark,omitempty"`
-	Graph     *cdfg.Graph      `json:"graph,omitempty"`
-	Library   *library.Library `json:"library,omitempty"`
-	Deadline  int              `json:"deadline"`
-	PowerMax  float64          `json:"power_max,omitempty"`
+	source
+	Deadline int     `json:"deadline"`
+	PowerMax float64 `json:"power_max,omitempty"`
 	// K is the number of perturbed passes per round (0 = server default 8,
 	// capped at maxPortfolioPasses).
 	K int `json:"k,omitempty"`
@@ -67,25 +72,21 @@ const (
 // sweepRequest is the body of POST /v1/sweep: an area-versus-power sweep
 // at a fixed deadline.
 type sweepRequest struct {
-	Benchmark  string           `json:"benchmark,omitempty"`
-	Graph      *cdfg.Graph      `json:"graph,omitempty"`
-	Library    *library.Library `json:"library,omitempty"`
-	Deadline   int              `json:"deadline"`
-	PowerMin   float64          `json:"power_min"`
-	PowerMax   float64          `json:"power_max"`
-	Step       float64          `json:"step"`
-	SinglePass bool             `json:"single_pass,omitempty"`
+	source
+	Deadline   int     `json:"deadline"`
+	PowerMin   float64 `json:"power_min"`
+	PowerMax   float64 `json:"power_max"`
+	Step       float64 `json:"step"`
+	SinglePass bool    `json:"single_pass,omitempty"`
 }
 
 // surfaceRequest is the body of POST /v1/surface: a (deadline x power)
 // grid exploration.
 type surfaceRequest struct {
-	Benchmark  string           `json:"benchmark,omitempty"`
-	Graph      *cdfg.Graph      `json:"graph,omitempty"`
-	Library    *library.Library `json:"library,omitempty"`
-	Deadlines  []int            `json:"deadlines"`
-	Powers     []float64        `json:"powers"`
-	SinglePass bool             `json:"single_pass,omitempty"`
+	source
+	Deadlines  []int     `json:"deadlines"`
+	Powers     []float64 `json:"powers"`
+	SinglePass bool      `json:"single_pass,omitempty"`
 }
 
 // batteryRequest selects and sizes the lifetime model of a pareto
@@ -102,13 +103,11 @@ type batteryRequest struct {
 // grid exploration reduced to the non-dominated set over (area, latency,
 // peak power, battery lifetime).
 type paretoRequest struct {
-	Benchmark  string           `json:"benchmark,omitempty"`
-	Graph      *cdfg.Graph      `json:"graph,omitempty"`
-	Library    *library.Library `json:"library,omitempty"`
-	Deadlines  []int            `json:"deadlines"`
-	Powers     []float64        `json:"powers"`
-	SinglePass bool             `json:"single_pass,omitempty"`
-	Battery    *batteryRequest  `json:"battery,omitempty"`
+	source
+	Deadlines  []int           `json:"deadlines"`
+	Powers     []float64       `json:"powers"`
+	SinglePass bool            `json:"single_pass,omitempty"`
+	Battery    *batteryRequest `json:"battery,omitempty"`
 }
 
 // requestError is a client-side fault mapped to 400 Bad Request.
@@ -148,31 +147,26 @@ func decodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// resolveGraph materializes the request's CDFG from either the benchmark
-// name or the inline graph (exactly one must be present).
-func resolveGraph(benchmark string, graph *cdfg.Graph) (*cdfg.Graph, error) {
+// resolve materializes the request's CDFG from either the benchmark
+// name or the inline graph (exactly one must be present), and its
+// library or the Table 1 default.
+func (src *source) resolve() (*cdfg.Graph, *library.Library, error) {
+	g := src.Graph
 	switch {
-	case benchmark == "" && graph == nil:
-		return nil, badRequest(`one of "benchmark" or "graph" is required`, nil)
-	case benchmark != "" && graph != nil:
-		return nil, badRequest(`"benchmark" and "graph" are mutually exclusive`, nil)
-	case benchmark != "":
-		g, err := bench.ByName(benchmark)
-		if err != nil {
-			return nil, badRequest("unknown benchmark", err)
+	case src.Benchmark == "" && g == nil:
+		return nil, nil, badRequest(`one of "benchmark" or "graph" is required`, nil)
+	case src.Benchmark != "" && g != nil:
+		return nil, nil, badRequest(`"benchmark" and "graph" are mutually exclusive`, nil)
+	case src.Benchmark != "":
+		var err error
+		if g, err = bench.ByName(src.Benchmark); err != nil {
+			return nil, nil, badRequest("unknown benchmark", err)
 		}
-		return g, nil
-	default:
-		return graph, nil
 	}
-}
-
-// resolveLibrary returns the request library or the Table 1 default.
-func resolveLibrary(lib *library.Library) *library.Library {
-	if lib == nil {
-		return library.Table1()
+	if src.Library == nil {
+		return g, library.Table1(), nil
 	}
-	return lib
+	return g, src.Library, nil
 }
 
 func checkPower(name string, p float64) error {
@@ -238,7 +232,7 @@ func checkAxes(kind string, deadlines []int, powers []float64) error {
 // validate cross-checks a decoded synthesize request and resolves its
 // graph and library.
 func (req *synthesizeRequest) validate() (*cdfg.Graph, *library.Library, core.Constraints, error) {
-	g, err := resolveGraph(req.Benchmark, req.Graph)
+	g, lib, err := req.resolve()
 	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
@@ -246,13 +240,13 @@ func (req *synthesizeRequest) validate() (*cdfg.Graph, *library.Library, core.Co
 	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
-	return g, resolveLibrary(req.Library), cons, nil
+	return g, lib, cons, nil
 }
 
 // validate cross-checks a decoded portfolio request and resolves its
 // graph and library.
 func (req *portfolioRequest) validate() (*cdfg.Graph, *library.Library, core.Constraints, error) {
-	g, err := resolveGraph(req.Benchmark, req.Graph)
+	g, lib, err := req.resolve()
 	if err != nil {
 		return nil, nil, core.Constraints{}, err
 	}
@@ -266,11 +260,11 @@ func (req *portfolioRequest) validate() (*cdfg.Graph, *library.Library, core.Con
 	if req.Budget < 0 || req.Budget > maxPortfolioRounds {
 		return nil, nil, core.Constraints{}, badRequest(fmt.Sprintf(`"budget" must be in [0, %d]`, maxPortfolioRounds), nil)
 	}
-	return g, resolveLibrary(req.Library), cons, nil
+	return g, lib, cons, nil
 }
 
 func (req *sweepRequest) validate() (*cdfg.Graph, *library.Library, error) {
-	g, err := resolveGraph(req.Benchmark, req.Graph)
+	g, lib, err := req.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -296,18 +290,18 @@ func (req *sweepRequest) validate() (*cdfg.Graph, *library.Library, error) {
 	case n > maxGridPoints:
 		return nil, nil, badRequest(fmt.Sprintf("sweep grid has more than %d points", maxGridPoints), nil)
 	}
-	return g, resolveLibrary(req.Library), nil
+	return g, lib, nil
 }
 
 func (req *surfaceRequest) validate() (*cdfg.Graph, *library.Library, error) {
-	g, err := resolveGraph(req.Benchmark, req.Graph)
+	g, lib, err := req.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := checkAxes("surface", req.Deadlines, req.Powers); err != nil {
 		return nil, nil, err
 	}
-	return g, resolveLibrary(req.Library), nil
+	return g, lib, nil
 }
 
 // batteryModel returns the request's normalized battery model name and
@@ -324,7 +318,7 @@ func (req *paretoRequest) batteryModel() (model string, capacity float64) {
 }
 
 func (req *paretoRequest) validate() (*cdfg.Graph, *library.Library, error) {
-	g, err := resolveGraph(req.Benchmark, req.Graph)
+	g, lib, err := req.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -341,7 +335,7 @@ func (req *paretoRequest) validate() (*cdfg.Graph, *library.Library, error) {
 			return nil, nil, err
 		}
 	}
-	return g, resolveLibrary(req.Library), nil
+	return g, lib, nil
 }
 
 // maxGridPoints bounds sweep, surface and pareto request grids: a single

@@ -21,13 +21,15 @@
 // POST /cluster/point (evaluate one grid cell through the result cache)
 // and GET /cluster/cache (read-only cache probe for peer fill) — and,
 // given Config.Peers, consults the cache peer owning a key before
-// computing a miss. With Config.Pool it becomes a coordinator: /v1 grids
-// are sharded across the registered workers by the content address of
-// each cell (consistent hashing keeps every worker's cache hot for its
-// shard), with work-stealing and retry-on-failure, and POST
-// /cluster/register accepts worker registrations. Either way the response
-// bytes are identical to a single-process run: grid cells route through
-// the same cache keys and the same assembly code.
+// computing a miss. With Config.Pool it becomes a coordinator: /v1
+// sweep and surface grids are sharded across the registered workers by
+// the content address of each cell (consistent hashing keeps every
+// worker's cache hot for its shard), with work-stealing and
+// retry-on-failure; a synthesize goes to its key's owner, and a
+// portfolio or pareto request is proxied whole to its key's owner, not
+// sharded. POST /cluster/register accepts worker registrations. Either
+// way the response bytes are identical to a single-process run: grid
+// cells route through the same cache keys and the same assembly code.
 //
 // Three mechanisms make the daemon safe under heavy identical-query
 // traffic, the access pattern of exploration workloads:
@@ -126,14 +128,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// result is one cached response: everything needed to replay it
-// byte-identically, plus the work counters of the run that produced it.
-type result struct {
-	status int             // HTTP status (200, or 422 for deterministic infeasibility)
-	body   []byte          // exact response bytes
-	sum    cluster.Summary // the design's grid-cell summary (synthesize 200s only)
-	stats  core.Stats      // engine work of the producing run (zero for 422)
-}
+// result is one cached response: its status (200, or 422 for
+// deterministic infeasibility) and exact bytes, the design's grid-cell
+// summary (synthesize 200s only) and the engine work of the producing
+// run (zero for 422). It is the entry peers exchange over /cluster/cache
+// and the payload of a worker's point answer, so it crosses the cluster
+// as is.
+type result = cluster.CachedResult
 
 // synthFunc runs one synthesis; it is a struct field so tests can
 // substitute a gated implementation.
@@ -190,10 +191,7 @@ func New(cfg Config) *Server {
 	if cfg.Peers != nil {
 		cacheOpts = append(cacheOpts, cache.WithPeer[*result](func(ctx context.Context, key string) (*result, bool) {
 			cr, ok := cfg.Peers.Fetch(ctx, key)
-			if !ok {
-				return nil, false
-			}
-			return &result{status: cr.Status, body: cr.Body, sum: cr.Summary, stats: cr.Stats}, true
+			return &cr, ok
 		}))
 	}
 	s.cache = cache.New[*result](cfg.CacheEntries, cfg.CacheTTL, cacheOpts...)

@@ -564,7 +564,7 @@ func TestSweepGridCap(t *testing.T) {
 		{"one over cap", 0, maxGridPoints, 1, false},
 		{"stalled sum", 1e17, 1e17, 2.5, false},
 	} {
-		req := sweepRequest{Benchmark: "hal", Deadline: 17, PowerMin: tc.min, PowerMax: tc.max, Step: tc.step}
+		req := sweepRequest{source: source{Benchmark: "hal"}, Deadline: 17, PowerMin: tc.min, PowerMax: tc.max, Step: tc.step}
 		_, _, err := req.validate()
 		if tc.ok && err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
@@ -615,13 +615,13 @@ func TestDeadlineCap(t *testing.T) {
 		}
 	})
 	t.Run("at cap", func(t *testing.T) {
-		if _, _, _, err := (&synthesizeRequest{Benchmark: "hal", Deadline: maxDeadline}).validate(); err != nil {
+		if _, _, _, err := (&synthesizeRequest{source: source{Benchmark: "hal"}, Deadline: maxDeadline}).validate(); err != nil {
 			t.Errorf("synthesize: %v", err)
 		}
-		if _, _, err := (&sweepRequest{Benchmark: "hal", Deadline: maxDeadline, PowerMax: 5, Step: 5}).validate(); err != nil {
+		if _, _, err := (&sweepRequest{source: source{Benchmark: "hal"}, Deadline: maxDeadline, PowerMax: 5, Step: 5}).validate(); err != nil {
 			t.Errorf("sweep: %v", err)
 		}
-		if _, _, err := (&surfaceRequest{Benchmark: "hal", Deadlines: []int{maxDeadline}, Powers: []float64{20}}).validate(); err != nil {
+		if _, _, err := (&surfaceRequest{source: source{Benchmark: "hal"}, Deadlines: []int{maxDeadline}, Powers: []float64{20}}).validate(); err != nil {
 			t.Errorf("surface: %v", err)
 		}
 	})

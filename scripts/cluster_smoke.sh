@@ -5,7 +5,8 @@
 # two sharded surfaces through the coordinator, and require every
 # response to be byte-identical to a single worker computing the same
 # request locally — and the synthesize response to be byte-identical to
-# the CLI's -json output. A third surface overlaps an earlier one on
+# the CLI's -json output. A pareto front and a portfolio, which the
+# coordinator proxies whole, must match a worker's own answer too. A third surface overlaps an earlier one on
 # other axes, so its shared cells come from the workers' warm caches. Also checks the cluster and peer-fill metrics.
 # Exits non-zero on any failure. Used by `make cluster-smoke` and CI.
 set -eu
@@ -123,6 +124,23 @@ cmp -s "$TMP/synth-coord.json" "$TMP/synth-cli.json" || {
     exit 1
 }
 echo "cluster-smoke: synthesize byte-identical to the CLI"
+
+# Pareto fronts and portfolios are not sharded: the coordinator proxies
+# each whole to the worker owning its key. Either answer must match the
+# same request sent straight to a worker.
+for ep_body in \
+    'pareto:{"benchmark":"hal","deadlines":[10,17],"powers":[20,40]}' \
+    'portfolio:{"benchmark":"hal","deadline":17,"power_max":20,"k":2,"budget":1,"seed":7}'; do
+    ep=${ep_body%%:*}
+    body=${ep_body#*:}
+    curl -sf -X POST -d "$body" "$COORD/v1/$ep" -o "$TMP/$ep-coord.json"
+    curl -sf -X POST -d "$body" "$W1/v1/$ep" -o "$TMP/$ep-w1.json"
+    cmp -s "$TMP/$ep-coord.json" "$TMP/$ep-w1.json" || {
+        echo "cluster-smoke: proxied $ep differs from the worker's own answer" >&2
+        exit 1
+    }
+    echo "cluster-smoke: proxied $ep byte-identical"
+done
 
 # Batch through the coordinator; -f fails the script on non-2xx.
 BATCH='{"requests":[{"synthesize":{"benchmark":"hal","deadline":17,"power_max":20}},{"surface":{"benchmark":"hal","deadlines":[10,17],"powers":[20,40]}}]}'

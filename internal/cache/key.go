@@ -57,8 +57,10 @@ func writeGraphLib(sb *strings.Builder, g *cdfg.Graph, lib *library.Library) {
 	}
 }
 
-// writeAxes renders a grid's deadline and power axes in request order:
-// the response lists cells in that order, so it is part of the address.
+// writeAxes renders a grid's deadline and power axes in request order.
+// The explorers sort both axes, so the response does not depend on that
+// order: two permutations of the same axes get two keys that hold the
+// same bytes.
 func writeAxes(sb *strings.Builder, deadlines []int, powers []float64) {
 	sb.WriteString("deadlines=")
 	for i, d := range deadlines {

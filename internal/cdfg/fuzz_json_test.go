@@ -1,12 +1,16 @@
 package cdfg
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzParseJSON exercises the JSON graph decoder — the synthesis
 // service's request-payload format — with arbitrary bytes: it must never
 // panic, anything it accepts must pass structural validation, and the
-// accepted graph must survive a marshal/unmarshal round trip unchanged in
-// shape.
+// accepted graph must survive a marshal/unmarshal round trip exactly:
+// the same nodes, the same successor and predecessor orders, and the same
+// bytes when marshaled again.
 func FuzzParseJSON(f *testing.F) {
 	seeds := []string{
 		``,
@@ -20,6 +24,7 @@ func FuzzParseJSON(f *testing.F) {
 		`{"nodes":[{"name":"a","op":"+"},{"name":"b","op":"+"}],"edges":[{"from":"a","to":"b"},{"from":"b","to":"a"}]}`,
 		`[1,2,3]`,
 		`{"nodes":`,
+		`{"nodes":[{"name":"a","op":"imp"},{"name":"b","op":"imp"},{"name":"m","op":"*"}],"edges":[{"from":"b","to":"m"},{"from":"a","to":"m"}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -40,8 +45,15 @@ func FuzzParseJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshaled graph does not reparse: %v\njson: %s", err, out)
 		}
-		if g2.N() != g.N() || g2.E() != g.E() || g2.Name != g.Name {
-			t.Fatalf("round trip changed shape: %d/%d nodes, %d/%d edges", g.N(), g2.N(), g.E(), g2.E())
+		if g2.Name != g.Name || !sameOrders(g, g2) {
+			t.Fatalf("round trip changed the graph\ninput: %q\njson:  %s", data, out)
+		}
+		out2, err := g2.MarshalJSON()
+		if err != nil {
+			t.Fatalf("round-tripped graph does not marshal: %v", err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("marshal not stable over a round trip:\n%s\nvs\n%s", out, out2)
 		}
 	})
 }

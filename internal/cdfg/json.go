@@ -34,29 +34,23 @@ type edgeJSON struct {
 	To   string `json:"to"`
 }
 
-// MarshalJSON serializes the graph in the JSON schema above. Nodes are
-// emitted in ID order and edges in (source ID, declaration) order, so the
-// output is canonical: two equal graphs marshal to identical bytes.
+// MarshalJSON serializes the graph in the JSON schema above, in an order
+// that decodes back to this very graph: nodes in ID order, and the edges
+// so that every node's predecessors (its operand order, which synthesis
+// reads) and successors come back in the graph's own order. Where
+// (source ID, declaration) order already rebuilds the graph, as for a
+// graph built source by source, the edges are listed in it. The output
+// is canonical: two graphs with the same nodes and the same ordered
+// adjacency marshal to identical bytes.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	out := g.nodesJSON()
-	for _, n := range g.nodes {
-		for _, v := range g.succs[n.ID] {
-			out.Edges = append(out.Edges, edgeJSON{From: n.Name, To: g.nodes[v].Name})
-		}
+	out := graphJSON{
+		Name:  g.Name,
+		Nodes: make([]nodeJSON, 0, len(g.nodes)),
+		Edges: make([]edgeJSON, 0, g.E()),
 	}
-	return json.Marshal(out)
-}
-
-// ExactJSON serializes the graph like MarshalJSON, but lists the edges
-// in an order that decodes back to this very graph: every node's
-// predecessors (its operand order, which synthesis reads) and successors
-// come back in the graph's own order. MarshalJSON's (source ID,
-// declaration) order keeps the successor order only, so a graph whose
-// edges were not added source by source decodes with its operands
-// reordered. Where that order already rebuilds the graph, as for a graph
-// built source by source, ExactJSON lists the edges in it too.
-func (g *Graph) ExactJSON() ([]byte, error) {
-	out := g.nodesJSON()
+	for _, n := range g.nodes {
+		out.Nodes = append(out.Nodes, nodeJSON{Name: n.Name, Op: n.Op.String()})
+	}
 	// An edge u -> v can be listed once the edges before it in u's
 	// successor list and in v's predecessor list are. The graph's own
 	// AddEdge sequence meets both, so some such sequence exists. Sources
@@ -88,20 +82,6 @@ func (g *Graph) ExactJSON() ([]byte, error) {
 		return nil, fmt.Errorf("cdfg: graph %q: successor and predecessor orders admit no edge sequence", g.Name)
 	}
 	return json.Marshal(out)
-}
-
-// nodesJSON returns the graph's JSON form with its nodes in ID order and
-// room for its edges.
-func (g *Graph) nodesJSON() graphJSON {
-	out := graphJSON{
-		Name:  g.Name,
-		Nodes: make([]nodeJSON, 0, len(g.nodes)),
-		Edges: make([]edgeJSON, 0, g.E()),
-	}
-	for _, n := range g.nodes {
-		out.Nodes = append(out.Nodes, nodeJSON{Name: n.Name, Op: n.Op.String()})
-	}
-	return out
 }
 
 // UnmarshalJSON decodes and validates a graph from the JSON schema above.

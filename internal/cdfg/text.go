@@ -93,8 +93,12 @@ func Parse(r io.Reader) (*Graph, error) {
 func ParseString(s string) (*Graph, error) { return Parse(strings.NewReader(s)) }
 
 // Write serializes the graph in the .cdfg text format. The output parses
-// back to an identical graph (same names, operations and edges; node IDs
-// are preserved because nodes are emitted in ID order).
+// back to a graph with the same names, operations, node IDs (nodes are
+// emitted in ID order) and edge set, but not always the same operand
+// order: edges are emitted in (source ID, declaration) order, so a node
+// whose operands were added against ID order gets them back in ID order.
+// The content address hashes this text, so it does not see operand order
+// either; MarshalJSON is the exact serialization.
 func (g *Graph) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if g.Name != "" {

@@ -50,12 +50,13 @@ func SummaryOf(d *core.Design) Summary {
 	}
 }
 
-// Point is one sweep sample.
+// Point is one sweep sample. Its JSON is a point of the /v1/sweep
+// document.
 type Point struct {
 	// Power is the per-cycle power constraint P< of this sample.
-	Power float64
+	Power float64 `json:"power"`
 	// Feasible reports whether a design was found.
-	Feasible bool
+	Feasible bool `json:"feasible"`
 	// Summary describes the best design (valid when Feasible).
 	Summary
 	// Stats counts the work the synthesis run at this grid point performed
@@ -63,17 +64,18 @@ type Point struct {
 	// run at this point's own budget even when budget subsumption replaces
 	// the design with one found at a tighter budget, and is zero for
 	// infeasible points.
-	Stats core.Stats
+	Stats core.Stats `json:"-"`
 }
 
-// Curve is one area-versus-power series at a fixed time constraint.
+// Curve is one area-versus-power series at a fixed time constraint. Its
+// JSON is the /v1/sweep document without the total stats.
 type Curve struct {
 	// Benchmark is the CDFG name.
-	Benchmark string
+	Benchmark string `json:"benchmark"`
 	// Deadline is the time constraint T.
-	Deadline int
+	Deadline int `json:"deadline"`
 	// Points are the samples in increasing power order.
-	Points []Point
+	Points []Point `json:"points"`
 }
 
 // Label renders the curve's legend label, e.g. "hal (T=10)".
@@ -98,7 +100,9 @@ type SweepConfig struct {
 	SinglePass bool
 	// NoSubsume disables budget subsumption. By default a design found at
 	// a tighter budget replaces a worse design at a looser budget (it is
-	// feasible there too), making curves non-increasing by construction.
+	// feasible there too), making curves non-increasing over capped
+	// budgets by construction. The uncapped 0 budget hands its design on
+	// only to budgets its peak fits under.
 	NoSubsume bool
 	// Workers bounds the number of grid points synthesized concurrently:
 	// 0 uses GOMAXPROCS, 1 keeps the legacy serial path. The curve is

@@ -55,8 +55,7 @@ type grid struct {
 // cell is one evaluated grid cell. design is the synthesized design on the
 // in-process path (nil when infeasible or evaluated through eval).
 type cell struct {
-	Deadline int
-	Point
+	TimePoint
 	design *core.Design
 }
 
@@ -86,14 +85,14 @@ func (gr grid) evaluate(ctx context.Context, g *cdfg.Graph, lib *library.Library
 		cells := make([]cell, n)
 		for i, pt := range pts {
 			pt.Power = cons[i].PowerMax
-			cells[i] = cell{Deadline: cons[i].Deadline, Point: pt}
+			cells[i] = cell{TimePoint: TimePoint{Deadline: cons[i].Deadline, Point: pt}}
 		}
 		return cells, nil
 	}
 	return runner.Map(ctx, n, runner.Config{Workers: gr.workers, InFlight: gr.inFlight},
 		func(ctx context.Context, i int) (cell, error) {
 			cons := at(i)
-			c := cell{Deadline: cons.Deadline, Point: Point{Power: cons.PowerMax}}
+			c := cell{TimePoint: TimePoint{Deadline: cons.Deadline, Point: Point{Power: cons.PowerMax}}}
 			d, err := SynthesizeCell(ctx, g, lib, cons, gr.config, gr.singlePass)
 			if err != nil {
 				return c, ctx.Err()
@@ -106,30 +105,39 @@ func (gr grid) evaluate(ctx context.Context, g *cdfg.Graph, lib *library.Library
 		})
 }
 
-// subsume makes the evaluated cells monotone in both axes: each cell
-// inherits from the tighter budget in its row and from the tighter
-// deadline in its column, since a design meeting tighter constraints
-// meets looser ones too. On a one-row or one-column grid (a sweep) this
-// is subsumption along its one axis.
+// subsume makes the evaluated cells monotone in both axes over capped
+// budgets: each cell inherits from the tighter budgets in its row and
+// from the tighter deadline in its column, since a design meeting tighter
+// constraints meets looser ones too. A 0 budget caps nothing, yet sorts
+// first in its row, so the row carries the designs of uncapped cells
+// apart (free): one may exceed a later cap, so it must not displace the
+// capped design (row) that every later cap admits. On a one-row or
+// one-column grid (a sweep) this is subsumption along its one axis.
 func (gr grid) subsume(cells []cell) {
 	cols := make([]*Point, len(gr.powers))
 	for ti := range gr.deadlines {
-		var row *Point
+		var row, free *Point
 		for pi := range gr.powers {
 			c := &cells[ti*len(gr.powers)+pi]
-			c.Point = inherit(inherit(c.Point, row), cols[pi])
-			row, cols[pi] = best(row, c.Point), best(cols[pi], c.Point)
+			c.Point = inherit(inherit(inherit(c.Point, free), row), cols[pi])
+			if c.Power > 0 {
+				row = best(row, c.Point)
+			} else {
+				free = best(free, c.Point)
+			}
+			cols[pi] = best(cols[pi], c.Point)
 		}
 	}
 }
 
 // inherit applies subsumption to p given the best design carried along
-// one axis from tighter constraints: that design meets p's constraints
-// too, so when p is infeasible or carried has a smaller area, p takes
-// carried's design summary. p keeps its own Power and Stats, which
-// describe the run at p's constraints.
+// one axis from tighter constraints. p takes carried's design summary
+// when that design meets p's cap (p has none, or carried's peak is within
+// it by verify's slack) and p is infeasible or carried has a smaller
+// area. Only an uncapped carrier can fail the cap. p keeps its own Power
+// and Stats, which describe the run at p's constraints.
 func inherit(p Point, carried *Point) Point {
-	if carried == nil || (p.Feasible && carried.Area >= p.Area) {
+	if carried == nil || (p.Feasible && carried.Area >= p.Area) || (p.Power > 0 && carried.Peak > p.Power+1e-9) {
 		return p
 	}
 	p.Feasible, p.Summary = true, carried.Summary

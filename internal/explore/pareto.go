@@ -16,23 +16,24 @@ import (
 
 // ParetoPoint is one non-dominated design of a multi-objective
 // exploration: the constraint pair it was synthesized under, its four
-// objective values, and the design itself.
+// objective values, and the design itself. Its JSON is a point of the
+// /v1/pareto document without the design.
 type ParetoPoint struct {
 	// Deadline and PowerMax are the grid constraints the design was
 	// synthesized under.
-	Deadline int
-	PowerMax float64
+	Deadline int     `json:"deadline"`
+	PowerMax float64 `json:"power"`
 	// Area is the functional-unit area (minimized).
-	Area float64
+	Area float64 `json:"area"`
 	// Latency is the schedule makespan in cycles (minimized).
-	Latency int
+	Latency int `json:"latency"`
 	// Peak is the maximum per-cycle power draw (minimized).
-	Peak float64
+	Peak float64 `json:"peak_power"`
 	// Lifetime is the battery lifetime in whole schedule periods under
 	// the front's battery model (maximized).
-	Lifetime int
+	Lifetime int `json:"lifetime"`
 	// Design is the synthesized design achieving the objectives.
-	Design *core.Design
+	Design *core.Design `json:"-"`
 }
 
 // ParetoFront is the non-dominated set over (area, latency, peak power,

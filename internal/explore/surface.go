@@ -13,22 +13,24 @@ import (
 )
 
 // SurfacePoint is one sample of the two-dimensional time-power design
-// space: the best area found at a (deadline, power budget) pair.
+// space: the best area found at a (deadline, power budget) pair. Its JSON
+// is a point of the /v1/surface document.
 type SurfacePoint struct {
-	Deadline int
-	Power    float64
-	Feasible bool
-	Area     float64
+	Deadline int     `json:"deadline"`
+	Power    float64 `json:"power"`
+	Feasible bool    `json:"feasible"`
+	Area     float64 `json:"area"`
 	// Stats counts the work of the synthesis run at this cell's own
 	// constraints (zero when infeasible); subsumption never overwrites it.
-	Stats core.Stats
+	Stats core.Stats `json:"-"`
 }
 
 // Surface is a grid over the time-power-constraint space — the space the
-// paper's conclusion says it investigated "different regions" of.
+// paper's conclusion says it investigated "different regions" of. Its
+// JSON is the /v1/surface document without the total stats.
 type Surface struct {
-	Benchmark string
-	Points    []SurfacePoint
+	Benchmark string         `json:"benchmark"`
+	Points    []SurfacePoint `json:"points"`
 }
 
 // TotalStats aggregates the synthesis work counters over all grid cells.
@@ -71,7 +73,9 @@ type SurfaceConfig struct {
 // Within each deadline the power axis is swept tight-to-loose with budget
 // subsumption, and for each power budget the time axis inherits designs
 // from tighter deadlines (a design meeting a tighter T also meets a looser
-// one), so the surface is monotone in both axes by construction.
+// one), so the surface is monotone in both axes over capped budgets by
+// construction. A 0 budget is uncapped: its design reaches a capped cell
+// only when its peak fits under that cell's cap.
 func ExploreSurface(g *cdfg.Graph, lib *library.Library, cfg SurfaceConfig) (Surface, error) {
 	return ExploreSurfaceContext(context.Background(), g, lib, cfg)
 }
@@ -81,7 +85,8 @@ func ExploreSurface(g *cdfg.Graph, lib *library.Library, cfg SurfaceConfig) (Sur
 // cancellation aborts the exploration between synthesis runs. The surface
 // is identical to the serial exploration for every worker count: cells are
 // independent synthesis runs, and the two-axis subsumption pass that makes
-// the surface monotone runs serially over the collected results.
+// the surface monotone over capped budgets runs serially over the
+// collected results.
 func ExploreSurfaceContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, cfg SurfaceConfig) (Surface, error) {
 	if len(cfg.Deadlines) == 0 || len(cfg.Powers) == 0 {
 		return Surface{}, fmt.Errorf("%w: empty surface grid", ErrBadGrid)

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -108,4 +109,64 @@ func TestExploreSurfaceBadGrid(t *testing.T) {
 	if _, err := ExploreSurface(bench.HAL(), library.Table1(), SurfaceConfig{}); !errors.Is(err, ErrBadGrid) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestZeroBudgetLeaksNoDesign: a 0 budget is the uncapped cell, which the
+// grid sorts first in its row. In sweeps and surfaces that sample 0,
+// every feasible capped cell has a peak within its cap, and areas are
+// monotone over the capped budgets. At T=17, hal's uncapped design (peak
+// 8.1) does not fit P=5. At T=34, elliptic's uncapped design (area 792,
+// peak 10.4) has less area than its P=7 design, but must not displace it
+// as the design P=8 inherits.
+func TestZeroBudgetLeaksNoDesign(t *testing.T) {
+	lib := library.Table1()
+	check := func(what string, pts []TimePoint) {
+		t.Helper()
+		prev := map[int]float64{}
+		for _, p := range pts {
+			if p.Power == 0 || !p.Feasible {
+				continue
+			}
+			if p.Peak > p.Power+1e-9 {
+				t.Errorf("%s T=%d P=%g: feasible with peak %g over the cap", what, p.Deadline, p.Power, p.Peak)
+			}
+			if a, ok := prev[p.Deadline]; ok && p.Area > a {
+				t.Errorf("%s T=%d: area rose from %g to %g at P=%g", what, p.Deadline, a, p.Area, p.Power)
+			}
+			prev[p.Deadline] = p.Area
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		deadline int
+		max      float64
+		step     float64
+	}{{"hal", 17, 30, 5}, {"elliptic", 34, 10, 1}} {
+		g, err := bench.ByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Sweep(g, lib, tc.deadline, SweepConfig{PowerMin: 0, PowerMax: tc.max, Step: tc.step, SinglePass: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := make([]TimePoint, len(c.Points))
+		for i, p := range c.Points {
+			pts[i] = TimePoint{Deadline: c.Deadline, Point: p}
+		}
+		check(tc.name+" sweep", pts)
+	}
+
+	// Surface peaks are read from the cells the surface is copied from.
+	gr := grid{deadlines: []int{10, 17}, powers: []float64{0, 5, 10}, singlePass: true}
+	cells, err := gr.evaluate(context.Background(), bench.HAL(), lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr.subsume(cells)
+	pts := make([]TimePoint, len(cells))
+	for i, c := range cells {
+		pts[i] = c.TimePoint
+	}
+	check("hal surface", pts)
 }

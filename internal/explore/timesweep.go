@@ -11,18 +11,12 @@ import (
 	"pchls/internal/runner"
 )
 
-// TimePoint is one sample of an area-versus-latency sweep.
+// TimePoint is one sample of an area-versus-latency sweep: the sweep
+// point of the grid cell at Deadline.
 type TimePoint struct {
 	// Deadline is the time constraint T of this sample.
-	Deadline int
-	// Feasible reports whether a design was found.
-	Feasible bool
-	// Area is the datapath area of the best design (valid when Feasible).
-	Area float64
-	// Peak is the achieved per-cycle power peak.
-	Peak float64
-	// FUs and Registers are allocation counts.
-	FUs, Registers int
+	Deadline int `json:"deadline"`
+	Point
 }
 
 // TimeCurve is an area-versus-latency series at a fixed power constraint.
@@ -91,10 +85,7 @@ func TimeSweepContext(ctx context.Context, g *cdfg.Graph, lib *library.Library, 
 	gr.subsume(cells)
 	curve := TimeCurve{Benchmark: g.Name, PowerMax: powerMax, Points: make([]TimePoint, len(cells))}
 	for i, c := range cells {
-		curve.Points[i] = TimePoint{
-			Deadline: c.Deadline, Feasible: c.Feasible, Area: c.Area, Peak: c.Peak,
-			FUs: c.FUs, Registers: c.Registers,
-		}
+		curve.Points[i] = c.TimePoint
 	}
 	return curve, nil
 }

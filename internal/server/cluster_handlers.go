@@ -28,16 +28,16 @@ import (
 // included; it never computes, so peers cannot recurse into each other.
 
 // forward returns the wire form of this source, the one form in which a
-// coordinator sends a source to a worker, for grid cells, single points
-// and whole proxied requests alike: the benchmark name, or the inline
-// graph and library serialized once here and shared by every cell that
-// copies it. The graph travels in its exact edge order, so the worker
-// synthesizes the operands in the order this request gave them.
+// coordinator sends a source to a worker, for grid cells and single
+// points: the benchmark name, or the inline graph and library serialized
+// once here and shared by every cell that copies it. The graph's JSON
+// keeps its operand order, so the worker synthesizes the operands in the
+// order this request gave them.
 func (src *source) forward() (cluster.Source, error) {
 	wire := cluster.Source{Benchmark: src.Benchmark}
 	var err error
 	if src.Graph != nil {
-		if wire.Graph, err = src.Graph.ExactJSON(); err != nil {
+		if wire.Graph, err = json.Marshal(src.Graph); err != nil {
 			return wire, err
 		}
 	}

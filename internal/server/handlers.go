@@ -249,12 +249,9 @@ type portfolioJSON struct {
 
 // proxy forwards a whole request to the worker owning key: the path for
 // endpoints whose result cannot be decomposed into grid points. The body
-// is req with its source in forward's wire form: req comes embedded
-// after that form, whose fields sit one embedding level shallower, so
-// they replace the request's own source fields in the encoding and keep
-// their place at the head of the object. A
-// transient worker-side failure (overload, drain) comes back verbatim as
-// a proxyError and is never cached.
+// is the decoded request marshaled as it is; its graph's JSON keeps the
+// operand order. A transient worker-side failure (overload, drain) comes
+// back verbatim as a proxyError and is never cached.
 func proxy(ctx context.Context, pool *cluster.Pool, key, path string, req any) (*result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -282,14 +279,7 @@ func (s *Server) execPortfolio(ctx context.Context, req *portfolioRequest) (*res
 	key := cache.PortfolioKey(g, lib, cons, req.K, req.Budget, req.Seed)
 	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
-			wire, err := req.forward()
-			if err != nil {
-				return nil, err
-			}
-			return proxy(ctx, pool, key, "/v1/portfolio", struct {
-				cluster.Source
-				*portfolioRequest
-			}{wire, req})
+			return proxy(ctx, pool, key, "/v1/portfolio", req)
 		}
 		pres, err := portfolio.SynthesizeContext(ctx, g, lib, cons, portfolio.Config{
 			K:        req.K,
@@ -350,21 +340,10 @@ func toStatsJSON(st core.Stats) statsJSON {
 	}
 }
 
-type curvePointJSON struct {
-	Power     float64 `json:"power"`
-	Feasible  bool    `json:"feasible"`
-	Area      float64 `json:"area"`
-	Peak      float64 `json:"peak"`
-	FUs       int     `json:"fus"`
-	Registers int     `json:"registers"`
-	Locked    bool    `json:"locked"`
-}
-
+// curveJSON is the /v1/sweep document: the curve and the work behind it.
 type curveJSON struct {
-	Benchmark  string           `json:"benchmark"`
-	Deadline   int              `json:"deadline"`
-	Points     []curvePointJSON `json:"points"`
-	TotalStats statsJSON        `json:"total_stats"`
+	explore.Curve
+	TotalStats statsJSON `json:"total_stats"`
 }
 
 // execSweep is the sweep endpoint's core. On a coordinator the grid
@@ -396,33 +375,15 @@ func (s *Server) execSweep(ctx context.Context, req *sweepRequest) (*result, cac
 			return nil, err
 		}
 		total := curve.TotalStats()
-		out := curveJSON{
-			Benchmark:  curve.Benchmark,
-			Deadline:   curve.Deadline,
-			Points:     make([]curvePointJSON, 0, len(curve.Points)),
-			TotalStats: toStatsJSON(total),
-		}
-		for _, p := range curve.Points {
-			out.Points = append(out.Points, curvePointJSON{
-				Power: p.Power, Feasible: p.Feasible, Area: p.Area, Peak: p.Peak,
-				FUs: p.FUs, Registers: p.Registers, Locked: p.Locked,
-			})
-		}
-		return s.document(out, total)
+		return s.document(curveJSON{curve, toStatsJSON(total)}, total)
 	})
 }
 
-type surfacePointJSON struct {
-	Deadline int     `json:"deadline"`
-	Power    float64 `json:"power"`
-	Feasible bool    `json:"feasible"`
-	Area     float64 `json:"area"`
-}
-
+// surfaceJSON is the /v1/surface document: the surface and the work
+// behind it.
 type surfaceJSON struct {
-	Benchmark  string             `json:"benchmark"`
-	Points     []surfacePointJSON `json:"points"`
-	TotalStats statsJSON          `json:"total_stats"`
+	explore.Surface
+	TotalStats statsJSON `json:"total_stats"`
 }
 
 // execSurface is the surface endpoint's core; see execSweep for the
@@ -451,28 +412,15 @@ func (s *Server) execSurface(ctx context.Context, req *surfaceRequest) (*result,
 			return nil, err
 		}
 		total := surface.TotalStats()
-		out := surfaceJSON{
-			Benchmark:  surface.Benchmark,
-			Points:     make([]surfacePointJSON, 0, len(surface.Points)),
-			TotalStats: toStatsJSON(total),
-		}
-		for _, p := range surface.Points {
-			out.Points = append(out.Points, surfacePointJSON{
-				Deadline: p.Deadline, Power: p.Power, Feasible: p.Feasible, Area: p.Area,
-			})
-		}
-		return s.document(out, total)
+		return s.document(surfaceJSON{surface, toStatsJSON(total)}, total)
 	})
 }
 
+// paretoPointJSON is a point of the /v1/pareto document: the front's
+// point with its design document.
 type paretoPointJSON struct {
-	Deadline int             `json:"deadline"`
-	Power    float64         `json:"power"`
-	Area     float64         `json:"area"`
-	Latency  int             `json:"latency"`
-	Peak     float64         `json:"peak_power"`
-	Lifetime int             `json:"lifetime"`
-	Design   json.RawMessage `json:"design"`
+	explore.ParetoPoint
+	Design json.RawMessage `json:"design"`
 }
 
 type paretoJSON struct {
@@ -501,14 +449,7 @@ func (s *Server) execPareto(ctx context.Context, req *paretoRequest) (*result, c
 	key := cache.ParetoKey(g, lib, req.Deadlines, req.Powers, model, capacity, paretoMaxPeriods, req.SinglePass)
 	return s.compute(ctx, key, func(ctx context.Context) (*result, error) {
 		if pool := s.cfg.Pool; pool != nil {
-			wire, err := req.forward()
-			if err != nil {
-				return nil, err
-			}
-			return proxy(ctx, pool, key, "/v1/pareto", struct {
-				cluster.Source
-				*paretoRequest
-			}{wire, req})
+			return proxy(ctx, pool, key, "/v1/pareto", req)
 		}
 		var (
 			battery power.Battery
@@ -552,11 +493,7 @@ func (s *Server) execPareto(ctx context.Context, req *paretoRequest) (*result, c
 			if err != nil {
 				return nil, err
 			}
-			out.Points = append(out.Points, paretoPointJSON{
-				Deadline: p.Deadline, Power: p.PowerMax,
-				Area: p.Area, Latency: p.Latency, Peak: p.Peak, Lifetime: p.Lifetime,
-				Design: design,
-			})
+			out.Points = append(out.Points, paretoPointJSON{p, design})
 		}
 		s.paretoPoints.Observe(float64(len(front.Points)))
 		return s.document(out, total)

@@ -64,7 +64,7 @@ func TestParetoEndpoint(t *testing.T) {
 	}
 	for i, p := range got.Points {
 		w := want.Points[i]
-		if p.Deadline != w.Deadline || p.Power != w.PowerMax || p.Area != w.Area ||
+		if p.Deadline != w.Deadline || p.PowerMax != w.PowerMax || p.Area != w.Area ||
 			p.Latency != w.Latency || p.Peak != w.Peak || p.Lifetime != w.Lifetime {
 			t.Errorf("point %d objectives differ from direct exploration: %+v vs %+v", i, p, w)
 		}
